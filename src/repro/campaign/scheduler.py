@@ -382,9 +382,7 @@ class CampaignScheduler:
         outcome = CampaignResult(campaign=self.campaign)
         for subgrid in selected:
             outcome.scenarios[subgrid.name] = subgrid.resolved_scenario()
-            outcome.subgrid_stats[subgrid.name] = SweepStats(
-                total=0, jobs=pool.jobs if pool is not None else jobs
-            )
+            outcome.subgrid_stats[subgrid.name] = SweepStats()
 
         owner: List[Tuple[str, str, Dict[str, Any]]] = [
             (run.subgrid, run.label, run.settings) for run in plan
@@ -455,9 +453,11 @@ class CampaignScheduler:
         # Per-sub-grid wall-clock is not separable out of one flattened,
         # possibly parallel sweep; report each sub-grid's *attributed work
         # time* (sum of its phase totals) as elapsed instead of leaving a
-        # misleading 0.00s next to non-zero phases.
+        # misleading 0.00s next to non-zero phases.  Every sub-grid ran on
+        # the sweep's executor, so it shares the sweep's worker count.
         for stats_entry in outcome.subgrid_stats.values():
             stats_entry.elapsed_s = sum(stats_entry.phases().values())
+            stats_entry.jobs = stats.jobs
 
         # A quarantined point leaves its result slot as None; map those
         # slots back to their quarantine records so regrouping can tell a

@@ -85,7 +85,6 @@ from repro.runner import (
     FailurePolicy,
     InProcessExecutor,
     PoolExecutor,
-    QueueExecutor,
     ResultCache,
     WorkerPool,
     run_sweep,
@@ -332,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         campaign_run.add_argument(
             "--executor",
-            choices=("auto", "inprocess", "pool", "queue"),
+            choices=("auto", "inprocess", "pool"),
             default="auto",
-            help="execution backend: in-process, warm worker pool, or the "
-            "lease-based file queue (auto picks pool when --jobs > 1)",
+            help="execution backend: in-process or worker pool (auto picks "
+            "the pool when --jobs > 1)",
         )
         campaign_run.add_argument(
             "--timeout-s",
@@ -832,13 +831,6 @@ def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
         executor = InProcessExecutor()
     elif args.executor == "pool":
         executor = PoolExecutor(jobs=args.jobs)
-    elif args.executor == "queue":
-        queue_dir = (
-            str(Path(args.store_dir) / "queue")
-            if getattr(args, "store_dir", None)
-            else None
-        )
-        executor = QueueExecutor(queue_dir=queue_dir, jobs=args.jobs)
     # An explicit executor owns its own parallelism — don't also pay for a
     # warm pool the sweep would ignore.
     pool_context = _sweep_pool(args) if executor is None else nullcontext(None)

@@ -1,7 +1,7 @@
 """Observability layer: span tracing, metrics, and export surfaces.
 
 Zero-dependency instrumentation for the whole orchestration vertical
-(engine phases, pool/queue workers, executor retries, scheduler planning,
+(engine phases, pool workers, executor retries, scheduler planning,
 store writes, serve requests).  Tracing is **off by default** — the
 module-level :func:`span` / :func:`instant` helpers are a global read plus
 a comparison until a tracer is installed — and **non-perturbing**: trace

@@ -11,12 +11,8 @@ The registry is deliberately tiny and dependency-free:
 * instruments are keyed by metric name plus sorted ``label=value`` pairs,
   so ``registry.counter("repro_http_requests_total", status="200")`` is a
   get-or-create returning the same :class:`Counter` every call;
-* counters accept float increments (the repo's ad-hoc stats fields it
-  replaces — ``ResultCache.read_s``, ``SweepStats.resolve_s`` — are
-  accumulated seconds, which Prometheus counters permit);
-* every instrument exposes ``set`` so existing ``obj.field += x`` call
-  sites keep working through compatibility properties (property get,
-  add, property set).
+* counters accept float increments (accumulated seconds are valid
+  Prometheus counters) and never move backwards.
 
 Nothing here reads clocks or touches results: registries only observe
 values handed to them, keeping the metrics layer provably non-perturbing.
@@ -26,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 #: Default latency buckets (seconds) — sub-millisecond blob-cache hits up to
 #: multi-second cold report renders.
@@ -59,14 +55,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
         self.value += amount
-
-    def set(self, value: float) -> None:
-        """Compatibility setter for ``obj.field += x`` property call sites."""
-        if value < self.value:
-            raise ValueError(
-                f"counter cannot move backwards ({self.value} -> {value})"
-            )
-        self.value = value
 
 
 class Gauge:

@@ -124,7 +124,7 @@ class Tracer:
         return Span(self, name, attrs)
 
     def instant(self, name: str, **attrs: Any) -> None:
-        """A zero-duration event (lease claims, steals, point metadata)."""
+        """A zero-duration event (retries, respawns, point metadata)."""
         now_ns = time.perf_counter_ns()
         self._record(
             {
@@ -256,8 +256,8 @@ def install_from_env(role: str) -> Optional[Tracer]:
     """Worker-process activation: install a tracer when the driver traces.
 
     Spawned workers call this once at startup with their role name
-    (``pool-worker`` / ``queue-worker``); when :data:`TRACE_ENV_VAR` is
-    unset — every untraced run — this is a single environment lookup.
+    (``pool-worker``); when :data:`TRACE_ENV_VAR` is unset — every
+    untraced run — this is a single environment lookup.
     """
     directory = os.environ.get(TRACE_ENV_VAR)
     if not directory:

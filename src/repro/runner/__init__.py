@@ -27,7 +27,6 @@ from repro.runner.executor import (
     Executor,
     FailurePolicy,
     InProcessExecutor,
-    LeaseExpiredError,
     PayloadError,
     PoolExecutor,
     QuarantinedPoint,
@@ -35,7 +34,6 @@ from repro.runner.executor import (
     WorkerDiedError,
 )
 from repro.runner.pool import TaskOutcome, WorkerPool, estimate_cost, plan_batches
-from repro.runner.queue import QueueExecutor, WorkQueue
 from repro.runner.sweep import (
     AblationGrid,
     Observer,
@@ -57,12 +55,10 @@ __all__ = [
     "Executor",
     "FailurePolicy",
     "InProcessExecutor",
-    "LeaseExpiredError",
     "Observer",
     "PayloadError",
     "PoolExecutor",
     "QuarantinedPoint",
-    "QueueExecutor",
     "RESILIENT_POLICY",
     "ResultCache",
     "RunSpec",
@@ -70,7 +66,6 @@ __all__ = [
     "SpecTimeoutError",
     "SweepStats",
     "TaskOutcome",
-    "WorkQueue",
     "WorkerDiedError",
     "WorkerPool",
     "cache_key",

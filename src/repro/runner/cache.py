@@ -32,7 +32,6 @@ from repro.analysis.serialize import (
     experiment_result_from_dict,
     experiment_result_to_dict,
 )
-from repro.obs import MetricsRegistry
 from repro.system.experiment import ExperimentResult
 
 PathLike = Union[str, Path]
@@ -67,76 +66,16 @@ class ResultCache:
     wall-clock it spends deserializing (``read_s``) and serializing
     (``write_s``) entries, so sweeps can report both how much work they
     skipped and what the skipping itself cost (the orchestrator surfaces the
-    sum as ``SweepStats.serialize_s``).  The counters live in a per-instance
-    :class:`~repro.obs.MetricsRegistry` (``cache.metrics``); the historical
-    attributes remain as compatibility properties over it.
+    sum as ``SweepStats.serialize_s``).
     """
 
-    def __init__(
-        self, directory: PathLike, registry: Optional[MetricsRegistry] = None
-    ) -> None:
+    def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self._hits = self.metrics.counter(
-            "repro_result_cache_hits_total", "Result-cache entries served."
-        )
-        self._misses = self.metrics.counter(
-            "repro_result_cache_misses_total",
-            "Result-cache lookups that found no usable entry.",
-        )
-        self._stores = self.metrics.counter(
-            "repro_result_cache_stores_total", "Result-cache entries written."
-        )
-        self._read_s = self.metrics.counter(
-            "repro_result_cache_io_seconds_total",
-            "Result-cache (de)serialization wall-clock by direction.",
-            direction="read",
-        )
-        self._write_s = self.metrics.counter(
-            "repro_result_cache_io_seconds_total",
-            "Result-cache (de)serialization wall-clock by direction.",
-            direction="write",
-        )
-
-    @property
-    def hits(self) -> int:
-        return int(self._hits.value)
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.set(float(value))
-
-    @property
-    def misses(self) -> int:
-        return int(self._misses.value)
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.set(float(value))
-
-    @property
-    def stores(self) -> int:
-        return int(self._stores.value)
-
-    @stores.setter
-    def stores(self, value: int) -> None:
-        self._stores.set(float(value))
-
-    @property
-    def read_s(self) -> float:
-        return self._read_s.value
-
-    @read_s.setter
-    def read_s(self, value: float) -> None:
-        self._read_s.set(float(value))
-
-    @property
-    def write_s(self) -> float:
-        return self._write_s.value
-
-    @write_s.setter
-    def write_s(self, value: float) -> None:
-        self._write_s.set(float(value))
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.read_s = 0.0
+        self.write_s = 0.0
 
     @property
     def io_s(self) -> float:

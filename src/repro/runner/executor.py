@@ -1,4 +1,4 @@
-"""The executor layer: one execution contract, three ways to run it.
+"""The executor layer: one execution contract, two ways to run it.
 
 ``run_sweep`` historically hard-wired its two cold paths (sequential
 in-process, batched warm pool).  This module lifts "execute these cold
@@ -8,11 +8,9 @@ writes, result placement, progress, observers — is written once while the
 
 * :class:`InProcessExecutor` — the sequential path: no processes, no IPC.
 * :class:`PoolExecutor` — batched dispatch on a (possibly warm)
-  :class:`~repro.runner.pool.WorkerPool`.
-* :class:`~repro.runner.queue.QueueExecutor` — workers lease batches from
-  a file-backed work queue with heartbeats; the crash-resumable path.
+  :class:`~repro.runner.pool.WorkerPool`; the one multi-process path.
 
-All three share one :class:`FailurePolicy`: per-spec wall-clock timeouts,
+Both share one :class:`FailurePolicy`: per-spec wall-clock timeouts,
 retry with exponential backoff (jitter is *deterministic* — derived from
 the spec key and attempt number, never from a clock or RNG — so two runs
 of the same failing sweep behave identically), and poison-point
@@ -78,10 +76,6 @@ class SpecTimeoutError(ExecutionFault):
         super().__init__(f"timed out after {timeout_s:g}s: {labels}")
         self.labels = labels
         self.timeout_s = timeout_s
-
-
-class LeaseExpiredError(ExecutionFault):
-    """A queue worker stopped heartbeating and its lease was stolen."""
 
 
 class PayloadError(ExecutionFault):
@@ -191,10 +185,12 @@ class Executor:
     :class:`QuarantinedPoint` — in completion order, updating the
     mechanism-owned stats fields (``batches``, ``pool_startup_s``,
     ``sim_wall_s``, ``retries``) as it goes.  Raising aborts the sweep
-    (the strict policy's exhaustion path).
+    (the strict policy's exhaustion path).  ``jobs`` is how many processes
+    run specs at once; the sweep reports it as ``SweepStats.jobs``.
     """
 
     name = "executor"
+    jobs = 1
 
     def execute(
         self,
@@ -356,7 +352,7 @@ class PoolExecutor(Executor):
         batching: bool = True,
     ) -> None:
         self.pool = pool
-        self.jobs = jobs
+        self.jobs = pool.jobs if pool is not None else jobs
         self.batching = batching
 
     def execute(

@@ -6,10 +6,10 @@ test can do reliably with signals and sleeps.  This module makes faults a
 *declarative, deterministic* input instead: a single environment variable
 (:data:`ENV_FAULT`, e.g. ``crash:spec=3``) describes which fault fires on
 which spec, and a shared state directory (:data:`ENV_FAULT_DIR`) gives every
-process in a sweep — driver, pool workers, queue workers, respawned
-replacements — one global, crash-safe counter of spec executions, so
-"the 3rd spec" means the same thing no matter which process runs it and no
-matter how many times workers die and respawn.
+process in a sweep — driver, pool workers, respawned replacements — one
+global, crash-safe counter of spec executions, so "the 3rd spec" means the
+same thing no matter which process runs it and no matter how many times
+workers die and respawn.
 
 The counter is a directory of ``tick-N`` marker files created with
 ``O_CREAT | O_EXCL``: claiming tick *N* is an atomic filesystem operation,
@@ -25,15 +25,15 @@ Fault kinds (:data:`FAULT_KINDS`):
 * ``crash`` — the worker process exits immediately (``os._exit``), as if
   the OOM killer got it.  Batch results computed but not yet sent are lost.
 * ``hang`` — the spec blocks for ``hang_s`` seconds before running,
-  exercising wall-clock timeouts and lease expiry.
+  exercising wall-clock timeouts.
 * ``error`` — the spec raises :class:`InjectedFaultError`, exercising the
   ordinary task-exception retry path (usable in-process, where a real
   crash would take the driver down).
 * ``corrupt`` — the result is computed but its serialized payload is
   garbled in flight, exercising the integrity check on the IPC envelope.
-* ``lost-heartbeat`` — the worker silently stops reporting: a pool worker
-  computes the result but never sends it; a queue worker stops extending
-  its lease.  Exercises timeout kills and lease stealing.
+* ``lost-heartbeat`` — the worker silently stops reporting: it computes
+  the result but never sends it.  Exercises timeout kills of a worker
+  that is alive but silent.
 
 The markers :class:`CorruptResult` and :class:`VanishResult` are how a
 worker's task function tells its IPC layer to misbehave on the way out —
@@ -193,10 +193,10 @@ class FaultInjector:
 def apply_process_fault(plan: FaultPlan) -> None:
     """Apply the process-level fault kinds at a spec boundary.
 
-    ``crash`` never returns; ``hang`` blocks (long enough that a timeout or
-    lease deadline must be what ends it); ``error`` raises.  The payload
-    kinds (``corrupt`` / ``lost-heartbeat``) are no-ops here — they are
-    applied by the IPC layer via the result markers.
+    ``crash`` never returns; ``hang`` blocks (long enough that a timeout
+    must be what ends it); ``error`` raises.  The payload kinds
+    (``corrupt`` / ``lost-heartbeat``) are no-ops here — they are applied
+    by the IPC layer via the result markers.
     """
     if plan.kind == "crash":
         os._exit(CRASH_EXIT_CODE)

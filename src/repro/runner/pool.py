@@ -19,17 +19,17 @@ simulate" — no import-system round trips on the hot path.
 
 The pool used to delegate to ``multiprocessing.Pool``, which has a
 well-known failure mode: a worker killed mid-task (OOM killer, ``kill -9``)
-leaves ``imap_unordered`` waiting forever, because the shared result queue
-cannot say *whose* result will never arrive.  This implementation manages
-explicit ``spawn`` :class:`~multiprocessing.Process` workers, each with its
-own duplex :func:`~multiprocessing.Pipe`: the parent always knows exactly
-which task each worker holds, a dead worker surfaces as EOF on *its own*
-pipe the moment it dies, and the pool respawns it and keeps serving.
-:meth:`session` exposes that machinery — per-task timeouts, delayed
-resubmission, typed :class:`TaskOutcome` errors — to the executor layer;
-:meth:`imap_unordered` keeps the historical streaming interface on top,
-now raising :class:`~repro.runner.executor.WorkerDiedError` instead of
-hanging when a worker disappears.
+leaves the caller waiting forever, because the shared result queue cannot
+say *whose* result will never arrive.  This implementation manages explicit
+``spawn`` :class:`~multiprocessing.Process` workers, each with its own
+duplex :func:`~multiprocessing.Pipe`: the parent always knows exactly which
+task each worker holds, a dead worker surfaces as EOF on *its own* pipe the
+moment it dies, and the pool respawns it and keeps serving.  A worker that
+dies before it finishes start-up fails :meth:`WorkerPool.start` at once
+with :class:`~repro.runner.executor.WorkerDiedError` instead of respawning
+a process that can never come up.  :meth:`WorkerPool.session` exposes that
+machinery — per-task timeouts, delayed resubmission, typed
+:class:`TaskOutcome` errors — to the executor layer.
 
 Every result crosses the pipe as a pickled payload plus its SHA-256, so a
 payload corrupted in flight (or by the ``corrupt`` fault injector) is
@@ -53,17 +53,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import obs
 from repro.runner.executor import PayloadError, SpecTimeoutError, WorkerDiedError
@@ -84,9 +74,9 @@ DEFAULT_AGENT_ESTIMATE = 8
 
 #: How long :meth:`WorkerPool.start` waits for every worker to finish its
 #: initializer before giving up on the readiness handshake.  A worker that
-#: dies during start-up surfaces through the pool's own error handling; the
-#: handshake only exists so start-up cost is *measured* in
-#: ``pool_startup_s`` rather than leaking into the first batch.
+#: dies during start-up fails the start at once; the handshake exists so
+#: start-up cost is *measured* in ``pool_startup_s`` rather than leaking
+#: into the first batch.
 STARTUP_TIMEOUT_S = 120.0
 
 #: How often the session's wait loop wakes up with nothing to do — the
@@ -168,7 +158,7 @@ def _worker_main(conn: Any, plugin_modules: Tuple[str, ...], ready: Any) -> None
         if isinstance(value, VanishResult):
             # lost-heartbeat fault: the result exists but is never sent;
             # from the parent's view this worker is now a zombie, which is
-            # what the timeout / lease machinery must handle.
+            # what the per-task timeout must handle.
             time.sleep(value.hang_s)
             continue
         try:
@@ -265,14 +255,6 @@ class TaskSession:
             _Pending(task_id, function, argument, timeout_s, describe, not_before)
         )
         return task_id
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue) + sum(
-            1
-            for w in self.pool._workers
-            if w.assigned is not None and w.assigned.epoch == self.epoch
-        )
 
     def outcomes(self) -> Iterator[TaskOutcome]:
         """Yield task outcomes as they land, until nothing is pending.
@@ -453,27 +435,44 @@ class WorkerPool:
         """
         if self._workers:
             return 0.0
-        pool_span = obs.span("pool.start", jobs=self.jobs)
-        pool_span.__enter__()
-        began = time.perf_counter()
-        # Readiness handshake: every worker releases once from its body and
-        # the parent acquires jobs times, so start() returns only when all
-        # workers have imported the simulator stack and the spawn cost is
-        # fully attributed here instead of bleeding into the first
-        # dispatched batch.  (A semaphore, not a barrier: release never
-        # blocks, so a worker respawned later cannot stall on a handshake
-        # nobody else is attending.)
-        ready = self._context.Semaphore(0)
-        self._workers = [self._spawn_one(ready) for _ in range(self.jobs)]
-        deadline = time.monotonic() + STARTUP_TIMEOUT_S
-        for _ in range(self.jobs):
-            if not ready.acquire(timeout=max(0.0, deadline - time.monotonic())):
-                break  # pragma: no cover - degraded: cost lands in batch 1
-        self.startup_s = time.perf_counter() - began
-        self.starts += 1
-        pool_span.set(startup_s=round(self.startup_s, 6))
-        pool_span.__exit__(None, None, None)
+        with obs.span("pool.start", jobs=self.jobs) as pool_span:
+            began = time.perf_counter()
+            # Readiness handshake: every worker releases once from its body
+            # and the parent acquires jobs times, so start() returns only
+            # when all workers have imported the simulator stack and the
+            # spawn cost is fully attributed here instead of bleeding into
+            # the first dispatched batch.  (A semaphore, not a barrier:
+            # release never blocks, so a worker respawned later cannot stall
+            # on a handshake nobody else is attending.)
+            ready = self._context.Semaphore(0)
+            self._workers = [self._spawn_one(ready) for _ in range(self.jobs)]
+            self._await_ready(ready)
+            self.startup_s = time.perf_counter() - began
+            self.starts += 1
+            pool_span.set(startup_s=round(self.startup_s, 6))
         return self.startup_s
+
+    def _await_ready(self, ready: Any) -> None:
+        """Wait until every worker has reported ready, or one has died.
+
+        The wait runs in :data:`POLL_S` slices with a look at the workers
+        in between, so a worker that exits before it reports ready (a spawn
+        child that cannot re-import ``__main__``, a plugin that kills the
+        interpreter) fails the start at once instead of at the deadline.  A
+        release still wakes the wait immediately: a healthy start is no
+        slower.
+        """
+        deadline = time.monotonic() + STARTUP_TIMEOUT_S
+        waiting = self.jobs
+        while waiting and time.monotonic() < deadline:
+            if ready.acquire(timeout=POLL_S):
+                waiting -= 1
+                continue
+            for worker in self._workers:
+                exitcode = worker.process.exitcode
+                if exitcode is not None:
+                    self.close()
+                    raise WorkerDiedError("pool start-up", exitcode)
 
     def _kill_worker(self, worker: _Worker) -> None:
         """Forcefully retire one worker (dead already, or being timed out)."""
@@ -505,32 +504,6 @@ class WorkerPool:
     def session(self) -> TaskSession:
         """Open a task session — the executor layer's submission interface."""
         return TaskSession(self)
-
-    def imap_unordered(
-        self, function: Callable[[T], Any], iterable: Iterable[T]
-    ) -> Iterable[Any]:
-        """Stream ``function`` over ``iterable``, yielding results as they land.
-
-        Completion order is arbitrary — callers must carry their own indices
-        (the sweep's batched dispatch does) — which is exactly what lets cache
-        writes and progress reporting overlap the remaining execution.  Any
-        task failure raises: the task's own exception, or
-        :class:`~repro.runner.executor.WorkerDiedError` when the worker
-        vanished mid-task (where the old ``multiprocessing.Pool`` simply
-        hung forever).
-        """
-        session = self.session()
-        for item in iterable:
-            # Name the work for error messages: a failure must say *what*
-            # was running, even through this untyped convenience path.
-            text = repr(item)
-            session.submit(
-                function, item, describe=text if len(text) <= 120 else text[:117] + "..."
-            )
-        for outcome in session.outcomes():
-            if outcome.error is not None:
-                raise outcome.error
-            yield outcome.value
 
     def close(self) -> None:
         """Terminate the workers.  The pool can be started again later."""

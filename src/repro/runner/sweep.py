@@ -14,15 +14,14 @@ just numeric knobs) therefore flows through :func:`run_sweep` and its cache
 unchanged: one spec per scenario file is all it takes.
 
 Cold points execute behind the :class:`~repro.runner.executor.Executor`
-interface: in-process for ``jobs=1``, batched dispatch on a
+interface: in-process for ``jobs=1``, otherwise batched dispatch on a
 :class:`~repro.runner.pool.WorkerPool` (warm — started once, shared by many
-sweeps — or ephemeral) by default, or a caller-supplied executor such as the
-lease-based :class:`~repro.runner.queue.QueueExecutor`.  Batches of roughly
+sweeps — or ephemeral), or a caller-supplied executor.  Batches of roughly
 equal estimated cost stream back in completion order, so cache writes and
 progress reporting overlap the remaining execution; a
 :class:`~repro.runner.executor.FailurePolicy` adds per-spec timeouts, retry
-with deterministic backoff, and poison-point quarantine on top of any of
-them.  :class:`SweepStats` splits the sweep's wall time into measured phases
+with deterministic backoff, and poison-point quarantine on top of either.
+:class:`SweepStats` splits the sweep's wall time into measured phases
 (resolve / build / simulate / serialize / pool start-up) so a regression is
 attributable to the phase that caused it.
 
@@ -45,7 +44,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.obs import MetricsRegistry
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.executor import (
     STRICT_POLICY,
@@ -214,45 +212,8 @@ _PHASE_FIELDS = (
     "pool_startup_s",
 )
 
-#: Count-shaped stats fields backed by registry counters.
-_COUNT_FIELDS = ("cache_hits", "reused_points", "executed", "batches", "retries")
 
-
-def _count_property(name: str) -> property:
-    """An int-valued counter view (``stats.executed += 1`` keeps working)."""
-
-    def getter(self) -> int:
-        return int(self._counters[name].value)
-
-    def setter(self, value: int) -> None:
-        self._counters[name].set(float(value))
-
-    return property(getter, setter)
-
-
-def _phase_property(name: str) -> property:
-    """A float-seconds counter view for one accumulated phase."""
-
-    def getter(self) -> float:
-        return self._phase_counters[name].value
-
-    def setter(self, value: float) -> None:
-        self._phase_counters[name].set(float(value))
-
-    return property(getter, setter)
-
-
-def _gauge_property(name: str, as_int: bool = False) -> property:
-    def getter(self):
-        value = self._gauges[name].value
-        return int(value) if as_int else value
-
-    def setter(self, value) -> None:
-        self._gauges[name].set(float(value))
-
-    return property(getter, setter)
-
-
+@dataclass
 class SweepStats:
     """What a sweep did, and where its time went.
 
@@ -281,86 +242,25 @@ class SweepStats:
     sweep", where ``sim_cpu_s`` answers "how much simulating was done";
     earlier versions reported only the sum under the name ``sim_s``, which
     read like (and was routinely mistaken for) a wall-clock figure.
-
-    Every field is a compatibility property over a per-instance
-    :class:`~repro.obs.MetricsRegistry` (``stats.metrics``), so callers keep
-    the historical mutable-field surface (``stats.executed += 1``) while
-    export layers read one structured :meth:`~repro.obs.MetricsRegistry.
-    snapshot` instead of scraping ad-hoc attributes.
     """
 
-    def __init__(
-        self,
-        total: int = 0,
-        cache_hits: int = 0,
-        reused_points: int = 0,
-        executed: int = 0,
-        jobs: int = 1,
-        batches: int = 0,
-        retries: int = 0,
-        quarantined: Optional[List[QuarantinedPoint]] = None,
-        elapsed_s: float = 0.0,
-        resolve_s: float = 0.0,
-        build_s: float = 0.0,
-        sim_cpu_s: float = 0.0,
-        sim_wall_s: float = 0.0,
-        serialize_s: float = 0.0,
-        index_lookup_s: float = 0.0,
-        pool_startup_s: float = 0.0,
-        cache_dir: Optional[str] = None,
-    ) -> None:
-        self.metrics = MetricsRegistry()
-        self._counters = {
-            name: self.metrics.counter(f"repro_sweep_{name}_total")
-            for name in _COUNT_FIELDS
-        }
-        self._phase_counters = {
-            name: self.metrics.counter(
-                "repro_sweep_phase_seconds_total", phase=name[: -len("_s")]
-            )
-            for name in _PHASE_FIELDS
-        }
-        self._gauges = {
-            "total": self.metrics.gauge("repro_sweep_points"),
-            "jobs": self.metrics.gauge("repro_sweep_jobs"),
-            "elapsed_s": self.metrics.gauge("repro_sweep_elapsed_seconds"),
-            "sim_wall_s": self.metrics.gauge("repro_sweep_sim_wall_seconds"),
-        }
-        self.quarantined: List[QuarantinedPoint] = (
-            [] if quarantined is None else quarantined
-        )
-        self.cache_dir = cache_dir
-        self.total = total
-        self.cache_hits = cache_hits
-        self.reused_points = reused_points
-        self.executed = executed
-        self.jobs = jobs
-        self.batches = batches
-        self.retries = retries
-        self.elapsed_s = elapsed_s
-        self.resolve_s = resolve_s
-        self.build_s = build_s
-        self.sim_cpu_s = sim_cpu_s
-        self.sim_wall_s = sim_wall_s
-        self.serialize_s = serialize_s
-        self.index_lookup_s = index_lookup_s
-        self.pool_startup_s = pool_startup_s
-
-    cache_hits = _count_property("cache_hits")
-    reused_points = _count_property("reused_points")
-    executed = _count_property("executed")
-    batches = _count_property("batches")
-    retries = _count_property("retries")
-    resolve_s = _phase_property("resolve_s")
-    build_s = _phase_property("build_s")
-    sim_cpu_s = _phase_property("sim_cpu_s")
-    serialize_s = _phase_property("serialize_s")
-    index_lookup_s = _phase_property("index_lookup_s")
-    pool_startup_s = _phase_property("pool_startup_s")
-    total = _gauge_property("total", as_int=True)
-    jobs = _gauge_property("jobs", as_int=True)
-    elapsed_s = _gauge_property("elapsed_s")
-    sim_wall_s = _gauge_property("sim_wall_s")
+    total: int = 0
+    cache_hits: int = 0
+    reused_points: int = 0
+    executed: int = 0
+    jobs: int = 1
+    batches: int = 0
+    retries: int = 0
+    quarantined: List[QuarantinedPoint] = field(default_factory=list)
+    elapsed_s: float = 0.0
+    resolve_s: float = 0.0
+    build_s: float = 0.0
+    sim_cpu_s: float = 0.0
+    sim_wall_s: float = 0.0
+    serialize_s: float = 0.0
+    index_lookup_s: float = 0.0
+    pool_startup_s: float = 0.0
+    cache_dir: Optional[str] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SweepStats({self.summary()})"
@@ -495,9 +395,10 @@ def run_sweep(
         cached/deduplicated points) and whether it came from the cache.
     executor:
         An explicit :class:`~repro.runner.executor.Executor` to run the cold
-        points on (e.g. a :class:`~repro.runner.queue.QueueExecutor`).  By
-        default the historical selection applies: in-process for ``jobs=1``,
-        otherwise batched dispatch on the (warm or ephemeral) pool.
+        points on; ``stats.jobs`` reports its worker count.  By default the
+        historical selection applies: in-process for ``jobs=1`` (or a single
+        cold point), otherwise batched dispatch on the (warm or ephemeral)
+        pool.
     failure_policy:
         The :class:`~repro.runner.executor.FailurePolicy` shared by every
         executor: per-spec timeouts, retry with deterministic backoff, and
@@ -533,11 +434,6 @@ def run_sweep(
     results: List[Optional[ExperimentResult]] = [None] * len(specs)
     stats = SweepStats(
         total=len(specs),
-        jobs=(
-            pool.jobs
-            if pool is not None
-            else getattr(executor, "jobs", None) or jobs
-        ),
         cache_dir=str(cache.directory) if cache is not None else None,
     )
     cache_io_before = cache.io_s if cache is not None else 0.0
@@ -594,18 +490,18 @@ def run_sweep(
         - ((cache.io_s - cache_io_before) if cache is not None else 0.0)
     )
 
+    if executor is None:
+        use_pool = pool is not None or (jobs > 1 and len(cold) > 1)
+        executor = (
+            PoolExecutor(pool=pool, jobs=jobs, batching=batching)
+            if use_pool
+            else InProcessExecutor()
+        )
+    stats.jobs = executor.jobs
     if cold:
         policy = failure_policy if failure_policy is not None else STRICT_POLICY
-        chosen = executor
-        if chosen is None:
-            use_pool = pool is not None or (jobs > 1 and len(cold) > 1)
-            chosen = (
-                PoolExecutor(pool=pool, jobs=jobs, batching=batching)
-                if use_pool
-                else InProcessExecutor()
-            )
         done = 0
-        for event in chosen.execute(
+        for event in executor.execute(
             cold,
             stats,
             policy,

@@ -7,11 +7,11 @@ hash on every disk read; caching the verified bytes means a hot report is
 served without touching the filesystem *or* re-hashing, which is where the
 service's requests/s comes from (see ``benchmarks/perf/bench_serve.py``).
 
-Counters live in a :class:`~repro.obs.MetricsRegistry` — the app shares one
-registry across the cache and its HTTP metrics so ``GET /metrics`` renders
-them in one pass — and are mutated only from the single event-loop thread;
-readers from other threads (the benchmark, tests) only ever see a
-consistent snapshot via :meth:`BlobCache.stats`.
+The hit, miss and eviction counters are instruments of a
+:class:`~repro.obs.MetricsRegistry` — the app shares one registry across the
+cache and its HTTP metrics so ``GET /metrics`` renders them in one pass.
+They are bumped only from the single event-loop thread; readers from other
+threads (the benchmark, tests) see plain numbers via :meth:`BlobCache.stats`.
 """
 
 from __future__ import annotations
@@ -49,37 +49,13 @@ class BlobCache:
             "repro_blob_cache_evictions_total", "Hot-blob LRU evictions."
         )
 
-    @property
-    def hits(self) -> int:
-        return int(self._hits.value)
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.set(float(value))
-
-    @property
-    def misses(self) -> int:
-        return int(self._misses.value)
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.set(float(value))
-
-    @property
-    def evictions(self) -> int:
-        return int(self._evictions.value)
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.set(float(value))
-
     def get(self, digest: str) -> Optional[Tuple[bytes, str]]:
         entry = self._entries.get(digest)
         if entry is None:
-            self.misses += 1
+            self._misses.inc()
             return None
         self._entries.move_to_end(digest)
-        self.hits += 1
+        self._hits.inc()
         return entry
 
     def put(self, digest: str, content: bytes, ext: str) -> None:
@@ -94,13 +70,13 @@ class BlobCache:
         while self._bytes > self.max_bytes:
             _, (evicted, _) = self._entries.popitem(last=False)
             self._bytes -= len(evicted)
-            self.evictions += 1
+            self._evictions.inc()
 
     def stats(self) -> Dict[str, int]:
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
+            "hits": int(self._hits.value),
+            "misses": int(self._misses.value),
+            "evictions": int(self._evictions.value),
             "entries": len(self._entries),
             "bytes": self._bytes,
             "max_bytes": self.max_bytes,

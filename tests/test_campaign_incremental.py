@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.runner.executor as executor_mod
 import repro.runner.sweep as sweep_mod
 from repro.campaign import Campaign, CampaignScheduler, SubGrid
 from repro.cli import main
@@ -104,7 +105,7 @@ def full_overlap(seeded):
     mp = pytest.MonkeyPatch()
     try:
         mp.setattr(sweep_mod.RunSpec, "resolved_scenario", _banned)
-        mp.setattr(sweep_mod, "_execute_spec", _banned)
+        mp.setattr(executor_mod, "run_experiment_timed", _banned)
         scheduler_b = CampaignScheduler(_campaign("incr_b"))
         cache_b = ResultCache(root / "cache-b")
         outcome = scheduler_b.run(cache=cache_b, store=store, recorded_at=STAMP)
@@ -161,7 +162,7 @@ class TestFullOverlap:
         mp = pytest.MonkeyPatch()
         try:
             mp.setattr(sweep_mod.RunSpec, "resolved_scenario", _banned)
-            mp.setattr(sweep_mod, "_execute_spec", _banned)
+            mp.setattr(executor_mod, "run_experiment_timed", _banned)
             plan = CampaignScheduler(_campaign("incr_dry")).dry_run(store=store)
         finally:
             mp.undo()

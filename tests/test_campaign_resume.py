@@ -126,9 +126,12 @@ def _normalized(manifest) -> dict:
     return data
 
 
-@pytest.fixture(scope="module")
-def parity(tmp_path_factory):
-    """Uninterrupted control run vs killed-then-resumed run, side by side."""
+def _parity(tmp_path_factory, executor_args):
+    """Uninterrupted control run vs killed-then-resumed run, side by side.
+
+    ``executor_args`` apply to the killed and the resumed run; the control
+    run stays in-process, so a pool resume is also checked against it.
+    """
     root = tmp_path_factory.mktemp("resume")
     control_store, control_cache = root / "store-a", root / "cache-a"
     code, _ = _invoke(
@@ -137,10 +140,11 @@ def parity(tmp_path_factory):
     )
     assert code == 0
 
+    argv = [*CAMPAIGN, *executor_args]
     resumed_store, resumed_cache = root / "store-b", root / "cache-b"
-    survivors = _kill_at_half(CAMPAIGN, resumed_store, resumed_cache, POINTS)
+    survivors = _kill_at_half(argv, resumed_store, resumed_cache, POINTS)
     code, resume_out = _invoke(
-        [*CAMPAIGN, "--resume", "--store-dir", str(resumed_store),
+        [*argv, "--resume", "--store-dir", str(resumed_store),
          "--cache-dir", str(resumed_cache)]
     )
     assert code == 0
@@ -150,6 +154,11 @@ def parity(tmp_path_factory):
         "survivors": survivors,
         "resume_out": resume_out,
     }
+
+
+@pytest.fixture(scope="module")
+def parity(tmp_path_factory):
+    return _parity(tmp_path_factory, ())
 
 
 class TestKilledAtHalf:
@@ -199,6 +208,14 @@ class TestKilledAtHalf:
     def test_partial_journal_cleared_after_successful_resume(self, parity):
         store, manifest = _sole_manifest(parity["resumed_store"])
         assert store.partial(manifest.fingerprint) is None
+
+
+class TestKilledAtHalfUnderPool(TestKilledAtHalf):
+    """The same contract when the killed and the resumed run use the pool."""
+
+    @pytest.fixture(scope="class")
+    def parity(self, tmp_path_factory):
+        return _parity(tmp_path_factory, ("--jobs", "2"))
 
 
 class TestZeroWorkResume:

@@ -1,4 +1,4 @@
-"""Chaos matrix: every fault kind x every parallel executor, one invariant.
+"""Chaos matrix: every fault kind on the worker pool, one invariant.
 
 An injected fault must surface as a *retry* (result still lands,
 bit-identical to the healthy baseline) or a *quarantine* (the poisoned
@@ -17,7 +17,6 @@ from repro.analysis.serialize import experiment_result_to_dict
 from repro.runner import (
     FailurePolicy,
     PoolExecutor,
-    QueueExecutor,
     compare_policies_specs,
     run_sweep,
 )
@@ -58,18 +57,6 @@ def _fingerprints(results):
     return [experiment_result_to_dict(r, include_trace=True) for r in results]
 
 
-def _executor(name, tmp_path):
-    if name == "pool":
-        return PoolExecutor(jobs=2, batching=False)
-    return QueueExecutor(
-        queue_dir=str(tmp_path / "queue"),
-        jobs=2,
-        batching=False,
-        lease_s=3.0,
-        heartbeat_s=0.3,
-    )
-
-
 @pytest.fixture(scope="module")
 def baseline():
     results, _ = run_sweep(_specs())
@@ -85,15 +72,12 @@ def fault_env(tmp_path, monkeypatch):
     return arm
 
 
-@pytest.mark.parametrize("executor_name", ["pool", "queue"])
 @pytest.mark.parametrize("fault", FAULTS)
-def test_transient_fault_retries_to_parity(
-    tmp_path, fault_env, baseline, fault, executor_name
-):
+def test_transient_fault_retries_to_parity(fault_env, baseline, fault):
     fault_env(fault)
     results, stats = run_sweep(
         _specs(),
-        executor=_executor(executor_name, tmp_path),
+        executor=PoolExecutor(jobs=2, batching=False),
         failure_policy=RESILIENT,
     )
     assert _fingerprints(results) == baseline
@@ -101,10 +85,7 @@ def test_transient_fault_retries_to_parity(
     assert not stats.quarantined
 
 
-@pytest.mark.parametrize("executor_name", ["pool", "queue"])
-def test_poison_point_quarantined_grid_completes(
-    tmp_path, fault_env, baseline, executor_name
-):
+def test_poison_point_quarantined_grid_completes(fault_env, baseline):
     # The fault window covers every tick after the first, and retries burn
     # ticks inside it: only the point that claims tick 1 can ever succeed.
     # The other two must exhaust their budgets and be quarantined — the
@@ -112,7 +93,7 @@ def test_poison_point_quarantined_grid_completes(
     fault_env("crash:spec=2,times=99")
     results, stats = run_sweep(
         _specs(),
-        executor=_executor(executor_name, tmp_path),
+        executor=PoolExecutor(jobs=2, batching=False),
         failure_policy=RESILIENT,
     )
     assert len(stats.quarantined) == len(POLICIES) - 1

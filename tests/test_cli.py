@@ -292,6 +292,29 @@ class TestCampaignCommands:
         assert "2 cache hit(s)" in capsys.readouterr().out
         assert report_path.read_bytes() == cold
 
+    def test_inprocess_executor_reports_one_job(self, tiny_campaign, tmp_path, capsys):
+        # --jobs 2 asks for workers, but --executor inprocess runs every point
+        # in this process: the summary lines and manifest stats must say so.
+        from repro.store import ResultsStore
+
+        store_dir = tmp_path / "store"
+        code = main(
+            [
+                "campaign", "run", tiny_campaign, "--jobs", "2",
+                "--executor", "inprocess", "--store-dir", str(store_dir),
+            ]
+        )
+        assert code == 0
+        summaries = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("campaign tiny: sweep:", "  mini: sweep:"))
+        ]
+        assert len(summaries) == 2
+        assert all("jobs=1," in line for line in summaries)
+        (manifest,) = ResultsStore(str(store_dir)).manifests()
+        assert manifest.stats["jobs"] == 1
+
     def test_report_prints_only_the_report(self, tiny_campaign, capsys):
         assert main(["campaign", "report", tiny_campaign]) == 0
         output = capsys.readouterr().out

@@ -1,12 +1,4 @@
-"""Metrics-registry unit tests, plus the compatibility-property contract.
-
-The registry replaced the ad-hoc timing/counter fields on
-:class:`~repro.runner.sweep.SweepStats`, :class:`~repro.runner.cache.ResultCache`
-and :class:`~repro.serve.cache.BlobCache`; those objects now expose the same
-attribute names as properties backed by registry instruments, so both the
-old call sites (``stats.hits += 1``) and the new export surfaces see one
-source of truth.
-"""
+"""Metrics-registry unit tests: instruments, get-or-create, export formats."""
 
 from __future__ import annotations
 
@@ -15,8 +7,6 @@ import math
 import pytest
 
 from repro.obs import DEFAULT_BUCKETS, Histogram, MetricsRegistry
-from repro.runner.cache import ResultCache
-from repro.runner.sweep import SweepStats
 
 
 class TestInstruments:
@@ -27,8 +17,6 @@ class TestInstruments:
         assert counter.value == 3.5
         with pytest.raises(ValueError):
             counter.inc(-1)
-        with pytest.raises(ValueError):
-            counter.set(1.0)  # backwards
 
     def test_gauge_moves_both_ways(self):
         gauge = MetricsRegistry().gauge("g")
@@ -102,30 +90,3 @@ class TestRegistry:
         registry.counter("c_total", path='a"b\\c').inc()
         assert 'path="a\\"b\\\\c"' in registry.render_prometheus()
 
-
-class TestCompatibilityProperties:
-    """Old ``obj.field += x`` call sites drive registry instruments."""
-
-    def test_sweep_stats_fields_roundtrip_through_the_registry(self):
-        stats = SweepStats()
-        stats.resolve_s += 0.25
-        stats.sim_cpu_s += 1.0
-        stats.cache_hits += 2
-        assert stats.resolve_s == pytest.approx(0.25)
-        assert stats.cache_hits == 2
-        assert isinstance(stats.cache_hits, int)
-        phases = stats.phases()
-        assert phases["resolve"] == pytest.approx(0.25)
-        assert phases["sim_cpu"] == pytest.approx(1.0)
-        snapshot = stats.metrics.snapshot()
-        assert "repro_sweep_phase_seconds_total" in snapshot
-
-    def test_result_cache_counters_are_registry_backed(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.hits += 1
-        cache.misses += 2
-        assert cache.hits == 1
-        assert cache.misses == 2
-        assert isinstance(cache.hits, int)
-        snapshot = cache.metrics.snapshot()
-        assert any(name.startswith("repro_result_cache") for name in snapshot)

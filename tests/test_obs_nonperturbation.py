@@ -1,13 +1,12 @@
 """Tracing is provably non-perturbing: ``--trace`` changes telemetry only.
 
-For each async executor (warm pool, file-backed queue) the same campaign is
-recorded twice — tracing off, tracing on — and everything a scientist could
-cite must match byte-for-byte: the fingerprint, every rendered artifact,
-the manifest minus its free-form ``stats`` and recording timestamp, and
-the result-cache keys.  The crash-resume scenario then repeats the
-fault-tolerance contract *under tracing*: a driver SIGKILLed mid-run and
-resumed with ``--trace`` still converges to the uninterrupted, untraced
-bytes.
+On the worker pool the same campaign is recorded twice — tracing off,
+tracing on — and everything a scientist could cite must match
+byte-for-byte: the fingerprint, every rendered artifact, the manifest minus
+its free-form ``stats`` and recording timestamp, and the result-cache
+keys.  The crash-resume scenario then repeats the fault-tolerance contract
+*under tracing*: a driver SIGKILLed mid-run and resumed with ``--trace``
+still converges to the uninterrupted, untraced bytes.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ RUN = [
     "--duration-ms", "0.25", "--traffic-scale", "0.1", "--jobs", "2",
 ]
 
-#: Span-name prefixes a traced pool/queue run must cover end to end.
+#: Span-name prefixes a traced pool run must cover end to end.
 VERTICAL = ("campaign.", "executor.", "worker.", "experiment.")
 
 
@@ -73,7 +72,7 @@ def _normalized(manifest) -> dict:
     return data
 
 
-@pytest.fixture(scope="module", params=["pool", "queue"])
+@pytest.fixture(scope="module", params=["pool"])
 def pair(request, tmp_path_factory):
     """(executor, untraced run dirs, traced run dirs) for one executor."""
     root = tmp_path_factory.mktemp(f"nonperturb-{request.param}")

@@ -13,8 +13,6 @@ matter which worker runs it.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.analysis.serialize import experiment_result_to_dict
@@ -152,6 +150,7 @@ class TestPoolExecutor:
         message = str(excinfo.value)
         assert "worker died" in message
         assert "fcfs" in message or "round_robin" in message
+        assert excinfo.value.exitcode is not None
 
     def test_corrupt_payload_is_caught_and_retried(self, fault_env):
         baseline, _ = run_sweep(_specs())
@@ -164,9 +163,18 @@ class TestPoolExecutor:
         assert _fingerprints(results) == _fingerprints(baseline)
         assert stats.retries == 1
 
-    def test_hung_worker_hits_spec_timeout(self, fault_env):
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "hang:spec=1,times=1,hang_s=60",
+            # Alive but silent: the result is computed and never sent.
+            "lost-heartbeat:spec=1,times=1,hang_s=60",
+        ],
+        ids=["hang", "lost-heartbeat"],
+    )
+    def test_hung_worker_hits_spec_timeout(self, fault_env, fault):
         baseline, _ = run_sweep(_specs())
-        fault_env("hang:spec=1,times=1,hang_s=60")
+        fault_env(fault)
         results, stats = run_sweep(
             _specs(),
             executor=PoolExecutor(jobs=2, batching=False),
@@ -206,18 +214,3 @@ class TestPoolRecovery:
         )
         assert _fingerprints(results) == _fingerprints(baseline)
         assert stats.retries >= 1
-
-    def test_imap_unordered_raises_worker_died_instead_of_hanging(self):
-        # The low-level pool path (used by imap_unordered callers outside
-        # run_sweep) must also convert a dead worker into an exception.
-        from repro.runner import WorkerPool
-
-        with WorkerPool(jobs=1) as pool:
-            with pytest.raises(WorkerDiedError) as excinfo:
-                list(pool.imap_unordered(_crash_task, [("the-victim",)]))
-        assert "the-victim" in str(excinfo.value)
-        assert excinfo.value.exitcode is not None
-
-
-def _crash_task(label):
-    os._exit(86)

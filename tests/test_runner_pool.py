@@ -8,10 +8,19 @@ across sweeps must not pay the spawn cost twice.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.analysis.serialize import experiment_result_to_dict
-from repro.runner import RunSpec, WorkerPool, estimate_cost, plan_batches, run_sweep
+from repro.runner import (
+    RunSpec,
+    WorkerDiedError,
+    WorkerPool,
+    estimate_cost,
+    plan_batches,
+    run_sweep,
+)
 from repro.sim.clock import MS
 
 SHORT_PS = 2 * MS // 5
@@ -99,6 +108,18 @@ class TestWorkerPoolLifecycle:
         assert pool.starts == 0
         pool.close()  # closing an unstarted pool is a no-op
         assert pool.starts == 0
+
+    def test_worker_dying_at_startup_fails_start_fast(self):
+        # The plugin exits the worker before it reports ready; start() must
+        # say so within seconds, not wait out STARTUP_TIMEOUT_S (120 s).
+        pool = WorkerPool(1, plugin_modules=["dying_worker_plugin"])
+        began = time.monotonic()
+        with pytest.raises(WorkerDiedError) as excinfo:
+            pool.start()
+        assert time.monotonic() - began < 15.0
+        assert excinfo.value.exitcode == 3
+        assert "pool start-up" in str(excinfo.value)
+        assert not pool.started
 
 
 class TestWarmPoolParityAndReuse:
