@@ -102,66 +102,21 @@ class Dma:
         return self.meter.is_frame_based and self.meter.raw_npi(now_ps) < 1.0
 
     def _try_issue(self) -> None:
-        engine = self._engine
-        inject = self._inject
-        if engine is None or inject is None:
-            return
-        while (
-            self._backlog_bytes >= self.transaction_bytes
-            and self._outstanding < self.max_outstanding
-        ):
-            now = engine.now_ps
-            transaction = Transaction(
-                source=self.core,
-                dma=self.name,
-                queue_class=self.queue_class,
-                address=self.addresses.next_address(self.transaction_bytes),
-                size_bytes=self.transaction_bytes,
-                is_write=self.is_write,
-                priority=self._priority_provider(),
-                realtime_behind=self._realtime_behind(now),
-                created_ps=now,
-            )
-            self._backlog_bytes -= self.transaction_bytes
-            self._outstanding += 1
-            self.issued_transactions += 1
-            self.issued_bytes += self.transaction_bytes
-            inject(self.core, transaction)
+        """Turn backlog into transactions while the outstanding window allows.
 
-    def on_complete(self, transaction: Transaction) -> None:
-        """Completion callback registered with the memory controller."""
-        if self._engine is None:
-            raise RuntimeError(f"DMA '{self.name}' received a completion before connect()")
-        self._outstanding = max(0, self._outstanding - 1)
-        self.completed_transactions += 1
-        self.completed_bytes += transaction.size_bytes
-        latency = transaction.latency_ps if transaction.latency_ps is not None else 0
-        self.meter.record_completion(
-            transaction.size_bytes, latency, self._engine.now_ps
-        )
-        self._try_issue()
+        Three per-iteration lookups are hoisted out of the loop, and each
+        hoist is exact because nothing inside the loop can change the value:
 
-
-class BatchedDma(Dma):
-    """The batched kernel's DMA: slotted transactions, hoisted issue loop.
-
-    Issues :class:`~repro.memctrl.transaction.BatchTransaction` objects and
-    hoists the per-iteration lookups of the scalar loop out of it.  Both
-    hoists are exact: nothing inside the loop can change the values —
-
-    * the priority provider is a pure read of the SARA adapter's current
-      priority, which only changes in the framework's sampling tick (a
-      separate engine event);
-    * the realtime-behind flag reads the DMA's own meter at a fixed ``now``.
-      The meter's lazy window maintenance mutates internal state, but it is
-      idempotent at a given timestamp, so calling it once up front leaves the
-      meter exactly as the scalar kernel's call-per-iteration would;
-    * injection is fire-and-forget into the NoC — a completion (the only
-      thing that changes ``_outstanding`` or the backlog) can only arrive via
-      a later engine event, never synchronously from ``inject``.
-    """
-
-    def _try_issue(self) -> None:
+        * the priority provider is a pure read of the SARA adapter's current
+          priority, which only changes in the framework's sampling tick (a
+          separate engine event);
+        * the realtime-behind flag reads the DMA's own meter at a fixed
+          ``now``.  The meter's lazy window maintenance mutates internal
+          state, but it is idempotent at a given timestamp;
+        * injection is fire-and-forget into the NoC — a completion (the only
+          thing that changes ``_outstanding`` or the backlog) can only arrive
+          via a later engine event, never synchronously from ``inject``.
+        """
         engine = self._engine
         inject = self._inject
         if engine is None or inject is None:
@@ -203,18 +158,20 @@ class BatchedDma(Dma):
         self.issued_bytes += issued * size
 
     def on_complete(self, transaction: Transaction) -> None:
-        """Completion callback, with the scalar path's checks flattened.
+        """Completion callback registered with the memory controller.
 
-        BatchTransaction stamps ``completed_ps`` before this runs (the
-        controller's completion handler), and completions only arrive through
-        the controller, so the latency property's None-guard is dead here.
+        Both controllers stamp ``completed_ps`` at issue, before the
+        completion event that calls this, so the latency needs no None-guard.
         """
+        engine = self._engine
+        if engine is None:
+            raise RuntimeError(f"DMA '{self.name}' received a completion before connect()")
         self._outstanding = max(0, self._outstanding - 1)
         self.completed_transactions += 1
         size = transaction.size_bytes
         self.completed_bytes += size
         self.meter.record_completion(
-            size, transaction.completed_ps - transaction.created_ps, self._engine._now_ps
+            size, transaction.completed_ps - transaction.created_ps, engine._now_ps
         )
         self._try_issue()
 

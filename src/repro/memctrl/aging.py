@@ -17,8 +17,6 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import List
 
-import numpy as np
-
 from repro.memctrl.transaction import Transaction
 
 _SORT_KEY = attrgetter("sort_key")
@@ -59,18 +57,6 @@ class AgingTracker:
         ]
         aged.sort(key=_SORT_KEY)
         return aged
-
-    def aged_mask(self, enqueued_ps: np.ndarray, now_ps: int) -> np.ndarray:
-        """Vectorized aging predicate over a column of enqueue timestamps.
-
-        The batched kernel's counterpart of :meth:`is_aged`: one comparison
-        over the whole candidate column instead of a Python loop.  Every
-        entry in a controller-side columnar store carries a real enqueue
-        timestamp (the store stamps it on insert), so the scalar policies'
-        ``enqueued_ps is not None`` guard has no vector counterpart here;
-        the caller combines the result with the store's alive mask.
-        """
-        return enqueued_ps <= now_ps - self.threshold_ps
 
     def record_aged_service(self) -> None:
         self.aged_served += 1

@@ -1,33 +1,35 @@
-"""Columnar candidate stores and batched policy selectors (batched kernel).
+"""Columnar candidate stores and policy selectors.
 
-The scalar kernel hands every scheduling decision a freshly built Python list
-of transaction objects and lets the policy scan it (``min`` over attribute
-tuples, list-comprehension filters, per-candidate aging probes).  The batched
-kernel instead keeps each candidate set — one per DRAM channel in the memory
-controller, one per NoC router — as a :class:`ColumnarStore`: parallel
+A policy's own ``select()`` takes a freshly built Python list of transaction
+objects and scans it (``min`` over attribute tuples, list-comprehension
+filters, per-candidate aging probes).  The columnar memory controller and
+the NoC routers instead keep each candidate set — one per DRAM channel in
+the controller, one per router — as a :class:`ColumnarStore`: parallel
 columns (age key, priority, queue class, DMA code, realtime-behind flag,
-bank slot, row) plus the owning transaction objects.  A scheduling decision
-reduces the columns directly instead of walking an object graph, and a store
-only maintains the columns its policy's selector actually reads (an FCFS
-router push is three list appends).
+bank slot, row) plus the owning transaction objects.  A *selector* makes the
+scheduling decision by reducing the columns directly instead of walking an
+object graph, and a store only maintains the columns its selector actually
+reads (an FCFS router push is three list appends).
 
 Column reductions are adaptive: small windows (the common case — candidate
 sets here are bounded by the controller's 42 entries and the DMAs'
 outstanding windows) use tight Python loops over the list columns, while
 windows above :data:`VECTOR_MIN` switch to numpy reductions (masked min /
-argmin chains, :meth:`~repro.memctrl.aging.AgingTracker.aged_mask`), which is
-where vectorization actually beats loop overhead.  Both paths compute the
-same result: all policies break ties on total per-transaction keys
-(``(age, uid)`` with unique uids), so there are no ties for iteration order
-to resolve.
+argmin chains), which is where vectorization actually beats loop overhead.
+Both paths compute the same result: all policies break ties on total
+per-transaction keys (``(age, uid)`` with unique uids), so there are no ties
+for iteration order to resolve.
 
-Selectors replicate the scalar policies *exactly*:
+Selectors replicate their policies' ``select()`` *exactly*:
 
 * the same transaction is chosen for every candidate set;
 * the same mutable policy state evolves identically (round-robin rotation
   index, priority round-robin turn counter and per-DMA last-served turns,
-  aged-service accounting), so a scalar and a batched run can be stopped at
-  any point with equal observable state.
+  aged-service accounting).
+
+``tests/test_sim_golden.py`` checks this on whole runs by making
+:func:`make_selector` return ``None``, which sends every decision through
+the policy's own ``select()``.
 
 Two store flavours share one class:
 
@@ -386,13 +388,14 @@ class ColumnarStore:
         return best
 
     def fallback_candidates(self) -> List[Transaction]:
-        """Live candidates in insertion order (the scalar router's order)."""
+        """Live candidates in insertion order (a router's arrival order)."""
         return [obj for obj in self.objs[self.head :] if obj is not None]
 
     def fallback_candidates_by_class(self) -> List[Transaction]:
         """Live candidates grouped by queue class in enum order, FIFO within a
-        class — exactly the scalar controller's ``_candidates_for_channel``
-        order, so an unvectorized policy sees an identical list."""
+        class — exactly :class:`~repro.memctrl.controller.MemoryController`'s
+        ``_candidates_for_channel`` order, so a policy without a selector
+        sees an identical list."""
         groups: List[List[Transaction]] = [[] for _ in range(_NUM_CLASSES)]
         alive = self.alive
         cls = self.cls
@@ -909,9 +912,9 @@ def make_selector(
 ):
     """Build the batched selector for a policy instance, or ``None``.
 
-    ``None`` means "no batched path for this policy" — the batched controller
-    and routers then fall back to handing the policy a scalar candidate list
-    in the exact order the scalar kernel would have built, so unknown or
+    ``None`` means "no selector for this policy" — the columnar controller
+    and the routers then fall back to handing the policy a candidate list in
+    the exact order the queue-based controller builds, so unknown or
     user-registered policies keep bit-identical behaviour (just without the
     speedup).  Matching is on exact policy class: a subclass overriding
     ``select`` must not be silently routed through its parent's batched path.

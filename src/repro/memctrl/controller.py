@@ -26,6 +26,10 @@ class MemoryController:
     Completions are delivered to per-DMA handlers registered by the system
     builder, which is how read data and write acknowledgements find their way
     back to the cores' performance meters.
+
+    This queue-based controller is the one the builder uses for the
+    command-level DRAM model and for bounded scheduler windows; every other
+    configuration runs on :class:`BatchedMemoryController`.
     """
 
     def __init__(
@@ -211,23 +215,25 @@ class MemoryController:
 
 
 class BatchedMemoryController(MemoryController):
-    """The batched kernel's controller: columnar candidate stores per channel.
+    """The columnar controller: columnar candidate stores per channel.
 
-    Behaviour is bit-identical to :class:`MemoryController` — same queues,
-    counters, completion routing and policy decisions — but the per-channel
-    candidate sets live in :class:`~repro.memctrl.columnar.ColumnarStore`
-    columns so scheduling decisions are vectorized, and each address is
-    decoded exactly once at enqueue (the scalar path decodes at enqueue, per
-    row-hit probe and again at issue).  Row-buffer-aware policies read a
+    Behaviour is bit-identical to the queue-based :class:`MemoryController`
+    — same counters, completion routing and policy decisions, which
+    ``tests/test_sim_golden.py`` checks by swapping that controller in — but
+    the per-channel candidate sets live in
+    :class:`~repro.memctrl.columnar.ColumnarStore` columns so scheduling
+    decisions are selector reductions, and each address is decoded exactly
+    once at enqueue (the queue-based path decodes at enqueue, per row-hit
+    probe and again at issue).  Row-buffer-aware policies read a
     per-channel open-row mirror instead of probing the banks per candidate;
     the mirror is valid because the transaction-level :class:`Bank` latches
     the accessed row on every access and nothing else closes rows (the
     builder never pairs this controller with the command-level DRAM backend,
     whose refresh logic does precharge banks).
 
-    Policies without a vectorized selector (ATLAS, TCM, SMS, EDF,
-    user-registered ones) receive a scalar candidate list rebuilt in exactly
-    the order the scalar controller would produce.
+    Policies without a selector (ATLAS, TCM, SMS, EDF, user-registered
+    ones) receive a candidate list rebuilt in exactly the order the
+    queue-based controller would produce.
     """
 
     def __init__(
@@ -241,7 +247,7 @@ class BatchedMemoryController(MemoryController):
         if not self._unbounded_window:
             raise ValueError(
                 "BatchedMemoryController requires the unbounded scheduler window; "
-                "use the scalar MemoryController for bounded-window configs"
+                "use the queue-based MemoryController for bounded-window configs"
             )
         if not hasattr(dram, "service_prepared"):
             raise ValueError(
@@ -272,7 +278,7 @@ class BatchedMemoryController(MemoryController):
             for _ in range(channels)
         ]
         self._mapper = dram.mapper
-        # Per-class occupancy counters replace the scalar TransactionQueue
+        # Per-class occupancy counters replace the TransactionQueue
         # bookkeeping: the columnar stores already hold the pending
         # transactions, so the queues would only duplicate membership for
         # the occupancy report.

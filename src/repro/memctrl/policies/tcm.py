@@ -16,6 +16,7 @@ in the bandwidth cluster and still misses its target under contention.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Set
 
 from repro.memctrl.scheduler import SchedulingContext, SchedulingPolicy
@@ -80,8 +81,13 @@ class TcmPolicy(SchedulingPolicy):
     # Selection
     # ------------------------------------------------------------------ #
     def _heavy_rank(self, dma: str) -> int:
-        """Deterministic per-epoch rotation of heavy-cluster sources."""
-        return (hash(dma) + self._rank_offset) % 1024
+        """Deterministic per-epoch rotation of heavy-cluster sources.
+
+        CRC-32 rather than ``hash()``: Python salts string hashes per
+        process, which would make the ranking — and every TCM result —
+        differ between a sweep's worker processes and between runs.
+        """
+        return (zlib.crc32(dma.encode()) + self._rank_offset) % 1024
 
     def select(
         self, candidates: List[Transaction], context: SchedulingContext

@@ -33,9 +33,9 @@ class TransactionQueue:
 
     def push(self, transaction: Transaction, now_ps: int) -> None:
         # The sort key is refreshed explicitly so the push works for both
-        # transaction types: the batched kernel's BatchTransaction has no
-        # __setattr__ coherency hook (the scalar Transaction's hook makes the
-        # second assignment a harmless no-op).
+        # transaction types: BatchTransaction, which every DMA issues, has
+        # no __setattr__ coherency hook (a hand-built Transaction's hook
+        # makes the second assignment a harmless no-op).
         transaction.enqueued_ps = now_ps
         transaction.sort_key = (now_ps, transaction.uid)
         pending = self._pending

@@ -108,21 +108,22 @@ class Transaction:
 
 
 class BatchTransaction:
-    """Hot-path transaction used by the batched kernel.
+    """The hot-path transaction every DMA issues.
 
     Attribute-compatible with :class:`Transaction` (same fields, same
     ``latency_ps`` / ``waiting_time_ps`` accessors, uids drawn from the same
     global counter so a run may mix both types), but built for speed:
 
     * plain ``__slots__`` class — no dataclass machinery, no per-field
-      validation on the per-transaction fast path (the batched DMA already
+      validation on the per-transaction fast path (the DMA already
       guarantees positive sizes and addresses by construction);
-    * no ``__setattr__`` coherency hook.  The scalar ``Transaction`` refreshes
-      its cached ``sort_key`` on every ``enqueued_ps`` assignment; batch
-      transactions have their key refreshed explicitly at the single enqueue
-      point (:meth:`~repro.memctrl.queue.TransactionQueue.push`).  Code that
-      assigns ``enqueued_ps`` directly elsewhere must refresh ``sort_key``
-      itself.
+    * no ``__setattr__`` coherency hook.  :class:`Transaction` refreshes its
+      cached ``sort_key`` on every ``enqueued_ps`` assignment; batch
+      transactions have their key refreshed explicitly where a controller
+      enqueues them (:meth:`~repro.memctrl.queue.TransactionQueue.push` and
+      :meth:`~repro.memctrl.controller.BatchedMemoryController.enqueue`).
+      Code that assigns ``enqueued_ps`` directly elsewhere must refresh
+      ``sort_key`` itself.
     """
 
     __slots__ = (

@@ -1,8 +1,8 @@
 """On-chip network substrate.
 
 The NoC is modelled as a tree of store-and-forward routers.  Each router owns
-per-input-port queues, an output link of finite bandwidth and an arbiter that
-performs switch allocation with the same policy family used in the memory
+the transactions waiting on its input ports, an output link of finite
+bandwidth and an arbiter that performs switch allocation with the same policy family used in the memory
 controller (FCFS, round-robin or priority-based), which is how the paper's
 "distributed system response" extends into the interconnect.
 """
@@ -10,7 +10,6 @@ controller (FCFS, round-robin or priority-based), which is how the paper's
 from repro.noc.arbiter import NocArbiter
 from repro.noc.link import Link
 from repro.noc.network import Network
-from repro.noc.packet import Packet
 from repro.noc.router import Router
 from repro.noc.topology import ClusterSpec, TreeTopology
 
@@ -19,7 +18,6 @@ __all__ = [
     "Link",
     "Network",
     "NocArbiter",
-    "Packet",
     "Router",
     "TreeTopology",
 ]

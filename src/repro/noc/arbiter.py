@@ -36,8 +36,8 @@ class NocArbiter:
 
     @property
     def policy(self) -> SchedulingPolicy:
-        """The wrapped policy instance (the batched router builds its
-        vectorized selector around it so round-robin state stays shared)."""
+        """The wrapped policy instance (the router builds its selector
+        around it so round-robin state stays shared)."""
         return self._policy
 
     def select(self, candidates: List[Transaction], now_ps: int) -> Transaction:

@@ -3,9 +3,9 @@
 The default platform uses the two-level tree of Fig. 1, but many MPSoCs route
 memory traffic over a mesh.  Because every memory transaction in this system
 targets the single memory controller, dimension-ordered routing degenerates
-into a fixed next-hop per router: packets first travel along X toward column
-0 and then along Y toward row 0, where the egress router feeds the memory
-controller.  That property lets the mesh reuse the single-output
+into a fixed next-hop per router: transactions first travel along X toward
+column 0 and then along Y toward row 0, where the egress router feeds the
+memory controller.  That property lets the mesh reuse the single-output
 :class:`~repro.noc.router.Router`: each node's output link points at its XY
 next hop, and the egress node's output link is the connection to the memory
 controller.
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Type
+from functools import partial
+from typing import Dict, List, Tuple
 
 from repro.noc.arbiter import NocArbiter
 from repro.noc.link import Link
@@ -110,12 +111,8 @@ def build_mesh(
     root_link_bytes_per_ns: float,
     router_latency_ns: float,
     columns: int = 2,
-    router_cls: Type[Router] = Router,
 ) -> MeshTopology:
-    """Build a mesh with one node per cluster plus the egress node at (0, 0).
-
-    ``router_cls`` selects the router implementation (see
-    :func:`~repro.noc.topology.build_tree`)."""
+    """Build a mesh with one node per cluster plus the egress node at (0, 0)."""
     if not cluster_specs:
         raise ValueError("at least one cluster is required")
     columns, rows = _grid_dimensions(len(cluster_specs), columns)
@@ -149,7 +146,7 @@ def build_mesh(
             bandwidth = spec.link_bytes_per_ns if spec else root_link_bytes_per_ns
             next_hop = xy_next_hop(coordinate)
             link = Link(f"mesh-{coordinate}-to-{next_hop}", bandwidth)
-        topology.nodes[coordinate] = router_cls(
+        topology.nodes[coordinate] = Router(
             name=f"mesh{coordinate[0]}_{coordinate[1]}",
             engine=engine,
             arbiter=NocArbiter(arbitration),
@@ -157,19 +154,13 @@ def build_mesh(
             latency_ns=router_latency_ns,
         )
 
-    # Wire each node's output to its XY next hop and declare the matching
-    # input port on the receiving side.
+    # Wire each node's output to the matching input port of its XY next hop.
     for coordinate, router in topology.nodes.items():
         if coordinate == (0, 0):
             continue
-        next_hop = xy_next_hop(coordinate)
-        downstream = topology.nodes[next_hop]
-        port_name = f"from_{coordinate[0]}_{coordinate[1]}"
-        downstream.add_port(port_name)
+        downstream = topology.nodes[xy_next_hop(coordinate)]
         router.set_sink(
-            lambda packet, _router=downstream, _port=port_name: _router.receive(
-                _port, packet
-            )
+            partial(downstream.receive, f"from_{coordinate[0]}_{coordinate[1]}")
         )
 
     # Attach clusters and their member cores to their node routers.
@@ -177,10 +168,8 @@ def build_mesh(
         if spec.name in topology.cluster_node:
             raise ValueError(f"duplicate cluster name '{spec.name}'")
         topology.cluster_node[spec.name] = coordinate
-        router = topology.nodes[coordinate]
         for member in spec.members:
             if member in topology.cluster_of:
                 raise ValueError(f"core '{member}' appears in more than one cluster")
             topology.cluster_of[member] = spec.name
-            router.add_port(member)
     return topology

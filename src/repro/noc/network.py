@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.memctrl.transaction import Transaction
 from repro.noc.mesh import MeshTopology, build_mesh
-from repro.noc.packet import Packet
-from repro.noc.router import BatchedRouter, Router
+from repro.noc.router import Router
 from repro.noc.topology import ClusterSpec, TreeTopology, build_tree
 from repro.sim.config import NocConfig
 from repro.sim.engine import Engine
@@ -19,15 +18,12 @@ TransactionSink = Callable[[Transaction], None]
 class Network:
     """The on-chip network connecting DMAs to the memory controller.
 
-    Cores inject transactions via :meth:`inject`; the network wraps them into
-    packets, routes them through the routers of the configured topology (the
-    default two-level tree of Fig. 1, or a 2D mesh with XY routing), and
-    finally hands the transaction to the memory-controller sink.
+    Cores inject transactions via :meth:`inject`; the network routes them
+    through the routers of the configured topology (the default two-level
+    tree of Fig. 1, or a 2D mesh with XY routing) and finally hands each
+    transaction to the memory-controller sink.  The injection point caches
+    the core-to-router resolution.
     """
-
-    #: Router implementation the topology is built from; the batched
-    #: subclass overrides this alongside its packetless inject path.
-    router_cls: Type[Router] = Router
 
     def __init__(
         self,
@@ -48,7 +44,6 @@ class Network:
                 root_link_bytes_per_ns=root_bw,
                 router_latency_ns=self.config.router_latency_ns,
                 columns=self.config.mesh_columns,
-                router_cls=self.router_cls,
             )
         else:
             self.topology = build_tree(
@@ -57,58 +52,17 @@ class Network:
                 arbitration=self.config.arbitration,
                 root_link_bytes_per_ns=root_bw,
                 router_latency_ns=self.config.router_latency_ns,
-                router_cls=self.router_cls,
             )
         self._sink: Optional[TransactionSink] = None
         self.topology.root.set_sink(self._deliver_to_sink)
         self.injected_packets = 0
         self.network_latency = RunningMean()
-        self._delivery_times: Dict[int, int] = {}
+        self._cluster_cache: Dict[str, Router] = {}
+        self._in_flight = 0
 
     def set_sink(self, sink: TransactionSink) -> None:
         """Connect the network output to the memory controller."""
         self._sink = sink
-
-    def inject(self, core_name: str, transaction: Transaction) -> None:
-        """Inject a transaction from a core into its cluster router."""
-        if self._sink is None:
-            raise RuntimeError("network has no sink; call set_sink() first")
-        packet = Packet(transaction=transaction, injected_ps=self.engine.now_ps)
-        cluster = self.topology.cluster_for(core_name)
-        self.injected_packets += 1
-        self._delivery_times[transaction.uid] = self.engine.now_ps
-        cluster.receive(core_name, packet)
-
-    def _deliver_to_sink(self, packet: Packet) -> None:
-        injected = self._delivery_times.pop(packet.transaction.uid, packet.injected_ps)
-        self.network_latency.add(self.engine.now_ps - injected)
-        sink = self._sink
-        if sink is not None:
-            sink(packet.transaction)
-
-    def in_flight(self) -> int:
-        """Packets injected but not yet delivered to the memory controller."""
-        return len(self._delivery_times)
-
-    def average_latency_ps(self) -> float:
-        return self.network_latency.mean
-
-
-class BatchedNetwork(Network):
-    """The batched kernel's network: packetless transport over batched routers.
-
-    Transactions flow through the topology bare — no per-injection
-    :class:`~repro.noc.packet.Packet` wrapper — and the injection point caches
-    the core-to-router resolution.  Latency accounting and statistics are
-    identical to :class:`Network`.
-    """
-
-    router_cls = BatchedRouter
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._cluster_cache: Dict[str, Router] = {}
-        self._in_flight = 0
 
     def inject(self, core_name: str, transaction: Transaction) -> None:
         """Inject a transaction from a core into its cluster router."""
@@ -135,3 +89,6 @@ class BatchedNetwork(Network):
     def in_flight(self) -> int:
         """Transactions injected but not yet delivered to the controller."""
         return self._in_flight
+
+    def average_latency_ps(self) -> float:
+        return self.network_latency.mean

@@ -1,39 +1,38 @@
-"""Store-and-forward router with per-port queues and arbitrated switch allocation."""
+"""Store-and-forward router with arbitrated switch allocation."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.memctrl.columnar import ColumnarStore, make_selector
+from repro.memctrl.transaction import Transaction
 from repro.noc.arbiter import NocArbiter
 from repro.noc.link import Link
-from repro.noc.packet import Packet
 from repro.sim.clock import NS
 from repro.sim.engine import Engine
 
-PacketSink = Callable[[Packet], None]
+TransactionSink = Callable[[Transaction], None]
 
 
 class Router:
-    """One router (switch) of the NoC tree.
+    """One router (switch) of the NoC.
 
-    Packets arrive on named input ports, wait in per-port queues, and compete
-    for the single output link.  When the link is idle the arbiter picks the
-    winning packet among everything queued — modelling per-priority virtual
-    channels, so an urgent packet is never stuck behind a bulk transfer that
-    happens to share its input port.  The winner occupies the link for its
+    Transactions arrive on named input ports, wait, and compete for the
+    single output link.  When the link is idle the arbiter picks the winner
+    among everything queued — modelling per-priority virtual channels, so an
+    urgent transaction is never stuck behind a bulk transfer that happens to
+    share its input port.  The winner occupies the link for its
     serialisation delay plus the router's pipeline latency and is handed to
-    the downstream sink (another router or the memory controller).
+    the downstream sink (another router or the network's controller sink).
 
-    The candidate set is maintained incrementally, mirroring the memory
-    controller's per-channel index: ``_candidates`` maps transaction uid to
-    ``(packet, owning port)`` and is updated on receive and forward, so an
-    arbitration reads the queued packets directly instead of rebuilding a
-    map of every port queue per decision, and the winner is removed in O(1)
-    instead of a linear queue scan.  Selection is unaffected: every policy
-    breaks ties on total per-transaction keys (enqueue time, uid), never on
-    candidate order, and the parity test in ``tests/test_noc_index_parity.py``
-    asserts bit-identical results against a rebuild-per-arbitration reference.
+    Transactions traverse the NoC bare, with no per-hop wrapper.  The
+    candidate set lives in a :class:`~repro.memctrl.columnar.ColumnarStore`,
+    so arbitration for the built-in policies is a selector reduction over
+    its columns; policies without a selector get the candidates as a list in
+    arrival order and choose through :meth:`NocArbiter.select`.  Every
+    policy breaks ties on total per-transaction keys (age, uid), never on
+    candidate order, so the input port a transaction arrived on does not
+    take part in arbitration.
     """
 
     def __init__(
@@ -42,7 +41,7 @@ class Router:
         engine: Engine,
         arbiter: NocArbiter,
         output_link: Link,
-        sink: Optional[PacketSink] = None,
+        sink: Optional[TransactionSink] = None,
         latency_ns: float = 5.0,
     ) -> None:
         if latency_ns < 0:
@@ -53,109 +52,11 @@ class Router:
         self.output_link = output_link
         self.latency_ps = round(latency_ns * NS)
         self._sink = sink
-        # Per-port insertion-ordered queues (uid -> packet) plus the flat
-        # incrementally maintained candidate index over all ports.
-        self._ports: Dict[str, Dict[int, Packet]] = {}
-        self._candidates: Dict[int, Tuple[Packet, Dict[int, Packet]]] = {}
         self._busy = False
         self._gate: Optional[Callable[[], bool]] = None
         self.forwarded_packets = 0
         self.forwarded_bytes = 0
         self.stalled_attempts = 0
-
-    def set_sink(self, sink: PacketSink) -> None:
-        """Connect the router's output to its downstream consumer."""
-        self._sink = sink
-
-    def set_gate(self, gate: Callable[[], bool]) -> None:
-        """Install a back-pressure gate.
-
-        While the gate returns False the router keeps its packets queued at
-        the input ports; :meth:`kick` re-arbitrates once the downstream
-        resource (e.g. the memory controller's entry pool) has space again.
-        """
-        self._gate = gate
-
-    def kick(self) -> None:
-        """Re-attempt switch allocation (called when back-pressure releases)."""
-        self._try_forward()
-
-    def add_port(self, port_name: str) -> None:
-        """Declare an input port; receiving on an undeclared port also creates it."""
-        self._ports.setdefault(port_name, {})
-
-    def receive(self, port_name: str, packet: Packet) -> None:
-        """Accept a packet on an input port and try to allocate the switch."""
-        port = self._ports.setdefault(port_name, {})
-        uid = packet.transaction.uid
-        port[uid] = packet
-        self._candidates[uid] = (packet, port)
-        self._try_forward()
-
-    def occupancy(self) -> int:
-        """Total packets waiting across all input ports."""
-        return len(self._candidates)
-
-    def _try_forward(self) -> None:
-        if self._busy or self._sink is None:
-            return
-        if not self._candidates:
-            return
-        if self._gate is not None and not self._gate():
-            self.stalled_attempts += 1
-            return
-        chosen_txn = self.arbiter.select(
-            [packet.transaction for packet, _ in self._candidates.values()],
-            self.engine.now_ps,
-        )
-        packet, port = self._candidates.pop(chosen_txn.uid)
-        del port[chosen_txn.uid]
-        self._busy = True
-        finish_ps = self.output_link.reserve(self.engine.now_ps, packet.size_bytes)
-        self.engine.schedule_at(finish_ps + self.latency_ps, self._deliver, packet)
-
-    def _deliver(self, packet: Packet) -> None:
-        packet.record_hop(self.name)
-        self.forwarded_packets += 1
-        self.forwarded_bytes += packet.size_bytes
-        self._busy = False
-        sink = self._sink
-        if sink is not None:
-            sink(packet)
-        self._try_forward()
-
-
-class BatchedRouter(Router):
-    """The batched kernel's router: packetless, with columnar arbitration.
-
-    Same arbitration semantics, link reservation, gate handling and
-    statistics as :class:`Router`, with two structural changes:
-
-    * transactions traverse the NoC bare instead of wrapped in
-      :class:`~repro.noc.packet.Packet` objects (one allocation per hop
-      saved; the per-hop trace only ever fed debugging);
-    * the candidate set lives in a
-      :class:`~repro.memctrl.columnar.ColumnarStore` in unsorted mode
-      (arrival order at a router does not track age), so arbitration for the
-      built-in policies is a masked vector reduction.  Policies without a
-      vector path get the same insertion-ordered candidate list the scalar
-      router would build.
-
-    Only used in topologies built entirely from batched routers — the sinks
-    wired by the topology builders are payload-opaque, so the bare
-    transaction flows through to the network's controller sink.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        engine: Engine,
-        arbiter: NocArbiter,
-        output_link: Link,
-        sink: Optional[PacketSink] = None,
-        latency_ns: float = 5.0,
-    ) -> None:
-        super().__init__(name, engine, arbiter, output_link, sink, latency_ns)
         # Optimistically sorted: a leaf (cluster) router receives transactions
         # in creation order because DMAs inject synchronously at creation, so
         # its store stays on the O(1)/early-exit "oldest is the head" paths.
@@ -169,7 +70,25 @@ class BatchedRouter(Router):
         )
         self._serve_direct = getattr(self._selector, "serve_direct", None)
 
-    def receive(self, port_name: str, transaction) -> None:
+    def set_sink(self, sink: TransactionSink) -> None:
+        """Connect the router's output to its downstream consumer."""
+        self._sink = sink
+
+    def set_gate(self, gate: Callable[[], bool]) -> None:
+        """Install a back-pressure gate.
+
+        While the gate returns False the router keeps its transactions
+        queued; :meth:`kick` re-arbitrates once the downstream resource (e.g.
+        the memory controller's entry pool) has space again.
+        """
+        self._gate = gate
+
+    def kick(self) -> None:
+        """Re-attempt switch allocation (called when back-pressure releases)."""
+        if not self._busy and self._store.live:
+            self._try_forward()
+
+    def receive(self, port_name: str, transaction: Transaction) -> None:
         """Accept a transaction on an input port and try to allocate the switch."""
         store = self._store
         if not self._busy and not store.live and self._sink is not None:
@@ -203,11 +122,6 @@ class BatchedRouter(Router):
         """Total transactions waiting across all input ports."""
         return self._store.live
 
-    def kick(self) -> None:
-        """Re-attempt switch allocation (called when back-pressure releases)."""
-        if not self._busy and self._store.live:
-            self._try_forward()
-
     def _try_forward(self) -> None:
         if self._busy or self._sink is None:
             return
@@ -235,7 +149,7 @@ class BatchedRouter(Router):
             finish_ps + self.latency_ps, self._deliver, (transaction,)
         )
 
-    def _deliver(self, transaction) -> None:
+    def _deliver(self, transaction: Transaction) -> None:
         self.forwarded_packets += 1
         self.forwarded_bytes += transaction.size_bytes
         self._busy = False

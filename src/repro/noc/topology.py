@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Type
+from typing import Dict, List
 
 from repro.noc.arbiter import NocArbiter
 from repro.noc.link import Link
@@ -55,18 +55,11 @@ def build_tree(
     arbitration: str,
     root_link_bytes_per_ns: float,
     router_latency_ns: float,
-    router_cls: Type[Router] = Router,
 ) -> TreeTopology:
-    """Build the two-level tree used by the default platform.
-
-    ``router_cls`` selects the router implementation — the batched kernel
-    passes :class:`~repro.noc.router.BatchedRouter`; every router in a
-    topology must be of the same class because the inter-router sinks carry
-    whatever payload the class forwards (packets or bare transactions).
-    """
+    """Build the two-level tree used by the default platform."""
     if not cluster_specs:
         raise ValueError("at least one cluster is required")
-    root = router_cls(
+    root = Router(
         name="root",
         engine=engine,
         arbiter=NocArbiter(arbitration),
@@ -77,7 +70,7 @@ def build_tree(
     for spec in cluster_specs:
         if spec.name in topology.clusters:
             raise ValueError(f"duplicate cluster name '{spec.name}'")
-        cluster = router_cls(
+        cluster = Router(
             name=spec.name,
             engine=engine,
             arbiter=NocArbiter(arbitration),
@@ -85,11 +78,9 @@ def build_tree(
             latency_ns=router_latency_ns,
         )
         cluster.set_sink(partial(root.receive, spec.name))
-        root.add_port(spec.name)
         topology.clusters[spec.name] = cluster
         for member in spec.members:
             if member in topology.cluster_of:
                 raise ValueError(f"core '{member}' appears in more than one cluster")
             topology.cluster_of[member] = spec.name
-            cluster.add_port(member)
     return topology

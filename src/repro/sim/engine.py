@@ -5,7 +5,7 @@ event)`` entries ordered by ``(time_ps, sequence)``.  Components schedule
 callbacks; the engine fires them in timestamp order until a time horizon is
 reached or the queue drains.
 
-Three hot-path shortcuts keep per-event overhead low under heavy sweeps:
+Four hot-path shortcuts keep per-event overhead low under heavy sweeps:
 
 * Events scheduled for the *current* timestamp (``delay_ps == 0`` bursts,
   completion cascades) bypass the heap entirely and go into a FIFO bucket.
@@ -14,14 +14,17 @@ Three hot-path shortcuts keep per-event overhead low under heavy sweeps:
   heap — just without an O(log n) push/pop per event.
 * :meth:`Engine.schedule_call` queues a bare callback without allocating an
   :class:`Event` handle at all (the ``event`` slot of its entry is ``None``).
-  The batched kernel's fire-and-forget hot paths — link deliveries, DRAM
-  completions — use it; anything that might be cancelled must go through
-  :meth:`Engine.schedule_at`.
+  Fire-and-forget hot paths — link deliveries, DRAM completions — use it;
+  anything that might be cancelled must go through :meth:`Engine.schedule_at`.
 * Cancelled events leave a tombstone on the heap that is skipped when popped
   — cheaper and simpler than heap surgery.  The engine counts live
   tombstones and compacts the heap in place once they exceed both a fixed
   floor and half of the queue, so a workload that cancels heavily cannot
   bloat the heap indefinitely.
+* :meth:`Engine.run` inlines the heap/bucket merge of :meth:`Engine._next_entry`
+  with every per-event attribute lookup hoisted into locals, saving a Python
+  call plus several attribute loads per event; :meth:`Engine.step` keeps
+  calling ``_next_entry`` and fires events in exactly the same order.
 
 Entries never tie on ``(time_ps, sequence)`` (sequences are unique), so heap
 sifting compares plain integers only and the trailing tuple elements never
@@ -225,11 +228,33 @@ class Engine:
             raise RuntimeError("engine is already running (re-entrant run() call)")
         self._running = True
         executed = 0
+        queue = self._queue
+        bucket = self._bucket
+        pop = heapq.heappop
         try:
-            while self._queue or self._bucket:
+            while queue or bucket:
                 if max_events is not None and executed >= max_events:
                     break
-                entry = self._next_entry()
+                # Inlined _next_entry(): pop the next live entry in
+                # (time_ps, sequence) order, skipping tombstones.
+                entry = None
+                while queue or bucket:
+                    if bucket and (
+                        not queue
+                        or queue[0][0] > self._now_ps
+                        or queue[0][1] > bucket[0][1]
+                    ):
+                        candidate = bucket.popleft()
+                    else:
+                        candidate = pop(queue)
+                    event = candidate[4]
+                    if event is not None:
+                        if event.cancelled:
+                            self._cancelled -= 1
+                            continue
+                        event.engine = None
+                    entry = candidate
+                    break
                 if entry is None:
                     break
                 time_ps = entry[0]
@@ -239,9 +264,9 @@ class Engine:
                     if event is not None:
                         event.engine = self
                     if time_ps == self._now_ps:
-                        self._bucket.appendleft(entry)
+                        bucket.appendleft(entry)
                     else:
-                        heapq.heappush(self._queue, entry)
+                        heapq.heappush(queue, entry)
                     break
                 self._now_ps = time_ps
                 entry[2](*entry[3])
@@ -293,74 +318,3 @@ class Engine:
         self._bucket.extend(live_bucket)
         self._cancelled = 0
         return before - len(self._queue) - len(self._bucket)
-
-
-class BatchedEngine(Engine):
-    """The batched kernel's engine: identical semantics, inlined run loop.
-
-    Scheduling, cancellation, tombstone compaction and the same-timestamp
-    bucket behave exactly as in :class:`Engine` (all of that is inherited).
-    Only :meth:`run` is replaced: the heap/bucket merge of ``_next_entry`` is
-    inlined into the loop with every per-event attribute lookup hoisted into
-    locals, which removes one Python function call plus several attribute
-    loads per event — measurable at millions of events per sweep, invisible
-    in behaviour.  Event order, clock updates and counters are bit-identical
-    to the scalar engine; ``tests/test_batched_kernel.py`` asserts it on the
-    edge cases (empty queue, horizon put-back, tombstones interleaved with
-    bucket batches).
-    """
-
-    def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        if self._running:
-            raise RuntimeError("engine is already running (re-entrant run() call)")
-        self._running = True
-        executed = 0
-        queue = self._queue
-        bucket = self._bucket
-        pop = heapq.heappop
-        try:
-            while queue or bucket:
-                if max_events is not None and executed >= max_events:
-                    break
-                # Inlined _next_entry(): pop the next live entry in
-                # (time_ps, sequence) order, skipping tombstones.
-                entry = None
-                while queue or bucket:
-                    if bucket and (
-                        not queue
-                        or queue[0][0] > self._now_ps
-                        or queue[0][1] > bucket[0][1]
-                    ):
-                        candidate = bucket.popleft()
-                    else:
-                        candidate = pop(queue)
-                    event = candidate[4]
-                    if event is not None:
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        event.engine = None
-                    entry = candidate
-                    break
-                if entry is None:
-                    break
-                time_ps = entry[0]
-                if until_ps is not None and time_ps > until_ps:
-                    # Put the entry back; it belongs to a later run() call.
-                    event = entry[4]
-                    if event is not None:
-                        event.engine = self
-                    if time_ps == self._now_ps:
-                        bucket.appendleft(entry)
-                    else:
-                        heapq.heappush(queue, entry)
-                    break
-                self._now_ps = time_ps
-                entry[2](*entry[3])
-                executed += 1
-                self._fired += 1
-            if until_ps is not None and self._now_ps < until_ps:
-                self._now_ps = until_ps
-        finally:
-            self._running = False
-        return executed

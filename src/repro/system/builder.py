@@ -9,16 +9,15 @@ from repro.core.framework import SaraFramework
 from repro.core.npi import make_meter
 from repro.core.priority import PriorityLookupTable
 from repro.cores import create_core
-from repro.cores.base import BatchedDma, Core, Dma
+from repro.cores.base import Core, Dma
 from repro.dram.cmdsim.device import CommandLevelDram
 from repro.dram.device import DramDevice
 from repro.memctrl.controller import BatchedMemoryController, MemoryController
 from repro.memctrl.policies import make_policy
-from repro.noc.network import BatchedNetwork, Network
+from repro.noc.network import Network
 from repro.scenario import ADDRESS_STREAMS, TRAFFIC_MODELS, Scenario, resolve_scenario
 from repro.sim.config import NocConfig, SimulationConfig
-from repro.sim.engine import BatchedEngine, Engine
-from repro.sim.kernel import resolve_kernel
+from repro.sim.engine import Engine
 from repro.system.platform import cluster_specs_for
 from repro.traffic.camcorder import CamcorderWorkload
 
@@ -42,10 +41,6 @@ class System:
     scenario: Optional[Scenario] = None
     cores: Dict[str, Core] = field(default_factory=dict)
     dmas: Dict[str, Dma] = field(default_factory=dict)
-    #: Which simulation kernel the system was wired with ("scalar" or
-    #: "batched").  An execution detail, not part of the experiment
-    #: configuration: both kernels produce bit-identical results.
-    kernel: str = "scalar"
 
     def run(self, duration_ps: Optional[int] = None) -> None:
         """Start every DMA and the monitoring loop, then run to the horizon."""
@@ -76,7 +71,6 @@ def build_system(
     adaptation_enabled: Optional[bool] = None,
     dram_freq_mhz: Optional[float] = None,
     dram_model: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> System:
     """Build a complete simulated MPSoC from a scenario.
 
@@ -105,13 +99,6 @@ def build_system(
     dram_model:
         DRAM backend: "transaction" (fast transaction-level model) or
         "command" (DRAMSim2-style command-level model with refresh).
-    kernel:
-        Simulation kernel: "batched" (vectorized hot paths, the default) or
-        "scalar" (the reference implementation).  Defaults to the
-        ``REPRO_SIM_KERNEL`` environment variable, then "batched".  Both
-        kernels produce bit-identical results, so the choice is not part of
-        :class:`~repro.sim.config.SimulationConfig` and does not affect
-        scenario fingerprints or sweep cache keys; see ``docs/engine.md``.
     """
     if dram_model is not None and dram_model not in ("transaction", "command"):
         raise ValueError(
@@ -134,23 +121,20 @@ def build_system(
     if adaptation is None:
         adaptation = policy in PRIORITY_POLICIES
 
-    kernel = resolve_kernel(kernel)
-    batched = kernel == "batched"
-    engine = BatchedEngine() if batched else Engine()
+    engine = Engine()
     if spec.platform.dram_model == "transaction":
         dram: DramDevice = DramDevice(config.dram, sim_scale=config.sim_scale)
     else:  # "command" — the platform spec already validated the name
         dram = CommandLevelDram(config.dram, sim_scale=config.sim_scale)
     # The columnar controller needs the transaction-level DRAM backend (its
     # open-row mirror assumes no refresh precharges) and the unbounded
-    # scheduler window; other configs keep the scalar controller even inside
-    # an otherwise batched system — results are identical either way.
-    use_batched_controller = (
-        batched
-        and spec.platform.dram_model == "transaction"
+    # scheduler window; the command-level model and bounded windows run on
+    # the queue-based controller (see docs/engine.md).
+    use_columnar_controller = (
+        spec.platform.dram_model == "transaction"
         and config.memory_controller.scheduler_window_entries is None
     )
-    controller_cls = BatchedMemoryController if use_batched_controller else MemoryController
+    controller_cls = BatchedMemoryController if use_columnar_controller else MemoryController
     controller = controller_cls(
         engine, dram, make_policy(policy), config.memory_controller
     )
@@ -161,8 +145,7 @@ def build_system(
         topology=config.noc.topology,
         mesh_columns=config.noc.mesh_columns,
     )
-    network_cls = BatchedNetwork if batched else Network
-    network = network_cls(
+    network = Network(
         engine,
         cluster_specs_for(
             workload,
@@ -198,7 +181,6 @@ def build_system(
         network=network,
         framework=framework,
         scenario=spec,
-        kernel=kernel,
     )
 
     for dma_spec in workload.dmas:
@@ -214,8 +196,7 @@ def build_system(
             latency_limit_ns=dma_spec.latency_limit_ns,
             window_ps=dma_spec.window_ps,
         )
-        dma_cls = BatchedDma if batched else Dma
-        dma = dma_cls(
+        dma = Dma(
             name=dma_spec.name,
             core=dma_spec.core,
             queue_class=dma_spec.queue_class,

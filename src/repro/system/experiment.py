@@ -71,15 +71,12 @@ def run_experiment(
     keep_trace: bool = True,
     system: Optional[System] = None,
     dram_model: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one simulation and collect the paper's metrics.
 
     A pre-built ``system`` may be supplied (the ablation benchmarks do this to
     tweak internal parameters); otherwise one is built from the scenario plus
-    the keyword overrides.  ``kernel`` selects the simulation kernel
-    ("scalar" or "batched" — bit-identical results, see ``docs/engine.md``)
-    and is ignored when a pre-built system is supplied.
+    the keyword overrides.
     """
     if system is None:
         resolved = resolve_scenario(
@@ -92,7 +89,7 @@ def run_experiment(
             dram_freq_mhz=dram_freq_mhz,
             dram_model=dram_model,
         )
-        system = build_system(resolved, kernel=kernel)
+        system = build_system(resolved)
     horizon = duration_ps or system.config.duration_ps
     system.run(duration_ps=horizon)
 
@@ -161,7 +158,6 @@ class RunTimings:
 def run_experiment_timed(
     scenario: Union[str, Scenario],
     keep_trace: bool = True,
-    kernel: Optional[str] = None,
 ) -> Tuple[ExperimentResult, RunTimings]:
     """Run one scenario-described experiment, reporting per-phase timings.
 
@@ -178,7 +174,7 @@ def run_experiment_timed(
     built = time.perf_counter()
     timings.resolve_s = built - started
     with span("experiment.build", scenario=resolved.name):
-        system = build_system(resolved, kernel=kernel)
+        system = build_system(resolved)
     ran = time.perf_counter()
     timings.build_s = ran - built
     with span(

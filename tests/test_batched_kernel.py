@@ -1,11 +1,8 @@
-"""Batched-kernel edge cases and scalar/batched parity.
+"""Edge cases of the simulator's batched and columnar structures.
 
-The batched kernel's contract is *bit-identical* results to the scalar
-reference (see ``docs/engine.md``).  This module pins that contract plus the
-edge cases the vectorized structures introduce:
+Whole-run results are pinned by ``tests/test_sim_golden.py``; this module
+pins the edge cases the batched structures introduce:
 
-* full-result parity across every bundled scenario and every registered
-  policy at smoke durations — the CI ``parity`` job runs exactly this module;
 * engine event ordering around same-timestamp buckets: empty (all-tombstone)
   buckets, single-entry buckets, tombstone compaction interleaved with
   bucketed batches, and horizon put-back;
@@ -21,7 +18,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.serialize import experiment_result_to_dict
 from repro.core.npi import (
     NPI_CAP,
     NPI_FLOOR,
@@ -31,82 +27,19 @@ from repro.core.npi import (
 )
 from repro.memctrl.aging import AgingTracker
 from repro.memctrl.columnar import ColumnarStore, make_selector
-from repro.memctrl.policies import (
-    FcfsPolicy,
-    PriorityQosPolicy,
-    RoundRobinPolicy,
-    available_policies,
-)
+from repro.memctrl.policies import FcfsPolicy, PriorityQosPolicy, RoundRobinPolicy
 from repro.memctrl.transaction import BatchTransaction, QueueClass
-from repro.scenario import available_scenarios
 from repro.sim.clock import MS
-from repro.sim.engine import COMPACT_MIN_TOMBSTONES, BatchedEngine, Engine
-from repro.sim.kernel import KERNEL_ENV_VAR, KNOWN_KERNELS, resolve_kernel
-from repro.system.experiment import run_experiment
-
-SMOKE_DURATION_PS = MS // 8
-SMOKE_TRAFFIC_SCALE = 0.1
+from repro.sim.engine import COMPACT_MIN_TOMBSTONES, Engine
 
 
-def _fingerprint(scenario: str, policy, kernel: str) -> dict:
-    result = run_experiment(
-        scenario=scenario,
-        policy=policy,
-        duration_ps=SMOKE_DURATION_PS,
-        traffic_scale=SMOKE_TRAFFIC_SCALE,
-        keep_trace=True,
-        kernel=kernel,
-    )
-    return experiment_result_to_dict(result, include_trace=True)
+def _scripted_engine():
+    """An engine loaded with the bucket/heap merge edge cases.
 
-
-class TestKernelResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "batched")
-        assert resolve_kernel("scalar") == "scalar"
-
-    def test_environment_variable_is_consulted(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
-        assert resolve_kernel() == "scalar"
-
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel() == "batched"
-
-    def test_unknown_kernel_fails_loudly(self):
-        with pytest.raises(ValueError, match="unknown simulation kernel"):
-            resolve_kernel("vectorised")
-
-
-class TestKernelParity:
-    """batched == scalar on full result dictionaries, traces included."""
-
-    @pytest.mark.parametrize("scenario", sorted(available_scenarios()))
-    def test_every_bundled_scenario_is_bit_identical(self, scenario):
-        assert _fingerprint(scenario, None, "batched") == _fingerprint(
-            scenario, None, "scalar"
-        )
-
-    @pytest.mark.parametrize("policy", sorted(available_policies()))
-    def test_every_registered_policy_is_bit_identical(self, policy):
-        # Policies without a vector selector (atlas, edf, sms, tcm) exercise
-        # the batched kernel's scalar-policy fallback path.
-        assert _fingerprint("case_b", policy, "batched") == _fingerprint(
-            "case_b", policy, "scalar"
-        )
-
-    def test_known_kernels_is_the_tested_set(self):
-        assert set(KNOWN_KERNELS) == {"scalar", "batched"}
-
-
-def _drive_engine(engine_cls):
-    """A scripted run exercising the bucket/heap merge edge cases.
-
-    Returns everything observable so the scalar and batched engines can be
-    compared wholesale: the fired tags with their timestamps, the executed
-    counts of both run() calls, and the final clock/counter state.
+    Returns the engine and the list its callbacks append ``(tag, now_ps)``
+    to as they fire.
     """
-    engine = engine_cls()
+    engine = Engine()
     fired = []
 
     def note(tag):
@@ -137,28 +70,14 @@ def _drive_engine(engine_cls):
     engine.schedule_at(20, empty_bucket, "empty")
     engine.schedule_at(22, single_entry_bucket, "single")
     engine.schedule_at(30, note, "after-horizon")
-    executed_first = engine.run(until_ps=25)  # 30 is put back for later
-    executed_second = engine.run(until_ps=100)
-    return (
-        fired,
-        executed_first,
-        executed_second,
-        engine.fired_events,
-        engine.now_ps,
-        engine.pending_events,
-        engine.cancelled_pending,
-    )
+    return engine, fired
 
 
 class TestEngineEdgeCases:
-    def test_scalar_and_batched_engines_agree_on_edge_cases(self):
-        assert _drive_engine(Engine) == _drive_engine(BatchedEngine)
-
-    @pytest.mark.parametrize("engine_cls", [Engine, BatchedEngine])
-    def test_scripted_order_is_the_documented_one(self, engine_cls):
-        fired, first, second, total, now_ps, pending, tombstones = _drive_engine(
-            engine_cls
-        )
+    def test_scripted_order_is_the_documented_one(self):
+        engine, fired = _scripted_engine()
+        first = engine.run(until_ps=25)  # 30 is put back for later
+        second = engine.run(until_ps=100)
         assert [tag for tag, _ in fired] == [
             "heap-first",  # smaller sequence at t=10 fires before the burst
             "burst/bucket1",  # bucket FIFO order, tombstones skipped
@@ -174,14 +93,24 @@ class TestEngineEdgeCases:
         # `burst` callback itself; only "after-horizon" runs in the second
         # call.
         assert (first, second) == (8, 1)
-        assert total == 9
-        assert now_ps == 100  # clock advances to the horizon after draining
-        assert pending == 0
-        assert tombstones == 0
+        assert engine.fired_events == 9
+        assert engine.now_ps == 100  # clock advances to the horizon after draining
+        assert engine.pending_events == 0
+        assert engine.cancelled_pending == 0
 
-    @pytest.mark.parametrize("engine_cls", [Engine, BatchedEngine])
-    def test_tombstone_compaction_interleaved_with_bucket_batch(self, engine_cls):
-        engine = engine_cls()
+    def test_step_fires_in_the_same_order_as_run(self):
+        # run() inlines step()'s _next_entry(); the two must never diverge.
+        by_run, run_fired = _scripted_engine()
+        by_run.run()
+        by_step, step_fired = _scripted_engine()
+        while by_step.step():
+            pass
+        assert step_fired == run_fired
+        assert by_step.fired_events == by_run.fired_events == 9
+        assert by_step.cancelled_pending == by_run.cancelled_pending == 0
+
+    def test_tombstone_compaction_interleaved_with_bucket_batch(self):
+        engine = Engine()
         fired = []
         engine.schedule_at(0, fired.append, "bucket-live")  # t == now: bucket
         keeper = engine.schedule_at(50, fired.append, "keep")

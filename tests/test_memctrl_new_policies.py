@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -17,6 +21,19 @@ from repro.memctrl.scheduler import SchedulingContext
 from repro.memctrl.transaction import QueueClass, Transaction
 from repro.sim.clock import US
 from repro.sim.config import KNOWN_ARBITRATIONS
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: One full-result digest of a short TCM run, printed by a fresh interpreter.
+_TCM_DIGEST_SCRIPT = """
+import hashlib, json
+from repro.analysis.serialize import experiment_result_to_dict
+from repro.sim.clock import MS
+from repro.system.experiment import run_experiment
+result = run_experiment("case_b", policy="tcm", duration_ps=MS // 8, keep_trace=True)
+payload = json.dumps(experiment_result_to_dict(result, include_trace=True), sort_keys=True)
+print(hashlib.sha256(payload.encode()).hexdigest())
+"""
 
 
 def txn(
@@ -120,6 +137,22 @@ class TestTcmPolicy:
         policy.select([heavy], context(now_ps=1_500))
         assert policy.is_latency_sensitive("dsp.read")
         assert not policy.is_latency_sensitive("gpu.read")
+
+    def test_results_do_not_depend_on_the_string_hash_seed(self):
+        # Python salts str hashes per process: a heavy-cluster ranking built
+        # on hash() made sweep workers, the result cache and a fresh run
+        # disagree on the same point.
+        digests = set()
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _TCM_DIGEST_SCRIPT],
+                env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1, digests
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from repro.memctrl.transaction import QueueClass, Transaction
 from repro.noc.arbiter import NocArbiter
 from repro.noc.link import Link
 from repro.noc.network import Network
-from repro.noc.packet import Packet
 from repro.noc.router import Router
 from repro.noc.topology import ClusterSpec, build_tree
 from repro.sim.config import NocConfig
@@ -85,24 +84,24 @@ class TestRouter:
     def test_forwards_packet_to_sink(self):
         engine = Engine()
         router = self._router(engine)
-        delivered: List[Packet] = []
+        delivered: List[Transaction] = []
         router.set_sink(delivered.append)
-        packet = Packet(make_txn(), injected_ps=0)
-        router.receive("port0", packet)
+        txn = make_txn()
+        router.receive("port0", txn)
         engine.run()
-        assert delivered == [packet]
-        assert packet.hops == ["r"]
+        assert delivered == [txn]
         assert router.forwarded_packets == 1
+        assert router.forwarded_bytes == txn.size_bytes
 
     def test_priority_packet_overtakes_queued_bulk(self):
         engine = Engine()
         router = self._router(engine)
         order: List[str] = []
-        router.set_sink(lambda packet: order.append(packet.transaction.dma))
-        router.receive("bulk", Packet(make_txn("bulk.0", priority=0), injected_ps=0))
-        router.receive("bulk", Packet(make_txn("bulk.1", priority=0), injected_ps=0))
-        router.receive("bulk", Packet(make_txn("bulk.2", priority=0), injected_ps=0))
-        router.receive("urgent", Packet(make_txn("urgent", priority=7), injected_ps=0))
+        router.set_sink(lambda txn: order.append(txn.dma))
+        router.receive("bulk", make_txn("bulk.0", priority=0))
+        router.receive("bulk", make_txn("bulk.1", priority=0))
+        router.receive("bulk", make_txn("bulk.2", priority=0))
+        router.receive("urgent", make_txn("urgent", priority=7))
         engine.run()
         # bulk.0 was already in flight; the urgent packet must pass bulk.1/2.
         assert order.index("urgent") < order.index("bulk.1")
@@ -110,11 +109,11 @@ class TestRouter:
     def test_gate_stalls_forwarding_until_kick(self):
         engine = Engine()
         router = self._router(engine)
-        delivered: List[Packet] = []
+        delivered: List[Transaction] = []
         router.set_sink(delivered.append)
         open_gate = {"value": False}
         router.set_gate(lambda: open_gate["value"])
-        router.receive("p", Packet(make_txn(), injected_ps=0))
+        router.receive("p", make_txn())
         engine.run()
         assert delivered == []
         assert router.stalled_attempts >= 1
@@ -126,10 +125,10 @@ class TestRouter:
     def test_occupancy_counts_waiting_packets(self):
         engine = Engine()
         router = self._router(engine)
-        router.set_sink(lambda packet: None)
+        router.set_sink(lambda txn: None)
         router.set_gate(lambda: False)
         for index in range(3):
-            router.receive("p", Packet(make_txn(f"d{index}"), injected_ps=0))
+            router.receive("p", make_txn(f"d{index}"))
         assert router.occupancy() == 3
 
 

@@ -1,10 +1,13 @@
-"""Bit-identical parity of the router's incremental candidate index.
+"""The router against a rebuild-scan reference router.
 
-The router now maintains its candidate set incrementally (uid -> packet,
-port) instead of rebuilding a map of every port queue per arbitration.  The
-reference implementation below re-creates the seed's rebuild-per-arbitration
-behaviour (deque-backed ports, full rescan, linear removal); a full system
-run under each must produce byte-identical results, including the NPI trace.
+:class:`~repro.noc.router.Router` keeps its candidates in a columnar store,
+arbitrates through the policy's selector where one exists, and bypasses the
+store when it is idle and empty.  The reference below is the plainest router
+that works: deque ports, a candidate map rebuilt on every arbitration, a
+linear removal, and every decision made by ``self.arbiter.select``.  It is
+installed by patching ``repro.noc.topology.Router``, which the tree builder
+looks up at call time.  A full system run under each router must produce an
+equal result, NPI trace included, for every built-in policy.
 """
 
 from __future__ import annotations
@@ -12,28 +15,33 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict
 
+import pytest
+
 import repro.noc.topology as topology_module
 from repro.analysis.serialize import experiment_result_to_dict
-from repro.noc.packet import Packet
+from repro.memctrl.transaction import Transaction
 from repro.noc.router import Router
+from repro.scenario import resolve_scenario
 from repro.sim.clock import MS
+from repro.sim.config import KNOWN_ARBITRATIONS
+from repro.system.builder import build_system
 from repro.system.experiment import run_experiment
 
 SHORT_PS = 2 * MS // 5
 
 
 class RebuildScanRouter(Router):
-    """The seed's router: deque ports, candidate map rebuilt per arbitration."""
+    """Deque ports, candidate map rebuilt per arbitration, arbiter.select."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._deque_ports: Dict[str, Deque[Packet]] = {}
+        self._deque_ports: Dict[str, Deque[Transaction]] = {}
 
-    def add_port(self, port_name: str) -> None:
-        self._deque_ports.setdefault(port_name, deque())
+    def receive(self, port_name: str, transaction: Transaction) -> None:
+        self._deque_ports.setdefault(port_name, deque()).append(transaction)
+        self._try_forward()
 
-    def receive(self, port_name: str, packet: Packet) -> None:
-        self._deque_ports.setdefault(port_name, deque()).append(packet)
+    def kick(self) -> None:
         self._try_forward()
 
     def occupancy(self) -> int:
@@ -42,43 +50,48 @@ class RebuildScanRouter(Router):
     def _try_forward(self) -> None:
         if self._busy or self._sink is None:
             return
+        candidates = {}
+        for queue in self._deque_ports.values():
+            for transaction in queue:
+                candidates[transaction.uid] = (transaction, queue)
+        if not candidates:
+            return
         if self._gate is not None and not self._gate():
             self.stalled_attempts += 1
             return
-        candidates = {}
-        for queue in self._deque_ports.values():
-            for packet in queue:
-                candidates[packet.transaction.uid] = (packet, queue)
-        if not candidates:
-            return
-        chosen_txn = self.arbiter.select(
-            [packet.transaction for packet, _ in candidates.values()],
+        chosen = self.arbiter.select(
+            [transaction for transaction, _ in candidates.values()],
             self.engine.now_ps,
         )
-        packet, queue = candidates[chosen_txn.uid]
-        queue.remove(packet)
+        candidates[chosen.uid][1].remove(chosen)
         self._busy = True
-        finish_ps = self.output_link.reserve(self.engine.now_ps, packet.size_bytes)
-        self.engine.schedule_at(finish_ps + self.latency_ps, self._deliver, packet)
+        finish_ps = self.output_link.reserve(self.engine.now_ps, chosen.size_bytes)
+        self.engine.schedule_at(finish_ps + self.latency_ps, self._deliver, chosen)
+
+    def _deliver(self, transaction: Transaction) -> None:
+        self.forwarded_packets += 1
+        self.forwarded_bytes += transaction.size_bytes
+        self._busy = False
+        self._sink(transaction)
+        self._try_forward()
 
 
-def _run(policy: str):
-    return run_experiment(
-        scenario="case_b",
-        policy=policy,
-        duration_ps=SHORT_PS,
-        traffic_scale=0.2,
-        keep_trace=True,
+def _result(policy: str):
+    system = build_system(
+        resolve_scenario(
+            "case_b", policy=policy, duration_ps=SHORT_PS, traffic_scale=0.2
+        )
     )
+    result = run_experiment(system=system, keep_trace=True)
+    routers = system.network.topology.routers()
+    return experiment_result_to_dict(result, include_trace=True), routers
 
 
-class TestIncrementalIndexParity:
-    def test_traces_bit_identical_to_rebuild_scan(self, monkeypatch):
-        for policy in ("fcfs", "priority_qos"):
-            indexed = _run(policy)
-            monkeypatch.setattr(topology_module, "Router", RebuildScanRouter)
-            reference = _run(policy)
-            monkeypatch.undo()
-            assert experiment_result_to_dict(
-                indexed, include_trace=True
-            ) == experiment_result_to_dict(reference, include_trace=True), policy
+@pytest.mark.parametrize("policy", sorted(KNOWN_ARBITRATIONS))
+def test_matches_rebuild_scan_router(policy, monkeypatch):
+    columnar, routers = _result(policy)
+    assert not any(isinstance(router, RebuildScanRouter) for router in routers)
+    monkeypatch.setattr(topology_module, "Router", RebuildScanRouter)
+    reference, routers = _result(policy)
+    assert routers and all(type(router) is RebuildScanRouter for router in routers)
+    assert columnar == reference
