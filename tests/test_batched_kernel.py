@@ -33,13 +33,13 @@ from repro.sim.clock import MS
 from repro.sim.engine import COMPACT_MIN_TOMBSTONES, Engine
 
 
-def _scripted_engine():
+def _scripted_engine(engine_cls=Engine):
     """An engine loaded with the bucket/heap merge edge cases.
 
     Returns the engine and the list its callbacks append ``(tag, now_ps)``
     to as they fire.
     """
-    engine = Engine()
+    engine = engine_cls()
     fired = []
 
     def note(tag):
@@ -74,8 +74,9 @@ def _scripted_engine():
 
 
 class TestEngineEdgeCases:
-    def test_scripted_order_is_the_documented_one(self):
-        engine, fired = _scripted_engine()
+    @pytest.mark.parametrize("engine_cls", [Engine])
+    def test_scripted_order_is_the_documented_one(self, engine_cls):
+        engine, fired = _scripted_engine(engine_cls)
         first = engine.run(until_ps=25)  # 30 is put back for later
         second = engine.run(until_ps=100)
         assert [tag for tag, _ in fired] == [
