@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.noc.arbiter import NocArbiter
@@ -154,14 +153,11 @@ def build_mesh(
             latency_ns=router_latency_ns,
         )
 
-    # Wire each node's output to the matching input port of its XY next hop.
+    # Wire each node's output to its XY next hop.
     for coordinate, router in topology.nodes.items():
         if coordinate == (0, 0):
             continue
-        downstream = topology.nodes[xy_next_hop(coordinate)]
-        router.set_sink(
-            partial(downstream.receive, f"from_{coordinate[0]}_{coordinate[1]}")
-        )
+        router.set_sink(topology.nodes[xy_next_hop(coordinate)].receive)
 
     # Attach clusters and their member cores to their node routers.
     for coordinate, spec in placements.items():

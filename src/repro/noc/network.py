@@ -74,7 +74,7 @@ class Network:
             self._cluster_cache[core_name] = cluster
         self.injected_packets += 1
         self._in_flight += 1
-        cluster.receive(core_name, transaction)
+        cluster.receive(transaction)
 
     def _deliver_to_sink(self, transaction: Transaction) -> None:
         # A transaction is created and injected at the same timestamp (the

@@ -17,13 +17,14 @@ TransactionSink = Callable[[Transaction], None]
 class Router:
     """One router (switch) of the NoC.
 
-    Transactions arrive on named input ports, wait, and compete for the
-    single output link.  When the link is idle the arbiter picks the winner
-    among everything queued — modelling per-priority virtual channels, so an
-    urgent transaction is never stuck behind a bulk transfer that happens to
-    share its input port.  The winner occupies the link for its
-    serialisation delay plus the router's pipeline latency and is handed to
-    the downstream sink (another router or the network's controller sink).
+    Transactions arrive from injecting DMAs or upstream routers, wait, and
+    compete for the single output link.  When the link is idle the arbiter
+    picks the winner among everything queued — modelling per-priority
+    virtual channels, so an urgent transaction is never stuck behind a bulk
+    transfer that arrived on the same input.  The winner occupies the link
+    for its serialisation delay plus the router's pipeline latency and is
+    handed to the downstream sink (another router or the network's
+    controller sink).
 
     Transactions traverse the NoC bare, with no per-hop wrapper.  The
     candidate set lives in a :class:`~repro.memctrl.columnar.ColumnarStore`,
@@ -31,8 +32,8 @@ class Router:
     its columns; policies without a selector get the candidates as a list in
     arrival order and choose through :meth:`NocArbiter.select`.  Every
     policy breaks ties on total per-transaction keys (age, uid), never on
-    candidate order, so the input port a transaction arrived on does not
-    take part in arbitration.
+    candidate order, so the router keeps no input ports: the input a
+    transaction arrived on cannot take part in arbitration.
     """
 
     def __init__(
@@ -88,8 +89,8 @@ class Router:
         if not self._busy and self._store.live:
             self._try_forward()
 
-    def receive(self, port_name: str, transaction: Transaction) -> None:
-        """Accept a transaction on an input port and try to allocate the switch."""
+    def receive(self, transaction: Transaction) -> None:
+        """Accept a transaction and try to allocate the switch."""
         store = self._store
         if not self._busy and not store.live and self._sink is not None:
             # Empty-idle bypass: the arbitration over a one-candidate set is
@@ -119,7 +120,7 @@ class Router:
             self._try_forward()
 
     def occupancy(self) -> int:
-        """Total transactions waiting across all input ports."""
+        """Total transactions waiting for the output link."""
         return self._store.live
 
     def _try_forward(self) -> None:

@@ -11,7 +11,6 @@ interconnect under FCFS) before DRAM even becomes the bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List
 
 from repro.noc.arbiter import NocArbiter
@@ -77,7 +76,7 @@ def build_tree(
             output_link=Link(f"{spec.name}-to-root", spec.link_bytes_per_ns),
             latency_ns=router_latency_ns,
         )
-        cluster.set_sink(partial(root.receive, spec.name))
+        cluster.set_sink(root.receive)
         topology.clusters[spec.name] = cluster
         for member in spec.members:
             if member in topology.cluster_of:

@@ -5,7 +5,7 @@ event)`` entries ordered by ``(time_ps, sequence)``.  Components schedule
 callbacks; the engine fires them in timestamp order until a time horizon is
 reached or the queue drains.
 
-Four hot-path shortcuts keep per-event overhead low under heavy sweeps:
+Three hot-path shortcuts keep per-event overhead low under heavy sweeps:
 
 * Events scheduled for the *current* timestamp (``delay_ps == 0`` bursts,
   completion cascades) bypass the heap entirely and go into a FIFO bucket.
@@ -21,10 +21,6 @@ Four hot-path shortcuts keep per-event overhead low under heavy sweeps:
   tombstones and compacts the heap in place once they exceed both a fixed
   floor and half of the queue, so a workload that cancels heavily cannot
   bloat the heap indefinitely.
-* :meth:`Engine.run` inlines the heap/bucket merge of :meth:`Engine._next_entry`
-  with every per-event attribute lookup hoisted into locals, saving a Python
-  call plus several attribute loads per event; :meth:`Engine.step` keeps
-  calling ``_next_entry`` and fires events in exactly the same order.
 
 Entries never tie on ``(time_ps, sequence)`` (sequences are unique), so heap
 sifting compares plain integers only and the trailing tuple elements never
@@ -180,32 +176,6 @@ class Engine:
         ):
             self.drain_cancelled()
 
-    def _next_entry(self) -> Optional[tuple]:
-        """Pop the next live entry in ``(time_ps, sequence)`` order."""
-        queue = self._queue
-        bucket = self._bucket
-        pop = heapq.heappop
-        while queue or bucket:
-            if bucket and (
-                not queue
-                or queue[0][0] > self._now_ps
-                or queue[0][1] > bucket[0][1]
-            ):
-                entry = bucket.popleft()
-            else:
-                entry = pop(queue)
-            event = entry[4]
-            if event is not None:
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                # Detach the engine reference: a cancel() after the event
-                # fired must not count a tombstone that is no longer queued
-                # (and the compaction trigger must not chase it).
-                event.engine = None
-            return entry
-        return None
-
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run the simulation.
 
@@ -235,8 +205,8 @@ class Engine:
             while queue or bucket:
                 if max_events is not None and executed >= max_events:
                     break
-                # Inlined _next_entry(): pop the next live entry in
-                # (time_ps, sequence) order, skipping tombstones.
+                # Pop the next live entry in (time_ps, sequence) order,
+                # skipping tombstones.
                 entry = None
                 while queue or bucket:
                     if bucket and (
@@ -252,6 +222,9 @@ class Engine:
                         if event.cancelled:
                             self._cancelled -= 1
                             continue
+                        # Detach the engine reference: a cancel() after the
+                        # event fired must not count a tombstone that is no
+                        # longer queued.
                         event.engine = None
                     entry = candidate
                     break
@@ -285,13 +258,7 @@ class Engine:
 
         Returns ``True`` if an event fired, ``False`` if the queue is empty.
         """
-        entry = self._next_entry()
-        if entry is None:
-            return False
-        self._now_ps = entry[0]
-        entry[2](*entry[3])
-        self._fired += 1
-        return True
+        return self.run(max_events=1) > 0
 
     def drain_cancelled(self) -> int:
         """Remove cancelled tombstones in place; returns how many were removed.

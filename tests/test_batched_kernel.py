@@ -99,17 +99,6 @@ class TestEngineEdgeCases:
         assert engine.pending_events == 0
         assert engine.cancelled_pending == 0
 
-    def test_step_fires_in_the_same_order_as_run(self):
-        # run() inlines step()'s _next_entry(); the two must never diverge.
-        by_run, run_fired = _scripted_engine()
-        by_run.run()
-        by_step, step_fired = _scripted_engine()
-        while by_step.step():
-            pass
-        assert step_fired == run_fired
-        assert by_step.fired_events == by_run.fired_events == 9
-        assert by_step.cancelled_pending == by_run.cancelled_pending == 0
-
     def test_tombstone_compaction_interleaved_with_bucket_batch(self):
         engine = Engine()
         fired = []

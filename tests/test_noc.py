@@ -87,7 +87,7 @@ class TestRouter:
         delivered: List[Transaction] = []
         router.set_sink(delivered.append)
         txn = make_txn()
-        router.receive("port0", txn)
+        router.receive(txn)
         engine.run()
         assert delivered == [txn]
         assert router.forwarded_packets == 1
@@ -98,10 +98,10 @@ class TestRouter:
         router = self._router(engine)
         order: List[str] = []
         router.set_sink(lambda txn: order.append(txn.dma))
-        router.receive("bulk", make_txn("bulk.0", priority=0))
-        router.receive("bulk", make_txn("bulk.1", priority=0))
-        router.receive("bulk", make_txn("bulk.2", priority=0))
-        router.receive("urgent", make_txn("urgent", priority=7))
+        router.receive(make_txn("bulk.0", priority=0))
+        router.receive(make_txn("bulk.1", priority=0))
+        router.receive(make_txn("bulk.2", priority=0))
+        router.receive(make_txn("urgent", priority=7))
         engine.run()
         # bulk.0 was already in flight; the urgent packet must pass bulk.1/2.
         assert order.index("urgent") < order.index("bulk.1")
@@ -113,7 +113,7 @@ class TestRouter:
         router.set_sink(delivered.append)
         open_gate = {"value": False}
         router.set_gate(lambda: open_gate["value"])
-        router.receive("p", make_txn())
+        router.receive(make_txn())
         engine.run()
         assert delivered == []
         assert router.stalled_attempts >= 1
@@ -128,7 +128,7 @@ class TestRouter:
         router.set_sink(lambda txn: None)
         router.set_gate(lambda: False)
         for index in range(3):
-            router.receive("p", make_txn(f"d{index}"))
+            router.receive(make_txn(f"d{index}"))
         assert router.occupancy() == 3
 
 

@@ -3,23 +3,27 @@
 :class:`~repro.noc.router.Router` keeps its candidates in a columnar store,
 arbitrates through the policy's selector where one exists, and bypasses the
 store when it is idle and empty.  The reference below is the plainest router
-that works: deque ports, a candidate map rebuilt on every arbitration, a
-linear removal, and every decision made by ``self.arbiter.select``.  It is
-installed by patching ``repro.noc.topology.Router``, which the tree builder
-looks up at call time.  A full system run under each router must produce an
-equal result, NPI trace included, for every built-in policy.
+that works: one arrival-order deque, a candidate list rebuilt on every
+arbitration, a linear removal, and every decision made by
+``self.arbiter.select``.  It is installed by patching ``Router`` in
+``repro.noc.topology`` and ``repro.noc.mesh``, which the tree and mesh
+builders look up at call time.  A full system run under each router must
+produce an equal result, NPI trace included, for every built-in policy on
+both topologies.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict
+from typing import Deque
 
 import pytest
 
+import repro.noc.mesh as mesh_module
 import repro.noc.topology as topology_module
 from repro.analysis.serialize import experiment_result_to_dict
 from repro.memctrl.transaction import Transaction
+from repro.noc.mesh import MeshTopology
 from repro.noc.router import Router
 from repro.scenario import resolve_scenario
 from repro.sim.clock import MS
@@ -31,39 +35,33 @@ SHORT_PS = 2 * MS // 5
 
 
 class RebuildScanRouter(Router):
-    """Deque ports, candidate map rebuilt per arbitration, arbiter.select."""
+    """One deque, candidate list rebuilt per arbitration, arbiter.select."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._deque_ports: Dict[str, Deque[Transaction]] = {}
+        self._waiting: Deque[Transaction] = deque()
 
-    def receive(self, port_name: str, transaction: Transaction) -> None:
-        self._deque_ports.setdefault(port_name, deque()).append(transaction)
+    def receive(self, transaction: Transaction) -> None:
+        self._waiting.append(transaction)
         self._try_forward()
 
     def kick(self) -> None:
         self._try_forward()
 
     def occupancy(self) -> int:
-        return sum(len(queue) for queue in self._deque_ports.values())
+        return len(self._waiting)
 
     def _try_forward(self) -> None:
         if self._busy or self._sink is None:
             return
-        candidates = {}
-        for queue in self._deque_ports.values():
-            for transaction in queue:
-                candidates[transaction.uid] = (transaction, queue)
+        candidates = list(self._waiting)
         if not candidates:
             return
         if self._gate is not None and not self._gate():
             self.stalled_attempts += 1
             return
-        chosen = self.arbiter.select(
-            [transaction for transaction, _ in candidates.values()],
-            self.engine.now_ps,
-        )
-        candidates[chosen.uid][1].remove(chosen)
+        chosen = self.arbiter.select(candidates, self.engine.now_ps)
+        self._waiting.remove(chosen)
         self._busy = True
         finish_ps = self.output_link.reserve(self.engine.now_ps, chosen.size_bytes)
         self.engine.schedule_at(finish_ps + self.latency_ps, self._deliver, chosen)
@@ -76,22 +74,46 @@ class RebuildScanRouter(Router):
         self._try_forward()
 
 
-def _result(policy: str):
+#: The mesh runs behind a 16-entry scheduler window, as the benchmark's
+#: ``scalar_fallback`` campaign does.
+MESH_SETTINGS = {
+    "platform.sim.noc.topology": "mesh",
+    "platform.sim.memory_controller.scheduler_window_entries": 16,
+}
+
+
+def _result(policy: str, settings=None):
     system = build_system(
         resolve_scenario(
-            "case_b", policy=policy, duration_ps=SHORT_PS, traffic_scale=0.2
+            "case_b",
+            policy=policy,
+            duration_ps=SHORT_PS,
+            traffic_scale=0.2,
+            settings=settings,
         )
     )
     result = run_experiment(system=system, keep_trace=True)
-    routers = system.network.topology.routers()
-    return experiment_result_to_dict(result, include_trace=True), routers
+    return experiment_result_to_dict(result, include_trace=True), system.network.topology
+
+
+def _check_against_reference(policy: str, monkeypatch, settings=None):
+    columnar, topology = _result(policy, settings)
+    assert not any(isinstance(router, RebuildScanRouter) for router in topology.routers())
+    monkeypatch.setattr(topology_module, "Router", RebuildScanRouter)
+    monkeypatch.setattr(mesh_module, "Router", RebuildScanRouter)
+    reference, topology = _result(policy, settings)
+    routers = topology.routers()
+    assert routers and all(type(router) is RebuildScanRouter for router in routers)
+    assert columnar == reference
+    return topology
 
 
 @pytest.mark.parametrize("policy", sorted(KNOWN_ARBITRATIONS))
 def test_matches_rebuild_scan_router(policy, monkeypatch):
-    columnar, routers = _result(policy)
-    assert not any(isinstance(router, RebuildScanRouter) for router in routers)
-    monkeypatch.setattr(topology_module, "Router", RebuildScanRouter)
-    reference, routers = _result(policy)
-    assert routers and all(type(router) is RebuildScanRouter for router in routers)
-    assert columnar == reference
+    _check_against_reference(policy, monkeypatch)
+
+
+@pytest.mark.parametrize("policy", sorted(KNOWN_ARBITRATIONS))
+def test_mesh_matches_rebuild_scan_router(policy, monkeypatch):
+    topology = _check_against_reference(policy, monkeypatch, MESH_SETTINGS)
+    assert isinstance(topology, MeshTopology) and len(topology.routers()) > 2

@@ -7,7 +7,10 @@ The simulator is pinned two ways:
   sort_keys=True)`` for every bundled scenario x every built-in policy x both
   DRAM models at smoke settings, plus ``case_a`` at full traffic for every
   policy (full traffic is what drives the columnar selectors' numpy
-  branches).  Any change to any NPI sample, priority distribution, counter
+  branches), plus ``case_b`` at full traffic on a mesh NoC behind a
+  16-entry scheduler window for every policy and both DRAM models (the
+  only rows that build a mesh; a bounded window always runs the
+  queue-based controller).  Any change to any NPI sample, priority distribution, counter
   or average moves a digest.
 * **References.** Two slower code paths already in the simulator are
   swapped in and must give equal full result dictionaries:
@@ -43,6 +46,7 @@ import repro.system.builder as builder_module
 from repro.analysis.serialize import experiment_result_to_dict
 from repro.memctrl.columnar import ColumnarStore
 from repro.memctrl.controller import MemoryController
+from repro.noc.mesh import MeshTopology
 from repro.scenario import builtin_scenario_paths, resolve_scenario
 from repro.sim.clock import MS
 from repro.sim.config import KNOWN_ARBITRATIONS
@@ -61,35 +65,50 @@ POLICIES = tuple(sorted(KNOWN_ARBITRATIONS))
 #: The policies whose columnar selectors have numpy branches.
 VECTORISED_POLICIES = ("frame_rate_qos", "priority_qos", "priority_rowbuffer", "round_robin")
 
-#: (scenario, policy, dram_model, traffic_scale)
-Row = Tuple[str, str, str, float]
+#: What a row marked ``mesh`` adds to its scenario.
+MESH_WINDOW_SETTINGS = {
+    "platform.sim.noc.topology": "mesh",
+    "platform.sim.memory_controller.scheduler_window_entries": 16,
+}
+
+#: (scenario, policy, dram_model, traffic_scale, mesh)
+Row = Tuple[str, str, str, float, bool]
 
 
 def golden_rows() -> List[Row]:
     rows = [
-        (scenario, policy, dram_model, SMOKE_TRAFFIC)
+        (scenario, policy, dram_model, SMOKE_TRAFFIC, False)
         for scenario in sorted(builtin_scenario_paths())
         for policy in POLICIES
         for dram_model in DRAM_MODELS
     ]
-    rows += [("case_a", policy, "transaction", FULL_TRAFFIC) for policy in POLICIES]
+    rows += [("case_a", policy, "transaction", FULL_TRAFFIC, False) for policy in POLICIES]
+    rows += [
+        ("case_b", policy, dram_model, FULL_TRAFFIC, True)
+        for policy in POLICIES
+        for dram_model in DRAM_MODELS
+    ]
     return rows
 
 
 #: Rows the two references are checked on: every policy at smoke traffic,
 #: and the vectorised policies where their numpy branches run.
 REFERENCE_ROWS: List[Row] = [
-    ("case_b", policy, "transaction", SMOKE_TRAFFIC) for policy in POLICIES
-] + [("case_a", policy, "transaction", FULL_TRAFFIC) for policy in VECTORISED_POLICIES]
+    ("case_b", policy, "transaction", SMOKE_TRAFFIC, False) for policy in POLICIES
+] + [
+    ("case_a", policy, "transaction", FULL_TRAFFIC, False)
+    for policy in VECTORISED_POLICIES
+]
 
 
 def row_id(row: Row) -> str:
-    scenario, policy, dram_model, traffic = row
-    return f"{scenario}-{policy}-{dram_model}-{traffic:g}"
+    scenario, policy, dram_model, traffic, mesh = row
+    suffix = "-mesh-w16" if mesh else ""
+    return f"{scenario}-{policy}-{dram_model}-{traffic:g}{suffix}"
 
 
 def build(row: Row) -> System:
-    scenario, policy, dram_model, traffic = row
+    scenario, policy, dram_model, traffic, mesh = row
     return build_system(
         resolve_scenario(
             scenario,
@@ -97,6 +116,7 @@ def build(row: Row) -> System:
             duration_ps=DURATION_PS,
             traffic_scale=traffic,
             dram_model=dram_model,
+            settings=MESH_WINDOW_SETTINGS if mesh else None,
         )
     )
 
@@ -144,7 +164,11 @@ def test_fixture_covers_every_row():
 @pytest.mark.parametrize("row", golden_rows(), ids=row_id)
 def test_digest(row):
     expected = load_fixture()["digests"][row_id(row)]
-    assert digest(result_dict(build(row))) == expected, (
+    system = build(row)
+    if row[4]:
+        assert isinstance(system.network.topology, MeshTopology)
+        assert type(system.controller) is MemoryController
+    assert digest(result_dict(system)) == expected, (
         f"{row_id(row)} moved; if that is intended, regenerate with: {GENERATOR}"
     )
 
