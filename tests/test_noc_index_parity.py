@@ -96,8 +96,17 @@ def _result(policy: str, settings=None):
     return experiment_result_to_dict(result, include_trace=True), system.network.topology
 
 
-def _check_against_reference(policy: str, monkeypatch, settings=None):
+#: Every built-in policy on the tree (ids: the policy) and on the mesh.
+CASES = [pytest.param(policy, None, id=policy) for policy in sorted(KNOWN_ARBITRATIONS)] + [
+    pytest.param(policy, MESH_SETTINGS, id=f"mesh-{policy}")
+    for policy in sorted(KNOWN_ARBITRATIONS)
+]
+
+
+@pytest.mark.parametrize("policy, settings", CASES)
+def test_matches_rebuild_scan_router(policy, settings, monkeypatch):
     columnar, topology = _result(policy, settings)
+    assert isinstance(topology, MeshTopology) == (settings is not None)
     assert not any(isinstance(router, RebuildScanRouter) for router in topology.routers())
     monkeypatch.setattr(topology_module, "Router", RebuildScanRouter)
     monkeypatch.setattr(mesh_module, "Router", RebuildScanRouter)
@@ -105,15 +114,3 @@ def _check_against_reference(policy: str, monkeypatch, settings=None):
     routers = topology.routers()
     assert routers and all(type(router) is RebuildScanRouter for router in routers)
     assert columnar == reference
-    return topology
-
-
-@pytest.mark.parametrize("policy", sorted(KNOWN_ARBITRATIONS))
-def test_matches_rebuild_scan_router(policy, monkeypatch):
-    _check_against_reference(policy, monkeypatch)
-
-
-@pytest.mark.parametrize("policy", sorted(KNOWN_ARBITRATIONS))
-def test_mesh_matches_rebuild_scan_router(policy, monkeypatch):
-    topology = _check_against_reference(policy, monkeypatch, MESH_SETTINGS)
-    assert isinstance(topology, MeshTopology) and len(topology.routers()) > 2

@@ -10,8 +10,8 @@ The simulator is pinned two ways:
   branches), plus ``case_b`` at full traffic on a mesh NoC behind a
   16-entry scheduler window for every policy and both DRAM models (the
   only rows that build a mesh; a bounded window always runs the
-  queue-based controller).  Any change to any NPI sample, priority distribution, counter
-  or average moves a digest.
+  queue-based controller).  Any change to any NPI sample, priority
+  distribution, counter or average moves a digest.
 * **References.** Two slower code paths already in the simulator are
   swapped in and must give equal full result dictionaries:
 
