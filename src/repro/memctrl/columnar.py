@@ -11,14 +11,12 @@ scheduling decision by reducing the columns directly instead of walking an
 object graph, and a store only maintains the columns its selector actually
 reads (an FCFS router push is three list appends).
 
-Column reductions are adaptive: small windows (the common case — candidate
-sets here are bounded by the controller's 42 entries and the DMAs'
-outstanding windows) use tight Python loops over the list columns, while
-windows above :data:`VECTOR_MIN` switch to numpy reductions (masked min /
-argmin chains), which is where vectorization actually beats loop overhead.
-Both paths compute the same result: all policies break ties on total
-per-transaction keys (``(age, uid)`` with unique uids), so there are no ties
-for iteration order to resolve.
+Every selector makes its decision with one early-exit scan over the list
+columns, at every window size.  Copying the columns into numpy arrays for a
+masked reduction costs more than the whole scan, even for windows of
+thousands of candidates (measurements in ``docs/engine.md``).  All policies
+break ties on total per-transaction keys (``(age, uid)`` with unique uids),
+so there are no ties for iteration order to resolve.
 
 Selectors replicate their policies' ``select()`` *exactly*:
 
@@ -48,8 +46,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.memctrl.aging import AgingTracker
 from repro.memctrl.policies import (
     FcfsPolicy,
@@ -76,15 +72,11 @@ _ROTATIONS = tuple(
 )
 _NEXT_CLASS = tuple((code + 1) % _NUM_CLASSES for code in range(_NUM_CLASSES))
 
-_INT64_MAX = np.iinfo(np.int64).max
-
 #: The sentinel age key greater than every real ``(time, uid)`` key.
 _SKEY_MAX: Tuple[int, int] = (1 << 62, 1 << 62)
 
-#: Window size above which selectors switch from Python loops to numpy
-#: reductions.  Below this, fixed per-ufunc overhead (plus lifting the list
-#: columns into arrays) exceeds the cost of the whole loop.
-VECTOR_MIN = 64
+#: The sentinel round-robin turn greater than every real turn.
+_TURN_MAX = 1 << 62
 
 #: Dead entries tolerated before a store compacts its columns in place.
 _COMPACT_SLACK = 64
@@ -93,9 +85,8 @@ _COMPACT_SLACK = 64
 class ColumnarStore:
     """A candidate set as parallel columns plus the owning objects.
 
-    Columns are plain Python lists (cheap to append and to scan for the
-    small windows that dominate); selectors lift them into numpy arrays
-    only when the live window is large enough for vector reductions to win.
+    Columns are plain Python lists: cheap to append, and scanned in place
+    by the selectors.
 
     The ``track_*`` flags disable columns (and their counters) that the
     owning selector never reads, shrinking the per-push work: a disabled
@@ -339,22 +330,6 @@ class ColumnarStore:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def window_array(self, column: str) -> np.ndarray:
-        """The ``[head:size)`` slice of a column as an int64 numpy array."""
-        data = getattr(self, column)[self.head :]
-        return np.array(data, dtype=np.int64)
-
-    def window_key_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``skey`` window split into (enqueue-time, uid) int64 arrays."""
-        window = self.skey[self.head :]
-        keys = np.array([k for k, _ in window], dtype=np.int64)
-        uids = np.array([u for _, u in window], dtype=np.int64)
-        return keys, uids
-
-    def window_alive(self) -> np.ndarray:
-        """The ``[head:size)`` slice of the liveness flags as a bool array."""
-        return np.array(self.alive[self.head :], dtype=bool)
-
     def top_priority(self) -> int:
         """Highest priority among live candidates (-1 when empty)."""
         counts = self.prio_count
@@ -436,20 +411,6 @@ def _oldest_masked(store: ColumnarStore, mask_ok) -> int:
     return best
 
 
-def _vector_oldest(store: ColumnarStore, mask: np.ndarray) -> int:
-    """Vectorized oldest within a boolean window mask (argmin picks the first
-    on ties — but keys are unique, so first-occurrence semantics are never
-    load-bearing)."""
-    if store.sorted_mode:
-        return store.head + int(np.argmax(mask))
-    key_arr, uid_arr = store.window_key_arrays()
-    keys = np.where(mask, key_arr, _INT64_MAX)
-    lowest = keys.min()
-    tied = keys == lowest
-    uids = np.where(tied, uid_arr, _INT64_MAX)
-    return store.head + int(np.argmin(uids))
-
-
 # ---------------------------------------------------------------------- #
 # Batched selectors
 # ---------------------------------------------------------------------- #
@@ -504,9 +465,6 @@ class RoundRobinSelector:
                     if store.sorted_mode:
                         return store.head
                     return store.oldest_index()
-                if store.live > VECTOR_MIN:
-                    mask = (store.window_array("cls") == code) & store.window_alive()
-                    return _vector_oldest(store, mask)
                 # Inlined masked-oldest scan (a predicate lambda per candidate
                 # is measurably slower on this per-arbitration path).
                 cls = store.cls
@@ -565,9 +523,6 @@ class FrameRateSelector:
             if store.sorted_mode:
                 return store.head
             return store.oldest_index()
-        if store.live > VECTOR_MIN:
-            mask = np.array(store.behind[store.head :]) & store.window_alive()
-            return _vector_oldest(store, mask)
         # Inlined masked-oldest scan, bounded by the live behind-count.
         behind = store.behind
         alive = store.alive
@@ -659,27 +614,6 @@ class PriorityQosSelector:
         alive = store.alive
         prio = store.prio
         skeys = store.skey
-        if store.live > VECTOR_MIN:
-            head = store.head
-            alive_arr = store.window_alive()
-            prio_arr = store.window_array("prio")
-            key_arr, uid_arr = store.window_key_arrays()
-            group = alive_arr & (prio_arr == top)
-            if cutoff is not None:
-                group |= alive_arr & (key_arr <= cutoff)
-            turn_arr = np.array(turns, dtype=np.int64)[store.window_array("dma")]
-            turn_arr = np.where(group, turn_arr, _INT64_MAX)
-            least = turn_arr.min()
-            tied = turn_arr == least
-            if store.sorted_mode:
-                index = head + int(np.argmax(tied))
-            else:
-                key_arr = np.where(tied, key_arr, _INT64_MAX)
-                lowest = key_arr.min()
-                tied &= key_arr == lowest
-                uids = np.where(tied, uid_arr, _INT64_MAX)
-                index = head + int(np.argmin(uids))
-            return self._serve(store, index, now_ps)
         dma = store.dma
         sorted_mode = store.sorted_mode
         head = store.head
@@ -692,7 +626,7 @@ class PriorityQosSelector:
             # entry, which is the one we are standing on.
             remaining = store.prio_count[top]
             best = -1
-            best_turn = _INT64_MAX
+            best_turn = _TURN_MAX
             for i in range(head, len(alive)):
                 if not alive[i] or prio[i] != top:
                     continue
@@ -707,7 +641,7 @@ class PriorityQosSelector:
                     break
             return self._serve(store, best, now_ps)
         best = -1
-        best_turn = _INT64_MAX
+        best_turn = _TURN_MAX
         best_key = _SKEY_MAX
         for i in range(head, len(alive)):
             if not alive[i]:

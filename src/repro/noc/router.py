@@ -63,7 +63,7 @@ class Router:
         # its store stays on the O(1)/early-exit "oldest is the head" paths.
         # Interior routers (the root) merge links of different speeds, arrival
         # order diverges from age order, and the store's own push guard
-        # degrades them to the scan/vector paths — selection results are
+        # degrades them to the scan paths — selection results are
         # identical either way.
         self._selector = make_selector(arbiter.policy)
         self._store = ColumnarStore.for_selector(

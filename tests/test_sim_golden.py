@@ -6,12 +6,12 @@ The simulator is pinned two ways:
   of ``json.dumps(experiment_result_to_dict(result, include_trace=True),
   sort_keys=True)`` for every bundled scenario x every built-in policy x both
   DRAM models at smoke settings, plus ``case_a`` at full traffic for every
-  policy (full traffic is what drives the columnar selectors' numpy
-  branches), plus ``case_b`` at full traffic on a mesh NoC behind a
-  16-entry scheduler window for every policy and both DRAM models (the
-  only rows that build a mesh; a bounded window always runs the
-  queue-based controller).  Any change to any NPI sample, priority
-  distribution, counter or average moves a digest.
+  policy (full traffic is what fills arbitration windows beyond
+  :data:`LARGE_WINDOW` candidates), plus ``case_b`` at full traffic on a
+  mesh NoC behind a 16-entry scheduler window for every policy and both
+  DRAM models (the only rows that build a mesh; a bounded window always
+  runs the queue-based controller).  Any change to any NPI sample,
+  priority distribution, counter or average moves a digest.
 * **References.** Two slower code paths already in the simulator are
   swapped in and must give equal full result dictionaries:
 
@@ -22,7 +22,9 @@ The simulator is pinned two ways:
   - *columnar vs queue-based controller*: the builder's
     ``BatchedMemoryController`` replaced by ``MemoryController``.
 
-  Each reference test asserts that the reference was actually built.
+  Each reference test asserts that the reference was actually built, and
+  on its full-traffic rows that the normal run made decisions among more
+  than :data:`LARGE_WINDOW` candidates.
 
 Regenerate the fixture only when a change is *meant* to move results::
 
@@ -62,8 +64,14 @@ FULL_TRAFFIC = 1.0
 DRAM_MODELS = ("transaction", "command")
 POLICIES = tuple(sorted(KNOWN_ARBITRATIONS))
 
-#: The policies whose columnar selectors have numpy branches.
-VECTORISED_POLICIES = ("frame_rate_qos", "priority_qos", "priority_rowbuffer", "round_robin")
+#: The policies whose router selectors do more than take the oldest
+#: candidate, so large router windows exercise their scans.
+ROUTER_SCAN_POLICIES = ("frame_rate_qos", "priority_qos", "priority_rowbuffer", "round_robin")
+
+#: Live candidates above which a decision window counts as large: the
+#: full-traffic reference rows must make such decisions, the smoke rows
+#: never do.
+LARGE_WINDOW = 64
 
 #: What a row marked ``mesh`` adds to its scenario.
 MESH_WINDOW_SETTINGS = {
@@ -92,12 +100,12 @@ def golden_rows() -> List[Row]:
 
 
 #: Rows the two references are checked on: every policy at smoke traffic,
-#: and the vectorised policies where their numpy branches run.
+#: and the router-scan policies at full traffic, where windows grow large.
 REFERENCE_ROWS: List[Row] = [
     ("case_b", policy, "transaction", SMOKE_TRAFFIC, False) for policy in POLICIES
 ] + [
     ("case_a", policy, "transaction", FULL_TRAFFIC, False)
-    for policy in VECTORISED_POLICIES
+    for policy in ROUTER_SCAN_POLICIES
 ]
 
 
@@ -174,20 +182,27 @@ def test_digest(row):
 
 
 def _normal_run(row: Row, monkeypatch) -> dict:
-    """The default build's result; on full-traffic vectorised rows, also
-    require that the selectors' numpy branches actually ran."""
-    vector_windows = []
-    window_alive = ColumnarStore.window_alive
+    """The default build's result; on full-traffic rows, also require that
+    some decisions chose among more than :data:`LARGE_WINDOW` candidates.
 
-    def counting_window_alive(store):
-        vector_windows.append(store.live)
-        return window_alive(store)
+    The router and the columnar controller call ``remove_index`` once per
+    store decision, with the chosen candidate still counted live.
+    """
+    large_windows = []
+    remove_index = ColumnarStore.remove_index
 
-    monkeypatch.setattr(ColumnarStore, "window_alive", counting_window_alive)
+    def counting_remove_index(store, index):
+        if store.live > LARGE_WINDOW:
+            large_windows.append(store.live)
+        return remove_index(store, index)
+
+    monkeypatch.setattr(ColumnarStore, "remove_index", counting_remove_index)
     expected = result_dict(build(row))
     monkeypatch.undo()
     if row[3] == FULL_TRAFFIC:
-        assert vector_windows, f"{row_id(row)} never reached a numpy branch"
+        assert large_windows, (
+            f"{row_id(row)} never chose among more than {LARGE_WINDOW} candidates"
+        )
     return expected
 
 
