@@ -29,7 +29,13 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.runner import ResultCache, RunSpec, WorkerPool, run_sweep
+from repro.runner import (
+    ResultCache,
+    RunSpec,
+    WorkerPool,
+    compare_policies_specs,
+    run_sweep,
+)
 from repro.sim.clock import MS
 from repro.sim.config import SimulationConfig
 from repro.system.experiment import ExperimentResult
@@ -104,16 +110,12 @@ def policy_grid(
     traffic_scale: float = BENCH_TRAFFIC_SCALE,
 ) -> List[RunSpec]:
     """Specs for one scenario under several policies (the common figure grid)."""
-    return [
-        RunSpec(
-            scenario=scenario,
-            policy=policy,
-            duration_ps=duration_ps,
-            traffic_scale=traffic_scale,
-            label=policy,
-        )
-        for policy in policies
-    ]
+    return compare_policies_specs(
+        policies,
+        scenario=scenario,
+        duration_ps=duration_ps,
+        traffic_scale=traffic_scale,
+    )
 
 
 def prefetch(specs: List[RunSpec]) -> None:

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from benchmarks.conftest import cached_run, prefetch
+from benchmarks.conftest import cached_sweep
 from repro.runner import RunSpec
 from repro.scenario import scenario_config
 from repro.sim.clock import MS
@@ -33,27 +33,25 @@ def _config(threshold: int):
     )
 
 
+def _spec(threshold: int) -> RunSpec:
+    """The one spec per threshold: the prefetch and every test share its key."""
+    return RunSpec(
+        scenario="case_a",
+        policy="priority_qos",
+        duration_ps=DURATION_PS,
+        config=_config(threshold),
+        label=str(threshold),
+    )
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _prefetch_grid():
     """Batch the whole grid through one sweep so cold runs can parallelise."""
-    prefetch(
-        [
-            RunSpec(
-                scenario="case_a",
-                policy="priority_qos",
-                duration_ps=DURATION_PS,
-                config=_config(threshold),
-                label=str(threshold),
-            )
-            for threshold in THRESHOLDS
-        ]
-    )
+    cached_sweep([_spec(threshold) for threshold in THRESHOLDS])
 
 
 def _run(threshold: int):
-    return cached_run(
-        "A", "priority_qos", duration_ps=DURATION_PS, config=_config(threshold)
-    )
+    return cached_sweep([_spec(threshold)])[0]
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS)

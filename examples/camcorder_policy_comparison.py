@@ -11,8 +11,8 @@ Run with:  python examples/camcorder_policy_comparison.py
 
 from __future__ import annotations
 
-from repro import compare_policies
 from repro.analysis.report import format_bandwidth_table, format_npi_table
+from repro.runner import compare_policies_specs, run_sweep
 from repro.scenario import critical_cores_for
 from repro.sim.clock import MS
 
@@ -20,12 +20,14 @@ POLICIES = ["fcfs", "round_robin", "frame_rate_qos", "priority_qos"]
 
 
 def main() -> None:
-    results = compare_policies(
+    specs = compare_policies_specs(
         POLICIES,
         scenario="case_a",
         duration_ps=8 * MS,
         traffic_scale=0.8,
     )
+    ordered, _ = run_sweep(specs)
+    results = dict(zip(POLICIES, ordered))
 
     print("Minimum NPI of the critical cores during the run (Fig. 5 analogue)\n")
     cores = list(critical_cores_for("case_a")) + ["dsp", "audio"]

@@ -28,9 +28,9 @@ from repro.analysis.report import format_npi_table
 from repro.memctrl.policies import register_policy
 from repro.memctrl.scheduler import SchedulingContext, SchedulingPolicy
 from repro.memctrl.transaction import Transaction
+from repro.runner import compare_policies_specs, run_sweep
 from repro.scenario import critical_cores_for
 from repro.sim.clock import MS
-from repro.system.experiment import compare_policies
 
 
 class StrictPriorityPolicy(SchedulingPolicy):
@@ -53,12 +53,15 @@ register_policy(StrictPriorityPolicy, replace=True)
 
 
 def main() -> None:
-    results = compare_policies(
-        ["priority_qos", "strict_priority"],
+    policies = ["priority_qos", "strict_priority"]
+    specs = compare_policies_specs(
+        policies,
         scenario="case_a",
         duration_ps=6 * MS,
         traffic_scale=0.6,
     )
+    ordered, _ = run_sweep(specs)
+    results = dict(zip(policies, ordered))
 
     critical = critical_cores_for("case_a")
     print("Custom policy versus the paper's Policy 1 (minimum NPI per critical core)\n")

@@ -17,8 +17,9 @@ Run with:  python examples/custom_scenario.py
 
 from __future__ import annotations
 
-from repro import Scenario, compare_policies, scenario_from_file
+from repro import Scenario, scenario_from_file
 from repro.analysis.report import format_npi_table
+from repro.runner import compare_policies_specs, run_sweep
 from repro.scenario import PlatformSpec, WorkloadSpec
 from repro.sim.clock import MS
 from repro.sim.config import DramConfig, SimulationConfig
@@ -55,12 +56,15 @@ def main() -> None:
     assert loaded == DRONE_CAMERA, "scenario serialisation is lossless"
     print(f"scenario written to {path} and reloaded losslessly\n")
 
-    results = compare_policies(
-        list(loaded.sweep["policy"]),
+    policies = list(loaded.sweep["policy"])
+    specs = compare_policies_specs(
+        policies,
         scenario=loaded,
         duration_ps=4 * MS,
         traffic_scale=0.5,  # trim for a quick demo
     )
+    ordered, _ = run_sweep(specs)
+    results = dict(zip(policies, ordered))
     print("Minimum NPI per critical core (drone camera, single-channel DRAM)\n")
     print(format_npi_table(results, loaded.critical_cores))
     print()

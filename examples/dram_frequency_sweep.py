@@ -20,7 +20,7 @@ import argparse
 
 from repro.analysis.metrics import mean_priority, priority_distribution_table
 from repro.analysis.report import format_priority_distribution
-from repro.runner import sweep_frequencies
+from repro.runner import frequency_sweep_specs, run_sweep
 from repro.sim.clock import MS
 
 FREQUENCIES_MHZ = [1700.0, 1500.0, 1300.0]
@@ -37,15 +37,15 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    results, stats = sweep_frequencies(
+    specs = frequency_sweep_specs(
         FREQUENCIES_MHZ,
         scenario="case_a",
         policy="priority_qos",
         duration_ps=8 * MS,
         traffic_scale=0.9,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
     )
+    ordered, stats = run_sweep(specs, jobs=args.jobs, cache_dir=args.cache_dir)
+    results = dict(zip(FREQUENCIES_MHZ, ordered))
     print(stats.summary())
     print()
 

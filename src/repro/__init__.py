@@ -10,14 +10,12 @@ public API is intentionally small:
 * :func:`repro.build_system` / :class:`repro.System` — assemble a simulated
   heterogeneous MPSoC (cores, NoC, memory controller, LPDDR4 DRAM) from a
   scenario, under a chosen scheduling policy.
-* :func:`repro.run_experiment`, :func:`repro.compare_policies`,
-  :func:`repro.frequency_sweep` — the experiment runners behind every table
-  and figure of the paper's evaluation.
+* :func:`repro.run_experiment` — one simulation run of one scenario point.
 * :class:`repro.RunSpec`, :func:`repro.run_sweep`,
-  :class:`repro.WorkerPool`, :func:`repro.sweep_compare_policies`,
-  :func:`repro.sweep_frequencies` — the sweep orchestrator: the same
-  experiments fanned out in cost-balanced batches across a persistent warm
-  worker pool, with an on-disk result cache and per-phase timing
+  :class:`repro.WorkerPool` — the sweep orchestrator, the one way to run
+  more than one point (every table and figure of the paper's evaluation is
+  a list of specs): cost-balanced batches across a persistent warm worker
+  pool, with an on-disk result cache and per-phase timing
   (see docs/running_experiments.md).
 * :class:`repro.Campaign` / :func:`repro.get_campaign` /
   :class:`repro.CampaignScheduler` — declarative experiment campaigns:
@@ -26,8 +24,8 @@ public API is intentionally small:
 * :mod:`repro.core` — the SARA contribution itself: NPI performance meters,
   the NPI-to-priority look-up table and the adaptation framework.
 
-See README.md for a quickstart and EXPERIMENTS.md for the paper-versus-
-measured comparison.
+See docs/running_experiments.md for a quickstart and EXPERIMENTS.md for the
+paper-versus-measured comparison.
 """
 
 from repro.campaign import (
@@ -64,9 +62,6 @@ from repro.runner import (
     SweepStats,
     WorkerPool,
     run_sweep,
-    sweep_compare_policies,
-    sweep_frequencies,
-    sweep_scenario,
 )
 from repro.scenario import (
     Scenario,
@@ -84,8 +79,6 @@ from repro.system import (
     ExperimentResult,
     System,
     build_system,
-    compare_policies,
-    frequency_sweep,
     run_experiment,
     table1_settings,
     table2_core_types,
@@ -129,9 +122,7 @@ __all__ = [
     "camcorder_workload",
     "campaign_from_file",
     "campaign_report_md",
-    "compare_policies",
     "critical_cores_for",
-    "frequency_sweep",
     "get_campaign",
     "get_scenario",
     "load_plugins",
@@ -141,9 +132,6 @@ __all__ = [
     "run_sweep",
     "scenario_config",
     "scenario_from_file",
-    "sweep_compare_policies",
-    "sweep_frequencies",
-    "sweep_scenario",
     "table1_settings",
     "table2_core_types",
 ]

@@ -87,10 +87,10 @@ from repro.runner import (
     PoolExecutor,
     ResultCache,
     WorkerPool,
+    compare_policies_specs,
+    frequency_sweep_specs,
     run_sweep,
     scenario_grid_specs,
-    sweep_compare_policies,
-    sweep_frequencies,
 )
 from repro.scenario import (
     ScenarioError,
@@ -1212,18 +1212,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     policies = args.policies or _default_policies(scenario)
     for policy in policies:
         _check_policy(policy)
-    duration_ps = int(args.duration_ms * MS)
+    specs = compare_policies_specs(
+        policies,
+        scenario=scenario,
+        duration_ps=int(args.duration_ms * MS),
+        traffic_scale=args.traffic_scale,
+        plugin_modules=args.plugin_modules,
+    )
     with _sweep_pool(args) as pool:
-        results, stats = sweep_compare_policies(
-            policies,
-            scenario=scenario,
-            duration_ps=duration_ps,
-            traffic_scale=args.traffic_scale,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            pool=pool,
-            plugin_modules=args.plugin_modules,
+        ordered, stats = run_sweep(
+            specs, jobs=args.jobs, cache_dir=args.cache_dir, pool=pool
         )
+    results = dict(zip(policies, ordered))
     print(stats.summary())
     critical = critical_cores_for(scenario)
     print(f"Minimum NPI per critical core (scenario {scenario.name})")
@@ -1253,19 +1253,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if frequencies is None:
         axis = scenario.sweep_axis("platform.sim.dram.io_freq_mhz")
         frequencies = [float(f) for f in axis] if axis else list(FIG7_FREQUENCIES)
-    duration_ps = int(args.duration_ms * MS)
+    specs = frequency_sweep_specs(
+        frequencies,
+        scenario=scenario,
+        policy=args.policy,
+        duration_ps=int(args.duration_ms * MS),
+        traffic_scale=args.traffic_scale,
+        plugin_modules=args.plugin_modules,
+    )
     with _sweep_pool(args) as pool:
-        sweep, stats = sweep_frequencies(
-            frequencies,
-            scenario=scenario,
-            policy=args.policy,
-            duration_ps=duration_ps,
-            traffic_scale=args.traffic_scale,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            pool=pool,
-            plugin_modules=args.plugin_modules,
+        ordered, stats = run_sweep(
+            specs, jobs=args.jobs, cache_dir=args.cache_dir, pool=pool
         )
+    sweep = dict(zip(frequencies, ordered))
     print(stats.summary())
     critical = critical_cores_for(scenario)
     print(f"Sweep points (scenario {scenario.name})")

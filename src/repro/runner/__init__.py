@@ -35,7 +35,6 @@ from repro.runner.executor import (
 )
 from repro.runner.pool import TaskOutcome, WorkerPool, estimate_cost, plan_batches
 from repro.runner.sweep import (
-    AblationGrid,
     Observer,
     RunSpec,
     SweepStats,
@@ -43,13 +42,9 @@ from repro.runner.sweep import (
     frequency_sweep_specs,
     run_sweep,
     scenario_grid_specs,
-    sweep_compare_policies,
-    sweep_frequencies,
-    sweep_scenario,
 )
 
 __all__ = [
-    "AblationGrid",
     "CACHE_SCHEMA_VERSION",
     "ExecutionFault",
     "Executor",
@@ -75,7 +70,4 @@ __all__ = [
     "plan_batches",
     "run_sweep",
     "scenario_grid_specs",
-    "sweep_compare_policies",
-    "sweep_frequencies",
-    "sweep_scenario",
 ]

@@ -197,7 +197,6 @@ class Executor:
         cold: List[ColdEntry],
         stats: "SweepStats",
         policy: FailurePolicy,
-        cache_dir: Optional[str] = None,
     ) -> Iterator[ExecutionEvent]:
         raise NotImplementedError
 
@@ -263,7 +262,6 @@ class InProcessExecutor(Executor):
         cold: List[ColdEntry],
         stats: "SweepStats",
         policy: FailurePolicy,
-        cache_dir: Optional[str] = None,
     ) -> Iterator[ExecutionEvent]:
         injector = FaultInjector.from_env()
         for entry in cold:
@@ -360,7 +358,6 @@ class PoolExecutor(Executor):
         cold: List[ColdEntry],
         stats: "SweepStats",
         policy: FailurePolicy,
-        cache_dir: Optional[str] = None,
     ) -> Iterator[ExecutionEvent]:
         from repro.runner.pool import WorkerPool, estimate_cost, plan_batches
 

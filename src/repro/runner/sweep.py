@@ -501,12 +501,7 @@ def run_sweep(
     if cold:
         policy = failure_policy if failure_policy is not None else STRICT_POLICY
         done = 0
-        for event in executor.execute(
-            cold,
-            stats,
-            policy,
-            cache_dir=str(cache.directory) if cache is not None else None,
-        ):
+        for event in executor.execute(cold, stats, policy):
             done += 1
             if isinstance(event, Landed):
                 _land_result(
@@ -576,7 +571,7 @@ def _land_result(
 
 
 # --------------------------------------------------------------------------- #
-# Grid builders mirroring repro.system.experiment's sequential helpers
+# Grid builders: the common spec lists, to hand to run_sweep
 # --------------------------------------------------------------------------- #
 def compare_policies_specs(
     policies: Sequence[str],
@@ -656,121 +651,3 @@ def scenario_grid_specs(
             )
         )
     return grid
-
-
-def sweep_compare_policies(
-    policies: Sequence[str],
-    scenario: Union[str, Scenario] = "case_a",
-    duration_ps: Optional[int] = None,
-    traffic_scale: Optional[float] = None,
-    config: Optional[SimulationConfig] = None,
-    keep_trace: bool = True,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    cache_dir: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
-    plugin_modules: Sequence[str] = (),
-) -> Tuple[Dict[str, ExperimentResult], SweepStats]:
-    """Parallel, cached drop-in for :func:`repro.system.experiment.compare_policies`."""
-    specs = compare_policies_specs(
-        policies,
-        scenario=scenario,
-        duration_ps=duration_ps,
-        traffic_scale=traffic_scale,
-        config=config,
-        keep_trace=keep_trace,
-        plugin_modules=plugin_modules,
-    )
-    results, stats = run_sweep(
-        specs, jobs=jobs, cache=cache, cache_dir=cache_dir, pool=pool
-    )
-    return dict(zip(policies, results)), stats
-
-
-def sweep_frequencies(
-    frequencies_mhz: Iterable[float],
-    scenario: Union[str, Scenario] = "case_a",
-    policy: Optional[str] = None,
-    duration_ps: Optional[int] = None,
-    traffic_scale: Optional[float] = None,
-    config: Optional[SimulationConfig] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    cache_dir: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
-    plugin_modules: Sequence[str] = (),
-) -> Tuple[Dict[float, ExperimentResult], SweepStats]:
-    """Parallel, cached drop-in for :func:`repro.system.experiment.frequency_sweep`."""
-    frequencies = list(frequencies_mhz)
-    specs = frequency_sweep_specs(
-        frequencies,
-        scenario=scenario,
-        policy=policy,
-        duration_ps=duration_ps,
-        traffic_scale=traffic_scale,
-        config=config,
-        plugin_modules=plugin_modules,
-    )
-    results, stats = run_sweep(
-        specs, jobs=jobs, cache=cache, cache_dir=cache_dir, pool=pool
-    )
-    return dict(zip(frequencies, results)), stats
-
-
-def sweep_scenario(
-    scenario: Union[str, Scenario],
-    duration_ps: Optional[int] = None,
-    traffic_scale: Optional[float] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    cache_dir: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
-    plugin_modules: Sequence[str] = (),
-    axis_set: Optional[str] = None,
-) -> Tuple[Dict[str, ExperimentResult], SweepStats]:
-    """Run a scenario's declared sweep grid; results keyed by point label."""
-    specs = scenario_grid_specs(
-        scenario,
-        duration_ps=duration_ps,
-        traffic_scale=traffic_scale,
-        plugin_modules=plugin_modules,
-        axis_set=axis_set,
-    )
-    results, stats = run_sweep(
-        specs, jobs=jobs, cache=cache, cache_dir=cache_dir, pool=pool
-    )
-    return dict(zip((spec.label or "" for spec in specs), results)), stats
-
-
-@dataclass
-class AblationGrid:
-    """A labelled grid of config variations for ablation sweeps.
-
-    Built by the ablation benchmarks: one base spec plus a mapping from label
-    to the :class:`SimulationConfig` to substitute.  ``specs()`` yields them
-    in insertion order so results line up with the labels.
-    """
-
-    base: RunSpec
-    variants: Dict[str, SimulationConfig] = field(default_factory=dict)
-
-    def add(self, label: str, config: SimulationConfig) -> None:
-        self.variants[label] = config
-
-    def specs(self) -> List[RunSpec]:
-        return [
-            replace(self.base, config=config, label=label)
-            for label, config in self.variants.items()
-        ]
-
-    def run(
-        self,
-        jobs: int = 1,
-        cache: Optional[ResultCache] = None,
-        cache_dir: Optional[str] = None,
-        pool: Optional[WorkerPool] = None,
-    ) -> Tuple[Dict[str, ExperimentResult], SweepStats]:
-        results, stats = run_sweep(
-            self.specs(), jobs=jobs, cache=cache, cache_dir=cache_dir, pool=pool
-        )
-        return dict(zip(self.variants, results)), stats

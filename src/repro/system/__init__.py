@@ -4,8 +4,6 @@ from repro.system.builder import System, build_system
 from repro.system.experiment import (
     ExperimentResult,
     RunTimings,
-    compare_policies,
-    frequency_sweep,
     run_experiment,
     run_experiment_timed,
 )
@@ -21,8 +19,6 @@ __all__ = [
     "System",
     "build_system",
     "cluster_specs_for",
-    "compare_policies",
-    "frequency_sweep",
     "run_experiment",
     "run_experiment_timed",
     "table1_settings",

@@ -1,20 +1,19 @@
-"""Experiment runner: one simulation run per policy / scenario / frequency point.
+"""Experiment runner: one simulation run of one scenario point.
 
-Every figure and table of the paper's evaluation is a small composition of
-the functions in this module:
-
-* :func:`run_experiment` — one run, returning NPI traces, bandwidth and
-  priority distributions.
-* :func:`compare_policies` — Figs. 5, 6, 8 and 9 (several policies on the
-  same scenario).
-* :func:`frequency_sweep` — Fig. 7 (one policy, several DRAM frequencies).
+:func:`run_experiment` runs one point and returns NPI traces, bandwidth and
+priority distributions; :func:`run_experiment_timed` is the same run with
+per-phase timings, the entry point the sweep orchestrator executes.  Every
+figure and table of the paper's evaluation is a grid of such points (several
+policies on one scenario for Figs. 5, 6, 8 and 9, one policy across DRAM
+frequencies for Fig. 7), built as a :class:`~repro.runner.RunSpec` list and
+run with :func:`~repro.runner.run_sweep`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs import span
 from repro.scenario import Scenario, critical_cores_for, resolve_scenario
@@ -186,51 +185,6 @@ def run_experiment_timed(
         )
     timings.sim_s = time.perf_counter() - ran
     return result, timings
-
-
-def compare_policies(
-    policies: Sequence[str],
-    scenario: Union[str, Scenario] = "case_a",
-    duration_ps: Optional[int] = None,
-    traffic_scale: Optional[float] = None,
-    config: Optional[SimulationConfig] = None,
-    keep_trace: bool = True,
-) -> Dict[str, ExperimentResult]:
-    """Run the same scenario under several policies (Figs. 5, 6, 8, 9)."""
-    results: Dict[str, ExperimentResult] = {}
-    for policy in policies:
-        results[policy] = run_experiment(
-            scenario=scenario,
-            policy=policy,
-            duration_ps=duration_ps,
-            traffic_scale=traffic_scale,
-            config=config,
-            keep_trace=keep_trace,
-        )
-    return results
-
-
-def frequency_sweep(
-    frequencies_mhz: Iterable[float],
-    scenario: Union[str, Scenario] = "case_a",
-    policy: Optional[str] = None,
-    duration_ps: Optional[int] = None,
-    traffic_scale: Optional[float] = None,
-    config: Optional[SimulationConfig] = None,
-) -> Dict[float, ExperimentResult]:
-    """Run the same scenario at several DRAM frequencies (Fig. 7)."""
-    results: Dict[float, ExperimentResult] = {}
-    for freq in frequencies_mhz:
-        results[freq] = run_experiment(
-            scenario=scenario,
-            policy=policy,
-            duration_ps=duration_ps,
-            traffic_scale=traffic_scale,
-            config=config,
-            dram_freq_mhz=freq,
-            keep_trace=False,
-        )
-    return results
 
 
 def critical_core_minimums(

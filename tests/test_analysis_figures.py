@@ -14,9 +14,9 @@ from repro.analysis.figures import (
     min_npi_rows,
     npi_time_rows,
 )
+from repro.runner import compare_policies_specs, frequency_sweep_specs, run_sweep
 from repro.sim.clock import MS
 from repro.sim.trace import TimeSeries
-from repro.system.experiment import compare_policies, frequency_sweep
 
 SHORT = 2 * MS
 SCALE = 0.25
@@ -24,20 +24,24 @@ SCALE = 0.25
 
 @pytest.fixture(scope="module")
 def policy_results():
-    return compare_policies(
-        ["fcfs", "priority_qos"], scenario="case_b", duration_ps=SHORT, traffic_scale=SCALE
+    policies = ["fcfs", "priority_qos"]
+    specs = compare_policies_specs(
+        policies, scenario="case_b", duration_ps=SHORT, traffic_scale=SCALE
     )
+    return dict(zip(policies, run_sweep(specs)[0]))
 
 
 @pytest.fixture(scope="module")
 def sweep_results():
-    return frequency_sweep(
-        [1300.0, 1700.0],
+    frequencies = [1300.0, 1700.0]
+    specs = frequency_sweep_specs(
+        frequencies,
         scenario="case_b",
         policy="priority_qos",
         duration_ps=SHORT,
         traffic_scale=SCALE,
     )
+    return dict(zip(frequencies, run_sweep(specs)[0]))
 
 
 class TestFigureRows:
@@ -51,9 +55,10 @@ class TestFigureRows:
         assert all(0.0 <= row[2] <= SHORT / MS for row in rows[1:])
 
     def test_npi_time_rows_requires_trace(self, policy_results):
-        no_trace = compare_policies(
+        specs = compare_policies_specs(
             ["fcfs"], scenario="case_b", duration_ps=MS, traffic_scale=SCALE, keep_trace=False
         )
+        no_trace = {"fcfs": run_sweep(specs)[0][0]}
         with pytest.raises(ValueError):
             npi_time_rows(no_trace, cores=["display"])
 

@@ -6,7 +6,12 @@ import pytest
 
 from repro.analysis.serialize import experiment_result_to_dict
 from repro.campaign import Campaign, CampaignScheduler, CheckSpec, SubGrid
-from repro.runner import WorkerPool, sweep_compare_policies, sweep_frequencies
+from repro.runner import (
+    WorkerPool,
+    compare_policies_specs,
+    frequency_sweep_specs,
+    run_sweep,
+)
 from repro.sim.clock import MS
 
 SHORT_MS = 0.4
@@ -117,28 +122,32 @@ class TestRun:
     def test_scheduler_matches_existing_sweep_paths_bit_identically(
         self, campaign, outcome
     ):
-        compare, _ = sweep_compare_policies(
-            POLICIES,
-            scenario="case_b",
-            duration_ps=SHORT_PS,
-            traffic_scale=TRAFFIC,
-            keep_trace=False,
+        compare, _ = run_sweep(
+            compare_policies_specs(
+                POLICIES,
+                scenario="case_b",
+                duration_ps=SHORT_PS,
+                traffic_scale=TRAFFIC,
+                keep_trace=False,
+            )
         )
-        for policy in POLICIES:
+        for policy, result in zip(POLICIES, compare):
             assert _fingerprint(
                 outcome.results("policies")[f"policy={policy}"]
-            ) == _fingerprint(compare[policy])
-        freqs, _ = sweep_frequencies(
-            FREQUENCIES,
-            scenario="case_b",
-            policy="fcfs",
-            duration_ps=SHORT_PS,
-            traffic_scale=TRAFFIC,
+            ) == _fingerprint(result)
+        freqs, _ = run_sweep(
+            frequency_sweep_specs(
+                FREQUENCIES,
+                scenario="case_b",
+                policy="fcfs",
+                duration_ps=SHORT_PS,
+                traffic_scale=TRAFFIC,
+            )
         )
-        for freq in FREQUENCIES:
+        for freq, result in zip(FREQUENCIES, freqs):
             assert _fingerprint(
                 outcome.results("freqs")[f"io_freq_mhz={freq}"]
-            ) == _fingerprint(freqs[freq])
+            ) == _fingerprint(result)
 
     def test_disk_cache_skips_materialized_runs(self, campaign, tmp_path):
         scheduler = CampaignScheduler(campaign)

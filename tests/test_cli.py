@@ -181,6 +181,28 @@ class TestRunCommands:
         assert "Fig. 7" in output
         assert "1700" in output and "1300" in output
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--policies", "fcfs", "priority_qos"],
+            ["sweep", "--frequencies", "1300", "1700"],
+        ],
+        ids=["compare", "sweep"],
+    )
+    def test_pool_prints_what_in_process_prints(self, capsys, argv):
+        # Only the stats line may differ: it names the worker count and times.
+        outputs = []
+        for jobs in ([], ["--jobs", "2"]):
+            main([argv[0], *self.COMMON, *argv[1:], *jobs])
+            outputs.append(
+                [
+                    line
+                    for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("sweep:")
+                ]
+            )
+        assert outputs[0] == outputs[1]
+
     def test_grid_runs_declared_axes(self, capsys):
         code = main(
             ["grid", "case_b", "--duration-ms", "0.4", "--traffic-scale", "0.2"]

@@ -14,17 +14,15 @@ import pytest
 
 from repro.analysis.serialize import experiment_result_to_dict
 from repro.runner import (
-    AblationGrid,
     RunSpec,
     compare_policies_specs,
+    frequency_sweep_specs,
     run_sweep,
     scenario_grid_specs,
-    sweep_compare_policies,
-    sweep_frequencies,
 )
 from repro.scenario import scenario_config
 from repro.sim.clock import MS
-from repro.system.experiment import compare_policies, run_experiment
+from repro.system.experiment import run_experiment
 
 SHORT_PS = 2 * MS // 5
 TRAFFIC = 0.2
@@ -33,6 +31,19 @@ POLICIES = ["fcfs", "round_robin", "frame_rate_qos", "priority_qos"]
 
 def _fingerprints(results):
     return [experiment_result_to_dict(r, include_trace=True) for r in results]
+
+
+def _sequential(policies):
+    """The in-process reference: one direct run_experiment call per policy."""
+    return [
+        run_experiment(
+            scenario="case_b",
+            policy=policy,
+            duration_ps=SHORT_PS,
+            traffic_scale=TRAFFIC,
+        )
+        for policy in policies
+    ]
 
 
 class TestRunSweep:
@@ -52,69 +63,39 @@ class TestRunSweep:
 
     def test_sweep_frequencies_maps_by_frequency(self):
         frequencies = [1700.0, 1300.0]
-        results, stats = sweep_frequencies(
+        specs = frequency_sweep_specs(
             frequencies,
             scenario="case_b",
             policy="fcfs",
             duration_ps=SHORT_PS,
             traffic_scale=TRAFFIC,
         )
-        assert sorted(results) == sorted(frequencies)
+        assert [spec.label for spec in specs] == ["1700", "1300"]
+        results, stats = run_sweep(specs)
         assert stats.executed == 2
-        for freq, result in results.items():
-            assert result.dram_freq_mhz == freq
-
-    def test_ablation_grid_labels_line_up(self):
-        base = RunSpec(
-            scenario="case_b", policy="fcfs", duration_ps=SHORT_PS, traffic_scale=TRAFFIC
-        )
-        grid = AblationGrid(base=base)
-        config = scenario_config("case_b")
-        grid.add("seed2018", config)
-        grid.add("seed7", config.with_overrides(seed=7))
-        results, stats = grid.run()
-        assert list(results) == ["seed2018", "seed7"]
-        assert stats.executed == 2
-        assert (
-            results["seed2018"].served_transactions
-            != results["seed7"].served_transactions
-            or results["seed2018"].min_core_npi != results["seed7"].min_core_npi
-        )
+        assert [result.dram_freq_mhz for result in results] == frequencies
 
 
 class TestParallelParityAndCache:
     """The ISSUE acceptance criterion, as an executable test."""
 
     def test_4_jobs_bit_identical_and_warm_cache_under_10_percent(self, tmp_path):
-        sequential = compare_policies(
+        sequential = _sequential(POLICIES)
+        specs = compare_policies_specs(
             POLICIES, scenario="case_b", duration_ps=SHORT_PS, traffic_scale=TRAFFIC
         )
 
-        cold, cold_stats = sweep_compare_policies(
-            POLICIES,
-            scenario="case_b",
-            duration_ps=SHORT_PS,
-            traffic_scale=TRAFFIC,
-            jobs=4,
-            cache_dir=tmp_path,
-        )
+        cold, cold_stats = run_sweep(specs, jobs=4, cache_dir=tmp_path)
         assert cold_stats.executed == len(POLICIES)
         assert cold_stats.cache_hits == 0
 
         # Worker processes must reproduce the sequential path bit for bit.
-        assert _fingerprints(cold.values()) == _fingerprints(sequential.values())
+        assert _fingerprints(cold) == _fingerprints(sequential)
 
-        warm, warm_stats = sweep_compare_policies(
-            POLICIES,
-            scenario="case_b",
-            duration_ps=SHORT_PS,
-            traffic_scale=TRAFFIC,
-            jobs=4,
-            cache_dir=tmp_path,
-        )
+        warm, warm_stats = run_sweep(specs, jobs=4, cache_dir=tmp_path)
         assert warm_stats.executed == 0
         assert warm_stats.cache_hits == len(POLICIES)
-        assert _fingerprints(warm.values()) == _fingerprints(sequential.values())
+        assert _fingerprints(warm) == _fingerprints(sequential)
 
         # A warm rerun is served entirely from disk: under 10 % of the cold
         # wall time (in practice a few milliseconds versus seconds).
@@ -126,10 +107,7 @@ class TestParallelParityAndCache:
         )
         parallel, stats = run_sweep(specs, jobs=2)
         assert stats.executed == 2
-        sequential = compare_policies(
-            POLICIES[:2], scenario="case_b", duration_ps=SHORT_PS, traffic_scale=TRAFFIC
-        )
-        assert _fingerprints(parallel) == _fingerprints(sequential.values())
+        assert _fingerprints(parallel) == _fingerprints(_sequential(POLICIES[:2]))
 
 
 class TestResolvedScenarioMemoization:

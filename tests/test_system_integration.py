@@ -22,14 +22,10 @@ from repro.analysis.report import (
     format_priority_distribution,
     format_settings_table,
 )
+from repro.runner import compare_policies_specs, frequency_sweep_specs, run_sweep
 from repro.sim.clock import MS
 from repro.system.builder import build_system
-from repro.system.experiment import (
-    compare_policies,
-    critical_core_minimums,
-    frequency_sweep,
-    run_experiment,
-)
+from repro.system.experiment import critical_core_minimums, run_experiment
 from repro.system.platform import table1_settings
 
 SHORT = 3 * MS
@@ -131,27 +127,30 @@ class TestRunExperiment:
 
 class TestSweeps:
     def test_compare_policies_returns_one_result_each(self):
-        results = compare_policies(
-            ["fcfs", "priority_qos"], scenario="case_a", duration_ps=SHORT, traffic_scale=SCALE
+        policies = ["fcfs", "priority_qos"]
+        ordered, _ = run_sweep(
+            compare_policies_specs(
+                policies, scenario="case_a", duration_ps=SHORT, traffic_scale=SCALE
+            )
         )
-        assert set(results) == {"fcfs", "priority_qos"}
+        results = dict(zip(policies, ordered))
+        assert [result.policy for result in ordered] == policies
         ordering = bandwidth_ordering(results)
         assert len(ordering) == 2
 
     def test_frequency_sweep_slower_dram_is_not_faster(self):
-        results = frequency_sweep(
-            [1866.0, 1300.0],
-            scenario="case_a",
-            policy="priority_qos",
-            duration_ps=SHORT,
-            traffic_scale=SCALE,
-        )
-        assert set(results) == {1866.0, 1300.0}
-        assert (
-            results[1300.0].dram_bandwidth_bytes_per_s
-            <= results[1866.0].dram_bandwidth_bytes_per_s * 1.05
-        )
-        assert results[1300.0].dram_freq_mhz == 1300.0
+        fast, slow = run_sweep(
+            frequency_sweep_specs(
+                [1866.0, 1300.0],
+                scenario="case_a",
+                policy="priority_qos",
+                duration_ps=SHORT,
+                traffic_scale=SCALE,
+            )
+        )[0]
+        assert slow.dram_bandwidth_bytes_per_s <= fast.dram_bandwidth_bytes_per_s * 1.05
+        assert fast.dram_freq_mhz == 1866.0
+        assert slow.dram_freq_mhz == 1300.0
 
 
 class TestAnalysis:
