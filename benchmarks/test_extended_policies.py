@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.conftest import cached_run, policy_grid, prefetch
 from repro.analysis.metrics import qos_satisfied
-from repro.analysis.report import format_bandwidth_table, format_npi_table
+from repro.campaign import format_points_table
 from repro.scenario import critical_cores_for
 from repro.sim.clock import MS
 
@@ -42,9 +42,9 @@ def test_extended_policy_shape():
     critical = critical_cores_for("case_a")
 
     print("\nExtended baselines — minimum NPI per critical core (case A)")
-    print(format_npi_table(results, critical))
+    print(format_points_table(results, ("min_npi",), critical))
     print()
-    print(format_bandwidth_table(results))
+    print(format_points_table(results, ("bandwidth", "row_hit")))
 
     # The SARA policy still meets every critical core's target.
     assert qos_satisfied(results["priority_qos"], cores=critical)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import cached_run, figure_axis, policy_grid, prefetch
-from repro.analysis.report import format_npi_table
+from repro.campaign import format_points_table
 from repro.scenario import critical_cores_for
 
 POLICIES = figure_axis("fig5", "policy")
@@ -45,7 +45,7 @@ def test_fig5_shape():
     results = {policy: cached_run("case_a", policy) for policy in POLICIES}
 
     print("\nFig. 5 — minimum NPI of critical cores, test case A")
-    print(format_npi_table(results, cores=REPORTED_CORES))
+    print(format_points_table(results, ("min_npi",), REPORTED_CORES))
 
     sara = results["priority_qos"]
     assert sara.failing_cores() == [], (

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import cached_run, figure_axis, policy_grid, prefetch
-from repro.analysis.report import format_npi_table
+from repro.campaign import format_points_table
 from repro.scenario import critical_cores_for
 
 POLICIES = figure_axis("fig6", "policy")
@@ -39,7 +39,7 @@ def test_fig6_shape():
     results = {policy: cached_run("case_b", policy) for policy in POLICIES}
 
     print("\nFig. 6 — minimum NPI of critical cores, test case B")
-    print(format_npi_table(results, cores=REPORTED_CORES))
+    print(format_points_table(results, ("min_npi",), REPORTED_CORES))
 
     sara = results["priority_qos"]
     assert sara.failing_cores() == [], (

@@ -24,7 +24,7 @@ from benchmarks.conftest import (
     prefetch,
 )
 from repro.analysis.metrics import mean_priority, priority_distribution_table
-from repro.analysis.report import format_priority_distribution
+from repro.campaign import priority_residency_md
 from repro.runner import RunSpec
 
 FREQUENCIES_MHZ = [float(f) for f in figure_axis("fig7", "platform.sim.dram.io_freq_mhz")]
@@ -67,7 +67,7 @@ def test_fig7_shape():
     table = priority_distribution_table(results, DMA)
 
     print("\nFig. 7 — image processor time share per priority level")
-    print(format_priority_distribution(table))
+    print(priority_residency_md(results, DMA))
 
     means = {freq: mean_priority(table[freq]) for freq in FREQUENCIES_MHZ}
     lowest_level_share = {freq: table[freq].get(0, 0.0) for freq in FREQUENCIES_MHZ}

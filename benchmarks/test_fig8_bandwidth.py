@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import cached_run, figure_axis, policy_grid, prefetch
-from repro.analysis.report import format_bandwidth_table
+from repro.campaign import format_points_table
 
 POLICIES = figure_axis("fig8", "policy")
 
@@ -41,7 +41,7 @@ def test_fig8_shape():
     results = {policy: cached_run("case_a", policy) for policy in POLICIES}
 
     print("\nFig. 8 — average DRAM bandwidth per scheduling policy")
-    print(format_bandwidth_table(results))
+    print(format_points_table(results, ("bandwidth", "row_hit")))
 
     bandwidth = {p: results[p].dram_bandwidth_bytes_per_s for p in POLICIES}
     hit_rate = {p: results[p].dram_row_hit_rate for p in POLICIES}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import cached_run, figure_axis, policy_grid, prefetch
-from repro.analysis.report import format_npi_table
+from repro.campaign import format_points_table
 from repro.scenario import critical_cores_for
 
 POLICIES = figure_axis("fig9", "policy")
@@ -37,7 +37,7 @@ def test_fig9_shape():
     results = {policy: cached_run("case_a", policy) for policy in POLICIES}
 
     print("\nFig. 9 — minimum NPI under QoS-RB vs FR-FCFS (test case A)")
-    print(format_npi_table(results, cores=REPORTED_CORES))
+    print(format_points_table(results, ("min_npi",), REPORTED_CORES))
 
     qos_rb = results["priority_rowbuffer"]
     fr_fcfs = results["fr_fcfs"]

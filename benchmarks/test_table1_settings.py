@@ -8,7 +8,7 @@ match the values printed in the paper.
 
 from __future__ import annotations
 
-from repro.analysis.report import format_settings_table
+from repro.campaign import render_markdown_table
 from repro.system.builder import build_system
 from repro.system.platform import table1_settings
 from repro.traffic.camcorder import CASE_B_INACTIVE_CORES
@@ -23,7 +23,8 @@ def test_table1_settings(benchmark):
 
     for case, values in settings.items():
         print(f"\nTable 1 — test case {case}")
-        print(format_settings_table(values))
+        rows = [[key, str(values[key])] for key in sorted(values)]
+        print(render_markdown_table(["setting", "value"], rows))
 
     case_a, case_b = settings["A"], settings["B"]
     assert case_a["dram_io_freq_mhz"] == 1866.0

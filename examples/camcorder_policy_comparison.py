@@ -11,7 +11,7 @@ Run with:  python examples/camcorder_policy_comparison.py
 
 from __future__ import annotations
 
-from repro.analysis.report import format_bandwidth_table, format_npi_table
+from repro.campaign import format_points_table
 from repro.runner import compare_policies_specs, run_sweep
 from repro.scenario import critical_cores_for
 from repro.sim.clock import MS
@@ -31,10 +31,10 @@ def main() -> None:
 
     print("Minimum NPI of the critical cores during the run (Fig. 5 analogue)\n")
     cores = list(critical_cores_for("case_a")) + ["dsp", "audio"]
-    print(format_npi_table(results, cores=cores))
+    print(format_points_table(results, ("min_npi",), cores))
     print()
     print("Average DRAM bandwidth per policy (Fig. 8 analogue)\n")
-    print(format_bandwidth_table(results))
+    print(format_points_table(results, ("bandwidth", "row_hit")))
     print()
     sara = results["priority_qos"]
     print(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import build_system, camcorder_workload, run_experiment
-from repro.analysis.report import format_core_summary
+from repro.campaign import format_points_table
 from repro.memctrl.transaction import QueueClass
 from repro.sim.clock import MS
 from repro.traffic.camcorder import CamcorderWorkload, DmaSpec
@@ -49,7 +49,13 @@ def main() -> None:
     result = run_experiment(duration_ps=8 * MS, system=system)
 
     print("Camcorder workload extended with a custom 'npu' core\n")
-    print(format_core_summary(result, cores=["npu", "display", "dsp", "gpu"]))
+    print(
+        format_points_table(
+            {"priority_qos": result},
+            ("min_npi", "mean_npi", "bandwidth"),
+            ["npu", "display", "dsp", "gpu"],
+        )
+    )
     print()
     npu_min = result.min_core_npi["npu"]
     status = "target met" if npu_min >= 1 else "below target"

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.report import format_npi_table
+from repro.campaign import format_points_table
 from repro.memctrl.policies import register_policy
 from repro.memctrl.scheduler import SchedulingContext, SchedulingPolicy
 from repro.memctrl.transaction import Transaction
@@ -65,7 +65,7 @@ def main() -> None:
 
     critical = critical_cores_for("case_a")
     print("Custom policy versus the paper's Policy 1 (minimum NPI per critical core)\n")
-    print(format_npi_table(results, critical))
+    print(format_points_table(results, ("min_npi",), critical))
     print()
     for name, result in results.items():
         print(

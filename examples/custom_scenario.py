@@ -18,7 +18,7 @@ Run with:  python examples/custom_scenario.py
 from __future__ import annotations
 
 from repro import Scenario, scenario_from_file
-from repro.analysis.report import format_npi_table
+from repro.campaign import format_points_table
 from repro.runner import compare_policies_specs, run_sweep
 from repro.scenario import PlatformSpec, WorkloadSpec
 from repro.sim.clock import MS
@@ -66,7 +66,7 @@ def main() -> None:
     ordered, _ = run_sweep(specs)
     results = dict(zip(policies, ordered))
     print("Minimum NPI per critical core (drone camera, single-channel DRAM)\n")
-    print(format_npi_table(results, loaded.critical_cores))
+    print(format_points_table(results, ("min_npi",), loaded.critical_cores))
     print()
     for name, result in results.items():
         print(

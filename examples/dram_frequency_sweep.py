@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.metrics import mean_priority, priority_distribution_table
-from repro.analysis.report import format_priority_distribution
+from repro.campaign import format_points_table, priority_residency_md
 from repro.runner import frequency_sweep_specs, run_sweep
 from repro.sim.clock import MS
 
@@ -49,15 +48,17 @@ def main() -> None:
     print(stats.summary())
     print()
 
-    table = priority_distribution_table(results, DMA)
     print(f"Time share per priority level for {DMA} (Fig. 7 analogue)\n")
-    print(format_priority_distribution(table))
+    print(priority_residency_md(results, DMA))
     print()
-    for freq in FREQUENCIES_MHZ:
-        print(
-            f"{freq:.0f} MHz: mean priority {mean_priority(table[freq]):.2f}, "
-            f"image processor min NPI {results[freq].min_core_npi['image_processor']:.2f}"
+    print("Image processor NPI per frequency\n")
+    print(
+        format_points_table(
+            {f"{freq:.0f} MHz": result for freq, result in results.items()},
+            ("min_npi", "mean_npi"),
+            ["image_processor"],
         )
+    )
 
 
 if __name__ == "__main__":

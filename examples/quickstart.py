@@ -1,9 +1,9 @@
 """Quickstart: build the camcorder platform and run one SARA experiment.
 
 Runs a shortened (8 ms) slice of the paper's test case A under the SARA
-priority-based policy (Policy 1) and prints each core's minimum/mean NPI plus
-the delivered DRAM bandwidth.  With SARA enabled every core should keep its
-minimum NPI at or above 1.0.
+priority-based policy (Policy 1) and prints each critical core's minimum NPI
+plus the delivered DRAM bandwidth.  With SARA enabled every core should keep
+its minimum NPI at or above 1.0.
 
 Run with:  python examples/quickstart.py
 """
@@ -11,7 +11,8 @@ Run with:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import run_experiment
-from repro.analysis.report import format_core_summary
+from repro.campaign import format_points_table
+from repro.scenario import critical_cores_for
 from repro.sim.clock import MS
 
 
@@ -24,7 +25,13 @@ def main() -> None:
     )
 
     print("SARA quickstart — camcorder test case A, Policy 1 (priority QoS)\n")
-    print(format_core_summary(result))
+    print(
+        format_points_table(
+            {result.policy: result},
+            ("min_npi", "bandwidth"),
+            critical_cores_for("case_a"),
+        )
+    )
     print()
     failing = result.failing_cores()
     if failing:

@@ -24,16 +24,12 @@ from __future__ import annotations
 import argparse
 from datetime import datetime, timezone
 
-from repro.analysis.metrics import (
-    bandwidth_gain,
-    mean_priority,
-    priority_distribution_table,
-    qos_satisfied,
-)
+from repro.analysis.metrics import bandwidth_gain, qos_satisfied
 from repro.campaign import (
     CampaignScheduler,
     campaign_report_md,
     get_campaign,
+    priority_residency_md,
     render_markdown_table,
 )
 from repro.dvfs import PerformanceGovernor, PowersaveGovernor, PriorityPressureGovernor
@@ -115,7 +111,7 @@ def main() -> None:
     # The campaign table shows bandwidth/NPI per frequency point; the
     # per-level residency distribution the paper's Fig. 7 claim quotes
     # (priority 0 ~90% at 1700 MHz, priority 7 ~60% at 1300 MHz) needs the
-    # full p0..p7 breakdown, so it keeps its bespoke table here.
+    # full p0..p7 breakdown from the residency renderer.
     if "fig7" in outcome.points:
         axis = "platform.sim.dram.io_freq_mhz"
         dma = "image_processor.read"
@@ -124,18 +120,8 @@ def main() -> None:
             for settings, _, result in outcome.points["fig7"]
             if axis in settings
         }
-        table = priority_distribution_table(sweep, dma)
         print(f"### Fig. 7 — priority-level residency of {dma}\n")
-        header = ["freq (MHz)"] + [f"p{level}" for level in range(8)] + ["mean priority"]
-        rows = []
-        for freq in sorted(table, reverse=True):
-            shares = table[freq]
-            rows.append(
-                [f"{freq:.0f}"]
-                + [f"{shares.get(level, 0.0) * 100:.0f}%" for level in range(8)]
-                + [f"{mean_priority(shares):.2f}"]
-            )
-        print(render_markdown_table(header, rows))
+        print(priority_residency_md(sweep, dma))
         print()
 
     # ------------------------------------------------- Fig. 8 gain lines

@@ -2,54 +2,21 @@
 
 * :mod:`repro.analysis.metrics` — QoS pass/fail, bandwidth orderings and
   priority distributions derived from results.
-* :mod:`repro.analysis.report` — the paper-style text tables the benchmark
-  harness prints.
-* :mod:`repro.analysis.figures` — the raw rows behind every figure, plus CSV
-  export.
-* :mod:`repro.analysis.ascii_plot` — dependency-free terminal charts.
-* :mod:`repro.analysis.paper` — the paper's claims and qualitative shape
-  checks used by EXPERIMENTS.md and the benchmarks.
 * :mod:`repro.analysis.serialize` — JSON round-tripping of configurations and
   results.
+* :mod:`repro.analysis.ascii_plot` — a dependency-free terminal bar chart.
+
+Tables and the paper's shape checks live in :mod:`repro.campaign.report`.
 """
 
-from repro.analysis.ascii_plot import ascii_bar_chart, ascii_line_chart, ascii_stacked_bar
-from repro.analysis.figures import (
-    export_csv,
-    fig5_rows,
-    fig6_rows,
-    fig7_rows,
-    fig8_rows,
-    fig9_rows,
-    min_npi_rows,
-    npi_time_rows,
-)
+from repro.analysis.ascii_plot import ascii_bar_chart
 from repro.analysis.metrics import (
     bandwidth_gain,
     bandwidth_ordering,
     fraction_of_time_failing,
     mean_priority,
-    npi_summary,
     priority_distribution_table,
     qos_satisfied,
-)
-from repro.analysis.paper import (
-    PAPER_CLAIMS,
-    ClaimCheck,
-    PaperClaim,
-    check_fig7_priority_escalation,
-    check_fig8_bandwidth_ordering,
-    check_fig9_qos_preserved,
-    check_policy_failures,
-    claims_for,
-    summarize_checks,
-)
-from repro.analysis.report import (
-    format_bandwidth_table,
-    format_core_summary,
-    format_npi_table,
-    format_priority_distribution,
-    format_settings_table,
 )
 from repro.analysis.serialize import (
     experiment_result_from_dict,
@@ -63,44 +30,19 @@ from repro.analysis.serialize import (
 )
 
 __all__ = [
-    "PAPER_CLAIMS",
-    "ClaimCheck",
-    "PaperClaim",
     "ascii_bar_chart",
-    "ascii_line_chart",
-    "ascii_stacked_bar",
     "bandwidth_gain",
     "bandwidth_ordering",
-    "check_fig7_priority_escalation",
-    "check_fig8_bandwidth_ordering",
-    "check_fig9_qos_preserved",
-    "check_policy_failures",
-    "claims_for",
     "experiment_result_from_dict",
     "experiment_result_to_dict",
-    "export_csv",
-    "fig5_rows",
-    "fig6_rows",
-    "fig7_rows",
-    "fig8_rows",
-    "fig9_rows",
-    "format_bandwidth_table",
-    "format_core_summary",
-    "format_npi_table",
-    "format_priority_distribution",
-    "format_settings_table",
     "fraction_of_time_failing",
     "load_config",
     "load_result",
     "mean_priority",
-    "min_npi_rows",
-    "npi_summary",
-    "npi_time_rows",
     "priority_distribution_table",
     "qos_satisfied",
     "save_config",
     "save_result",
     "simulation_config_from_dict",
     "simulation_config_to_dict",
-    "summarize_checks",
 ]

@@ -1,20 +1,14 @@
-"""Dependency-free ASCII charts for terminal-side inspection of results.
+"""A dependency-free ASCII bar chart for terminal-side inspection of results.
 
-The repository deliberately has no plotting dependency; these helpers give a
-quick visual impression of the NPI-versus-time curves (Figs. 5/6/9), the
-bandwidth bars (Fig. 8) and the priority-residency bars (Fig. 7) directly in
-a terminal or a log file.  They are used by the example scripts and the CLI.
+The repository deliberately has no plotting dependency; a horizontal bar
+chart gives a quick visual impression of per-label magnitudes, such as
+Fig. 8's bandwidth bars or an energy breakdown, directly in a terminal or a
+log file.  ``examples/power_breakdown.py`` uses it.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Mapping, Optional, Tuple
-
-from repro.sim.trace import TimeSeries
-
-#: Symbols assigned to successive series of a line chart.
-_SERIES_MARKS = "ox+*#@%&"
+from typing import Mapping
 
 
 def ascii_bar_chart(
@@ -34,90 +28,4 @@ def ascii_bar_chart(
         length = 0 if peak <= 0 else int(round(width * value / peak))
         bar = "#" * length
         lines.append(f"{label.ljust(label_width)} |{bar.ljust(width)}| {value:.2f}{unit}")
-    return "\n".join(lines)
-
-
-def ascii_stacked_bar(
-    shares: Mapping[int, float],
-    width: int = 50,
-    symbols: str = "01234567",
-) -> str:
-    """One stacked bar of fractional shares, like one row of Fig. 7."""
-    if width < 10:
-        raise ValueError("width must be at least 10 columns")
-    total = sum(shares.values())
-    if total <= 0:
-        return "." * width
-    cells: List[str] = []
-    for level in sorted(shares):
-        share = shares[level] / total
-        count = int(round(share * width))
-        symbol = symbols[level % len(symbols)]
-        cells.append(symbol * count)
-    bar = "".join(cells)
-    # Rounding may leave the bar a character short or long; normalise.
-    if len(bar) < width:
-        bar += bar[-1] if bar else "."
-    return bar[:width]
-
-
-def ascii_line_chart(
-    series: Mapping[str, TimeSeries],
-    width: int = 72,
-    height: int = 16,
-    log_y: bool = True,
-    y_floor: float = 0.05,
-    reference: Optional[float] = 1.0,
-) -> str:
-    """Multi-series line chart over time, like the NPI plots of Figs. 5/6/9.
-
-    ``log_y`` mirrors the paper's log-scale NPI axis; ``reference`` draws a
-    horizontal guide (the NPI = 1 target line by default).
-    """
-    populated = {name: s for name, s in series.items() if len(s)}
-    if not populated:
-        raise ValueError("no non-empty series to plot")
-    if width < 20 or height < 5:
-        raise ValueError("chart must be at least 20x5 characters")
-
-    start = min(s.times_ps[0] for s in populated.values())
-    end = max(s.times_ps[-1] for s in populated.values())
-    span = max(1, end - start)
-
-    def transform(value: float) -> float:
-        if log_y:
-            return math.log10(max(value, y_floor))
-        return value
-
-    values = [transform(v) for s in populated.values() for v in s.values]
-    if reference is not None:
-        values.append(transform(reference))
-    low, high = min(values), max(values)
-    if high == low:
-        high = low + 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-
-    def cell_for(time_ps: int, value: float) -> Tuple[int, int]:
-        x = int((time_ps - start) / span * (width - 1))
-        y_fraction = (transform(value) - low) / (high - low)
-        y = height - 1 - int(y_fraction * (height - 1))
-        return max(0, min(height - 1, y)), max(0, min(width - 1, x))
-
-    if reference is not None:
-        ref_row, _ = cell_for(start, reference)
-        for x in range(width):
-            grid[ref_row][x] = "-"
-
-    legend: List[str] = []
-    for index, (name, current) in enumerate(sorted(populated.items())):
-        mark = _SERIES_MARKS[index % len(_SERIES_MARKS)]
-        legend.append(f"{mark} = {name}")
-        for time_ps, value in current.as_pairs():
-            row, column = cell_for(time_ps, value)
-            grid[row][column] = mark
-
-    lines = ["|" + "".join(row) + "|" for row in grid]
-    lines.append("+" + "-" * width + "+")
-    lines.append("  ".join(legend))
     return "\n".join(lines)

@@ -22,22 +22,6 @@ def qos_satisfied(
     return all(result.min_core_npi.get(core, 0.0) >= threshold for core in selected)
 
 
-def npi_summary(
-    result: ExperimentResult, cores: Optional[Iterable[str]] = None
-) -> Dict[str, Dict[str, float]]:
-    """Per-core minimum and mean NPI (restricted to ``cores`` if given)."""
-    selected = list(cores) if cores is not None else sorted(result.min_core_npi)
-    summary: Dict[str, Dict[str, float]] = {}
-    for core in selected:
-        if core not in result.min_core_npi:
-            continue
-        summary[core] = {
-            "min": result.min_core_npi[core],
-            "mean": result.mean_core_npi.get(core, 0.0),
-        }
-    return summary
-
-
 def fraction_of_time_failing(
     result: ExperimentResult, core: str, threshold: float = 1.0
 ) -> float:

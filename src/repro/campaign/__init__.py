@@ -21,13 +21,17 @@ from repro.campaign.report import (
     DEFAULT_COLUMNS,
     KNOWN_CHECKS,
     KNOWN_COLUMNS,
+    ClaimCheck,
     campaign_report_md,
     campaign_report_payload,
     format_points_table,
     points_csv,
     points_payload,
+    priority_residency_csv,
+    priority_residency_md,
     render_markdown_table,
     run_subgrid_checks,
+    summarize_checks,
 )
 from repro.campaign.scheduler import (
     CampaignResult,
@@ -52,6 +56,7 @@ __all__ = [
     "CampaignResult",
     "CampaignScheduler",
     "CheckSpec",
+    "ClaimCheck",
     "DEFAULT_COLUMNS",
     "KNOWN_CHECKS",
     "KNOWN_COLUMNS",
@@ -68,6 +73,9 @@ __all__ = [
     "get_campaign",
     "points_csv",
     "points_payload",
+    "priority_residency_csv",
+    "priority_residency_md",
     "render_markdown_table",
     "run_subgrid_checks",
+    "summarize_checks",
 ]

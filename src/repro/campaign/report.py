@@ -1,20 +1,24 @@
-"""The unified reporting layer: one table formatter for every grid of runs.
+"""The report layer: every experiment-result table and every claim check.
 
-Before this module existed every surface rendered its own tables: ``repro
-grid`` printed bandwidth plus failing cores and nothing else,
-``scripts/generate_experiments.py`` hand-rolled markdown, and the campaign
-report did not exist.  This module is the single place where a mapping of
-``label -> ExperimentResult`` becomes a table:
+A mapping of ``label -> ExperimentResult`` becomes a table or a list of
+checked claims here and nowhere else:
 
 * a **column registry** (:data:`KNOWN_COLUMNS`) of named, declarative columns
   — bandwidth, row-hit rate, average latency, per-core minimum/mean NPI
   (expanded to one column per critical core, failures flagged), failing
   cores, deadline verdict — that campaign files reference by name;
-* a **check registry** (:data:`KNOWN_CHECKS`) binding declared campaign
-  claims to the executable shape checks in :mod:`repro.analysis.paper`;
-* renderers to markdown (``format_points_table``) and plain JSON payloads
-  (``points_payload``), shared by ``repro grid``, ``repro campaign`` and the
-  experiment-regeneration script.
+* renderers to markdown (``format_points_table``), plain JSON payloads
+  (``points_payload``) and CSV (``points_csv``), shared by ``repro grid``,
+  ``repro compare``, ``repro run``, ``repro campaign`` and the
+  experiment-regeneration script;
+* the Fig. 7 residency renderer (``priority_residency_md`` /
+  ``priority_residency_csv``): one DMA's time share per priority level at
+  each DRAM frequency, for ``repro sweep`` and the regeneration script;
+* a **check registry** (:data:`KNOWN_CHECKS`) of the paper's shape checks —
+  who fails under which policy, who wins on bandwidth, whether priorities
+  escalate — that campaign files bind their declared claims to and
+  ``repro compare`` evaluates directly.  A check returns
+  :class:`ClaimCheck` outcomes instead of asserting.
 
 The registries take plain data in and give plain data out, so a campaign
 file can declare its expected report shape and the CI schema check can
@@ -28,13 +32,12 @@ import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import qos_satisfied
-from repro.analysis.paper import (
-    ClaimCheck,
-    check_fig7_priority_escalation,
-    check_fig8_bandwidth_ordering,
-    check_policy_failures,
-    summarize_checks,
+from repro.analysis.metrics import (
+    bandwidth_gain,
+    bandwidth_ordering,
+    mean_priority,
+    priority_distribution_table,
+    qos_satisfied,
 )
 from repro.system.experiment import ExperimentResult
 
@@ -282,8 +285,74 @@ def points_csv(
 
 
 # --------------------------------------------------------------------------- #
+# Fig. 7 residency: one DMA's time share per priority level and frequency
+# --------------------------------------------------------------------------- #
+#: Priority levels a DMA can hold (the paper's 3-bit priority field).
+PRIORITY_LEVELS = 8
+
+
+def _residency_rows(
+    sweep: Mapping[float, ExperimentResult], dma: str
+) -> List[Tuple[float, List[float], float]]:
+    """``(frequency, p0..p7 shares, mean priority)``, highest frequency first."""
+    table = priority_distribution_table(sweep, dma)
+    return [
+        (
+            freq,
+            [table[freq].get(level, 0.0) for level in range(PRIORITY_LEVELS)],
+            mean_priority(table[freq]),
+        )
+        for freq in sorted(table, reverse=True)
+    ]
+
+
+def priority_residency_md(sweep: Mapping[float, ExperimentResult], dma: str) -> str:
+    """Markdown: p0–p7 shares (percent) and the mean priority per frequency."""
+    header = ["freq (MHz)", *(f"p{level}" for level in range(PRIORITY_LEVELS)), "mean priority"]
+    rows = [
+        [f"{freq:.0f}", *(f"{share * 100:.0f}%" for share in shares), f"{mean:.2f}"]
+        for freq, shares, mean in _residency_rows(sweep, dma)
+    ]
+    return render_markdown_table(header, rows)
+
+
+def priority_residency_csv(sweep: Mapping[float, ExperimentResult], dma: str) -> str:
+    """CSV: raw shares per level plus ``mean_priority`` (for replotting)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    levels = [f"priority_{level}" for level in range(PRIORITY_LEVELS)]
+    writer.writerow(["dram_freq_mhz", *levels, "mean_priority"])
+    writer.writerows(
+        [freq, *shares, mean] for freq, shares, mean in _residency_rows(sweep, dma)
+    )
+    return buffer.getvalue()
+
+
+# --------------------------------------------------------------------------- #
 # Check registry: declared claims -> executable shape checks
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ClaimCheck:
+    """Outcome of checking one qualitative claim against measured results."""
+
+    experiment: str
+    description: str
+    passed: bool
+    detail: str = ""
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        status = "PASS" if self.passed else "FAIL"
+        return f"[{status}] {self.experiment}: {self.description} ({self.detail})"
+
+
+def summarize_checks(checks: List[ClaimCheck]) -> Dict[str, int]:
+    """Count passed/failed checks."""
+    return {
+        "passed": sum(1 for check in checks if check.passed),
+        "failed": sum(1 for check in checks if not check.passed),
+    }
+
+
 def _points_by_setting(points: Sequence[Point], setting: str) -> Dict[Any, ExperimentResult]:
     """Map one dotted-path setting's value to its result.
 
@@ -299,23 +368,84 @@ def _points_by_setting(points: Sequence[Point], setting: str) -> Dict[Any, Exper
 
 
 def _check_policy_failures(points, scenario, params) -> List[ClaimCheck]:
-    return check_policy_failures(_points_by_setting(points, "policy"), scenario)
+    """Figs. 5/6 shape: which policies fail which critical cores.
+
+    The reproduction target is the *pattern*: the baselines each leave at
+    least one critical core below target while the priority-based policy
+    satisfies every core.  For scenarios beyond the paper's two cases the
+    same structural check applies under the scenario's own experiment label.
+    """
+    results = _points_by_setting(points, "policy")
+    critical = scenario.critical_cores
+    experiment = {"case_a": "fig5", "case_b": "fig6"}.get(scenario.name, scenario.name)
+    checks: List[ClaimCheck] = []
+    for baseline in ("fcfs", "round_robin", "frame_rate_qos"):
+        if baseline not in results:
+            continue
+        failing = results[baseline].failing_cores()
+        failing_critical = [core for core in failing if core in critical]
+        checks.append(
+            ClaimCheck(
+                experiment=experiment,
+                description=f"{baseline} leaves at least one critical core below target",
+                passed=bool(failing_critical),
+                detail=f"failing critical cores: {failing_critical or 'none'}",
+            )
+        )
+    if "priority_qos" in results:
+        satisfied = qos_satisfied(results["priority_qos"], cores=critical)
+        checks.append(
+            ClaimCheck(
+                experiment=experiment,
+                description="priority_qos (Policy 1) meets every critical core's target",
+                passed=satisfied,
+                detail=f"failing: {results['priority_qos'].failing_cores() or 'none'}",
+            )
+        )
+    return checks
 
 
 def _check_bandwidth_ordering(points, scenario, params) -> List[ClaimCheck]:
-    return check_fig8_bandwidth_ordering(
-        _points_by_setting(points, "policy"),
-        frfcfs_margin=float(params.get("frfcfs_margin", 0.05)),
-    )
+    """Fig. 8 shape: FR-FCFS >= QoS-RB > QoS, and QoS-RB close to FR-FCFS."""
+    results = _points_by_setting(points, "policy")
+    frfcfs_margin = float(params.get("frfcfs_margin", 0.05))
+    checks: List[ClaimCheck] = []
+    ordering = bandwidth_ordering(results)
+    if {"priority_rowbuffer", "priority_qos"}.issubset(results):
+        gain = bandwidth_gain(results, "priority_rowbuffer", "priority_qos")
+        checks.append(
+            ClaimCheck(
+                experiment="fig8",
+                description="QoS-RB (Policy 2) delivers more bandwidth than QoS (Policy 1)",
+                passed=gain > 0.0,
+                detail=f"gain = {gain * 100:.1f}%",
+            )
+        )
+    if {"priority_rowbuffer", "fr_fcfs"}.issubset(results):
+        shortfall = bandwidth_gain(results, "fr_fcfs", "priority_rowbuffer")
+        checks.append(
+            ClaimCheck(
+                experiment="fig8",
+                description="QoS-RB bandwidth is close to the FR-FCFS upper bound",
+                passed=shortfall <= frfcfs_margin,
+                detail=f"FR-FCFS ahead by {shortfall * 100:.1f}% "
+                f"(allowed {frfcfs_margin * 100:.0f}%)",
+            )
+        )
+    if ordering:
+        checks.append(
+            ClaimCheck(
+                experiment="fig8",
+                description="row-buffer-aware policies sit at the top of the bandwidth ordering",
+                passed=ordering[-1] in ("fr_fcfs", "priority_rowbuffer"),
+                detail=f"ordering: {ordering}",
+            )
+        )
+    return checks
 
 
 def _check_qos_preserved(points, scenario, params) -> List[ClaimCheck]:
-    """Fig. 9 shape against the sub-grid's *own* scenario.
-
-    ``analysis.paper.check_fig9_qos_preserved`` hard-codes case A's critical
-    cores; campaigns may bind this check to any scenario, so the same shape
-    is evaluated here over ``scenario.critical_cores``.
-    """
+    """Fig. 9 shape: QoS-RB keeps every critical core passing, FR-FCFS does not."""
     results = _points_by_setting(points, "policy")
     critical = list(scenario.critical_cores)
     experiment = {"case_a": "fig9"}.get(scenario.name, scenario.name)
@@ -345,28 +475,70 @@ def _check_qos_preserved(points, scenario, params) -> List[ClaimCheck]:
 
 
 def _check_priority_escalation(points, scenario, params) -> List[ClaimCheck]:
+    """Fig. 7 shape: priority levels escalate as DRAM frequency drops.
+
+    A typo'd axis or DMA name, or a non-numeric axis, degrades to one failed
+    check with an actionable detail instead of crashing the report after
+    the whole campaign has already simulated.
+    """
     axis = params.get("axis", "platform.sim.dram.io_freq_mhz")
+    dma = params["dma"]
     sweep: Dict[float, ExperimentResult] = {}
     for value, result in _points_by_setting(points, axis).items():
         try:
             sweep[float(value)] = result
         except (TypeError, ValueError):
             pass
-    # A typo'd axis name or a non-numeric axis must degrade to a failed
-    # check with an actionable detail, not crash the report after the whole
-    # campaign has already simulated.
     if len(sweep) < 2:
+        problem = (
+            f"axis '{axis}' matched {len(sweep)} numeric point(s); "
+            "need at least 2 (check the check's 'axis' param against the "
+            "sub-grid's axes)"
+        )
+    else:
+        recorded = set.intersection(
+            *(set(result.priority_distributions) for result in sweep.values())
+        )
+        problem = "" if dma in recorded else (
+            f"no priority distribution recorded for DMA '{dma}'; DMAs recorded "
+            f"at every point: {sorted(recorded) or 'none'} (check the check's "
+            "'dma' param)"
+        )
+    if problem:
         return [
             ClaimCheck(
-                experiment=getattr(scenario, "name", "priority_escalation"),
+                experiment=scenario.name,
                 description="priority escalation across the declared frequency axis",
                 passed=False,
-                detail=f"axis '{axis}' matched {len(sweep)} numeric point(s); "
-                "need at least 2 (check the check's 'axis' param against the "
-                "sub-grid's axes)",
+                detail=problem,
             )
         ]
-    return check_fig7_priority_escalation(sweep, params["dma"])
+    rows = _residency_rows(sweep, dma)
+    (highest, high, high_mean), (lowest, low, low_mean) = rows[0], rows[-1]
+    resting = high[0] + high[1]
+    escalated_high, escalated_low = high[6] + high[7], low[6] + low[7]
+    return [
+        ClaimCheck(
+            experiment="fig7",
+            description="mean priority rises as DRAM frequency decreases",
+            passed=low_mean > high_mean,
+            detail=f"mean priority {low_mean:.2f} @ {lowest:.0f} MHz vs "
+            f"{high_mean:.2f} @ {highest:.0f} MHz",
+        ),
+        ClaimCheck(
+            experiment="fig7",
+            description="at the highest frequency the DMA mostly rests at low priorities",
+            passed=resting > 0.5,
+            detail=f"time at priority 0-1: {resting * 100:.0f}%",
+        ),
+        ClaimCheck(
+            experiment="fig7",
+            description="at the lowest frequency the DMA escalates to high priorities",
+            passed=escalated_low > escalated_high,
+            detail=f"time at priority 6-7 grows from "
+            f"{escalated_high * 100:.0f}% to {escalated_low * 100:.0f}%",
+        ),
+    ]
 
 
 def _select_points(points: Sequence[Point], params: Mapping[str, Any]) -> List[Point]:

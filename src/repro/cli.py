@@ -51,23 +51,11 @@ from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.figures import export_csv, fig7_rows, min_npi_rows
-from repro.analysis.metrics import priority_distribution_table
-from repro.analysis.paper import (
-    check_fig8_bandwidth_ordering,
-    check_fig9_qos_preserved,
-    check_policy_failures,
-    summarize_checks,
-)
-from repro.analysis.report import (
-    format_core_summary,
-    format_priority_distribution,
-    format_settings_table,
-)
 from repro.analysis.serialize import save_result
 from repro.campaign import (
+    KNOWN_CHECKS,
     CampaignScheduler,
     builtin_campaign_paths,
     campaign_report_md,
@@ -75,7 +63,12 @@ from repro.campaign import (
     describe_campaign,
     format_points_table,
     get_campaign,
+    points_csv,
     points_payload,
+    priority_residency_csv,
+    priority_residency_md,
+    render_markdown_table,
+    summarize_checks,
 )
 from repro.dvfs.experiment import run_with_governor
 from repro.dvfs.governor import available_governors, make_governor
@@ -539,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="policies to compare (default: the scenario's policy sweep axis, "
         "or the paper's Fig. 5 set)",
     )
-    compare.add_argument("--output-csv", default=None, help="export per-core minimum NPI rows")
+    compare.add_argument(
+        "--output-csv", default=None, help="export min_npi.<core>/mean_npi.<core> per policy"
+    )
 
     sweep = subparsers.add_parser("sweep", help="Fig. 7 DRAM frequency sweep")
     _add_common_run_arguments(sweep)
@@ -554,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="DRAM I/O frequencies in MHz (default: the scenario's frequency "
         "sweep axis, or the paper's Fig. 7 points)",
     )
-    sweep.add_argument("--output-csv", default=None, help="export the Fig. 7 rows to CSV")
+    sweep.add_argument(
+        "--output-csv", default=None, help="export the Fig. 7 residency rows to CSV"
+    )
 
     grid = subparsers.add_parser(
         "grid", help="run the sweep axes a scenario declares (its full grid)"
@@ -630,6 +627,14 @@ def _write_output(report: str, output: Optional[str]) -> int:
     else:
         print(report)
     return 0
+
+
+def _write_csv(text: str, output: str) -> Path:
+    """Write CSV text to ``output``, creating missing parent directories."""
+    path = Path(output)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, newline="")
+    return path
 
 
 def _parse_settings(pairs: Sequence[str]) -> List[tuple]:
@@ -1170,13 +1175,18 @@ def _cmd_governors() -> int:
     return 0
 
 
+def _settings_md(settings: Mapping[str, object]) -> str:
+    rows = [[key, str(settings[key])] for key in sorted(settings)]
+    return render_markdown_table(["setting", "value"], rows)
+
+
 def _cmd_settings(args: argparse.Namespace) -> int:
     settings = table1_settings(args.scenario)
     print(f"Table 1 — simulation settings (scenario {settings['scenario']})")
-    print(format_settings_table(settings))
+    print(_settings_md(settings))
     print()
     print("Table 2 — cores and target-performance types")
-    print(format_settings_table(table2_core_types()))
+    print(_settings_md(table2_core_types()))
     return 0
 
 
@@ -1191,7 +1201,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         traffic_scale=args.traffic_scale,
         dram_model=args.dram_model,
     )
-    print(format_core_summary(result, critical_cores_for(scenario)))
+    columns = ("min_npi", "mean_npi", "bandwidth", "row_hit")
+    print(f"policy={result.policy}  scenario={result.scenario}")
+    print(format_points_table({result.policy: result}, columns, critical_cores_for(scenario)))
     failing = result.failing_cores()
     print(f"failing cores: {failing or 'none'}")
     if args.output_json:
@@ -1232,16 +1244,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print("Average DRAM bandwidth")
     print(format_points_table(results, ("bandwidth", "row_hit", "latency"), critical))
     print()
-    checks = check_policy_failures(results, scenario)
-    checks += check_fig8_bandwidth_ordering(results)
+    kinds = ["policy_failures", "bandwidth_ordering"]
     if scenario.name == "case_a":
-        checks += check_fig9_qos_preserved(results)
+        kinds.append("qos_preserved")
+    points = [({"policy": policy}, policy, result) for policy, result in results.items()]
+    checks = [check for kind in kinds for check in KNOWN_CHECKS[kind](points, scenario, {})]
     for check in checks:
         print(check)
     summary = summarize_checks(checks)
     print(f"shape checks: {summary['passed']} passed, {summary['failed']} failed")
     if args.output_csv:
-        path = export_csv(min_npi_rows(results, critical), args.output_csv)
+        path = _write_csv(points_csv(results, ("min_npi", "mean_npi"), critical), args.output_csv)
         print(f"per-core NPI rows exported to {path}")
     return 0 if summary["failed"] == 0 else 1
 
@@ -1277,11 +1290,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     )
     print()
-    table = priority_distribution_table(sweep, args.dma)
     print(f"Fig. 7 — priority-level residency of {args.dma}")
-    print(format_priority_distribution(table))
+    print(priority_residency_md(sweep, args.dma))
     if args.output_csv:
-        path = export_csv(fig7_rows(sweep, args.dma), args.output_csv)
+        path = _write_csv(priority_residency_csv(sweep, args.dma), args.output_csv)
         print(f"Fig. 7 rows exported to {path}")
     return 0
 

@@ -1,22 +1,16 @@
-"""Tests for figure-data extraction, CSV export and ASCII charts."""
+"""Tests for figure-data CSV export and the ASCII bar chart."""
 
 from __future__ import annotations
 
 import csv
+import io
 
 import pytest
 
-from repro.analysis.ascii_plot import ascii_bar_chart, ascii_line_chart, ascii_stacked_bar
-from repro.analysis.figures import (
-    export_csv,
-    fig7_rows,
-    fig8_rows,
-    min_npi_rows,
-    npi_time_rows,
-)
+from repro.analysis.ascii_plot import ascii_bar_chart
+from repro.campaign import points_csv, priority_residency_csv
 from repro.runner import compare_policies_specs, frequency_sweep_specs, run_sweep
 from repro.sim.clock import MS
-from repro.sim.trace import TimeSeries
 
 SHORT = 2 * MS
 SCALE = 0.25
@@ -44,60 +38,41 @@ def sweep_results():
     return dict(zip(frequencies, run_sweep(specs)[0]))
 
 
+def read_csv(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
 class TestFigureRows:
-    def test_npi_time_rows_long_format(self, policy_results):
-        rows = npi_time_rows(policy_results, cores=["display"])
-        assert rows[0] == ["policy", "core", "time_ms", "npi"]
-        assert len(rows) > 1
-        policies = {row[0] for row in rows[1:]}
-        assert policies == {"fcfs", "priority_qos"}
-        assert all(row[1] == "display" for row in rows[1:])
-        assert all(0.0 <= row[2] <= SHORT / MS for row in rows[1:])
-
-    def test_npi_time_rows_requires_trace(self, policy_results):
-        specs = compare_policies_specs(
-            ["fcfs"], scenario="case_b", duration_ps=MS, traffic_scale=SCALE, keep_trace=False
-        )
-        no_trace = {"fcfs": run_sweep(specs)[0][0]}
-        with pytest.raises(ValueError):
-            npi_time_rows(no_trace, cores=["display"])
-
     def test_fig7_rows_have_one_row_per_frequency(self, sweep_results):
-        rows = fig7_rows(sweep_results, "image_processor.read")
+        rows = read_csv(priority_residency_csv(sweep_results, "image_processor.read"))
         assert len(rows) == 1 + len(sweep_results)
         assert rows[0][0] == "dram_freq_mhz"
+        assert rows[0][-1] == "mean_priority"
         # Frequencies reported highest first, like the paper's figure.
-        assert rows[1][0] >= rows[-1][0]
+        assert float(rows[1][0]) >= float(rows[-1][0])
         for row in rows[1:]:
-            shares = row[1:]
+            shares = [float(cell) for cell in row[1:-1]]
             assert sum(shares) == pytest.approx(1.0, abs=0.05)
 
-    def test_fig8_rows_sorted_by_bandwidth(self, policy_results):
-        rows = fig8_rows(policy_results)
-        bandwidths = [row[1] for row in rows[1:]]
-        assert bandwidths == sorted(bandwidths)
-
     def test_min_npi_rows_cover_all_policies(self, policy_results):
-        rows = min_npi_rows(policy_results)
-        assert {row[0] for row in rows[1:]} == set(policy_results)
+        rows = read_csv(points_csv(policy_results, ("min_npi", "mean_npi"), ["display", "dsp"]))
+        assert rows[0] == [
+            "point", "min_npi.display", "min_npi.dsp", "mean_npi.display", "mean_npi.dsp"
+        ]
+        assert [row[0] for row in rows[1:]] == list(policy_results)
 
 
 class TestCsvExport:
     def test_export_and_reread(self, tmp_path, policy_results):
-        rows = fig8_rows(policy_results)
-        path = export_csv(rows, tmp_path / "fig8.csv")
-        with path.open() as handle:
+        path = tmp_path / "npi.csv"
+        path.write_text(points_csv(policy_results, ("min_npi",), ["display"]), newline="")
+        with path.open(newline="") as handle:
             read_back = list(csv.reader(handle))
-        assert read_back[0] == [str(cell) for cell in rows[0]]
-        assert len(read_back) == len(rows)
-
-    def test_export_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_csv([], tmp_path / "empty.csv")
-
-    def test_export_creates_parent_directories(self, tmp_path, policy_results):
-        path = export_csv(fig8_rows(policy_results), tmp_path / "nested" / "dir" / "fig8.csv")
-        assert path.exists()
+        assert read_back[0] == ["point", "min_npi.display"]
+        assert len(read_back) == 1 + len(policy_results)
+        # Cells are raw numbers that survive the round trip exactly.
+        for policy, value in read_back[1:]:
+            assert float(value) == policy_results[policy].min_core_npi["display"]
 
 
 class TestAsciiCharts:
@@ -115,30 +90,3 @@ class TestAsciiCharts:
             ascii_bar_chart({}, width=30)
         with pytest.raises(ValueError):
             ascii_bar_chart({"a": 1.0}, width=5)
-
-    def test_stacked_bar_width_and_symbols(self):
-        bar = ascii_stacked_bar({0: 0.9, 7: 0.1}, width=40)
-        assert len(bar) == 40
-        assert bar.count("0") > bar.count("7")
-
-    def test_stacked_bar_empty_distribution(self):
-        assert ascii_stacked_bar({}, width=20) == "." * 20
-
-    def test_line_chart_draws_series_and_reference(self):
-        series_a = TimeSeries(name="a")
-        series_b = TimeSeries(name="b")
-        for index in range(20):
-            series_a.append(index * 1000, 0.5 + index * 0.1)
-            series_b.append(index * 1000, 2.0)
-        chart = ascii_line_chart({"a": series_a, "b": series_b}, width=40, height=10)
-        assert "o = a" in chart
-        assert "x = b" in chart
-        assert "-" in chart  # the NPI = 1 reference line
-
-    def test_line_chart_validation(self):
-        with pytest.raises(ValueError):
-            ascii_line_chart({}, width=40, height=10)
-        series = TimeSeries(name="a")
-        series.append(0, 1.0)
-        with pytest.raises(ValueError):
-            ascii_line_chart({"a": series}, width=5, height=2)

@@ -8,7 +8,6 @@ from repro.analysis.metrics import (
     bandwidth_gain,
     bandwidth_ordering,
     mean_priority,
-    npi_summary,
     qos_satisfied,
 )
 from repro.sim.trace import TraceRecorder
@@ -19,7 +18,6 @@ def make_result(
     policy: str,
     min_npi: dict,
     bandwidth: float,
-    mean_npi: dict = None,
 ) -> ExperimentResult:
     return ExperimentResult(
         scenario="case_a",
@@ -28,7 +26,7 @@ def make_result(
         duration_ps=1_000_000,
         dram_freq_mhz=1866.0,
         min_core_npi=dict(min_npi),
-        mean_core_npi=dict(mean_npi or min_npi),
+        mean_core_npi=dict(min_npi),
         dram_bandwidth_bytes_per_s=bandwidth,
         dram_row_hit_rate=0.5,
         served_transactions=100,
@@ -83,11 +81,6 @@ class TestBandwidthHelpers:
 
 
 class TestSummaries:
-    def test_npi_summary_filters_unknown_cores(self):
-        result = make_result("p", {"a": 0.5}, 1e9, mean_npi={"a": 0.8})
-        summary = npi_summary(result, cores=["a", "missing"])
-        assert summary == {"a": {"min": 0.5, "mean": 0.8}}
-
     def test_mean_priority_weighted(self):
         assert mean_priority({0: 0.25, 4: 0.75}) == pytest.approx(3.0)
 

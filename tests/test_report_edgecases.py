@@ -145,4 +145,17 @@ class TestOutputParentDirectories:
         )
         capsys.readouterr()
         assert target.is_file()
-        assert target.read_text().startswith("policy,core,min_npi")
+        header, *rows = target.read_text().splitlines()
+        assert header.startswith("point,min_npi.")
+        assert [row.split(",")[0] for row in rows] == ["fcfs", "priority_qos"]
+
+    def test_sweep_output_csv_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "csv" / "fig7" / "residency.csv"
+        code = main(
+            ["sweep", "case_a", "--frequencies", "1300", "1700",
+             "--duration-ms", "0.25", "--traffic-scale", "0.1",
+             "--output-csv", str(target)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert target.read_text().startswith("dram_freq_mhz,priority_0")

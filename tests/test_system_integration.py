@@ -12,16 +12,9 @@ from repro.analysis.metrics import (
     bandwidth_ordering,
     fraction_of_time_failing,
     mean_priority,
-    npi_summary,
     qos_satisfied,
 )
-from repro.analysis.report import (
-    format_bandwidth_table,
-    format_core_summary,
-    format_npi_table,
-    format_priority_distribution,
-    format_settings_table,
-)
+from repro.campaign import format_points_table, priority_residency_md, render_markdown_table
 from repro.runner import compare_policies_specs, frequency_sweep_specs, run_sweep
 from repro.sim.clock import MS
 from repro.system.builder import build_system
@@ -155,8 +148,7 @@ class TestSweeps:
 
 class TestAnalysis:
     def test_qos_satisfied_and_summary(self, priority_result):
-        summary = npi_summary(priority_result, cores=["display", "dsp"])
-        assert set(summary) == {"display", "dsp"}
+        assert {"display", "dsp"} <= set(priority_result.min_core_npi)
         assert qos_satisfied(priority_result, cores=["rotator"], threshold=0.01)
 
     def test_fraction_of_time_failing_in_range(self, fcfs_result):
@@ -169,15 +161,18 @@ class TestAnalysis:
 
     def test_reports_render_as_text(self, priority_result, fcfs_result):
         results = {"priority_qos": priority_result, "fcfs": fcfs_result}
-        npi_table = format_npi_table(results, cores=["display", "dsp", "gpu"])
+        npi_table = format_points_table(results, ("min_npi",), ["display", "dsp", "gpu"])
         assert "display" in npi_table and "priority_qos" in npi_table
-        bandwidth_table = format_bandwidth_table(results)
+        bandwidth_table = format_points_table(results, ("bandwidth", "row_hit"))
         assert "GB/s" in bandwidth_table
-        settings_table = format_settings_table(table1_settings("A"))
-        assert "dram_io_freq_mhz" in settings_table
-        distribution = format_priority_distribution(
-            {1866.0: priority_result.priority_distributions["display.read"]}
+        settings = table1_settings("A")
+        settings_table = render_markdown_table(
+            ["setting", "value"], [[key, str(value)] for key, value in settings.items()]
         )
-        assert "1866" in distribution
-        summary = format_core_summary(priority_result, cores=["display"])
+        assert "dram_io_freq_mhz" in settings_table
+        distribution = priority_residency_md({1866.0: priority_result}, "display.read")
+        assert "| 1866 |" in distribution and "mean priority" in distribution
+        summary = format_points_table(
+            {"priority_qos": priority_result}, ("min_npi", "mean_npi", "bandwidth"), ["display"]
+        )
         assert "bandwidth" in summary
