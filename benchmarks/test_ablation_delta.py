@@ -17,33 +17,42 @@ from dataclasses import replace
 
 import pytest
 
+from benchmarks.conftest import cached_sweep
+from repro.runner import RunSpec
 from repro.scenario import scenario_config
 from repro.sim.clock import MS
-from repro.system.experiment import run_experiment
 
 DURATION_PS = 10 * MS
 DELTAS = [0, 3, 6, 7]
-_RESULTS = {}
+
+
+def _spec(delta: int) -> RunSpec:
+    """The one spec per delta: the prefetch and every test share its key."""
+    config = scenario_config("case_a")
+    return RunSpec(
+        scenario="case_a",
+        policy="priority_rowbuffer",
+        duration_ps=DURATION_PS,
+        config=config.with_overrides(
+            memory_controller=replace(config.memory_controller, row_buffer_delta=delta)
+        ),
+        label=str(delta),
+    )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _prefetch_grid():
+    """Batch the whole grid through one sweep so cold runs can parallelise."""
+    cached_sweep([_spec(delta) for delta in DELTAS])
 
 
 def _run(delta: int):
-    if delta not in _RESULTS:
-        config = scenario_config("case_a")
-        config = config.with_overrides(
-            memory_controller=replace(config.memory_controller, row_buffer_delta=delta)
-        )
-        _RESULTS[delta] = run_experiment(
-            scenario="case_a",
-            policy="priority_rowbuffer",
-            duration_ps=DURATION_PS,
-            config=config,
-        )
-    return _RESULTS[delta]
+    return cached_sweep([_spec(delta)])[0]
 
 
 @pytest.mark.parametrize("delta", DELTAS)
-def test_delta_run(benchmark, delta):
-    result = benchmark.pedantic(lambda: _run(delta), rounds=1, iterations=1)
+def test_delta_run(delta):
+    result = _run(delta)
     assert result.served_transactions > 0
 
 

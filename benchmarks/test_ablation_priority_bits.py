@@ -11,30 +11,39 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.conftest import cached_sweep
+from repro.runner import RunSpec
 from repro.scenario import scenario_config
 from repro.sim.clock import MS
-from repro.system.experiment import run_experiment
 
 DURATION_PS = 10 * MS
 BIT_WIDTHS = [1, 2, 3]
-_RESULTS = {}
+
+
+def _spec(bits: int) -> RunSpec:
+    """The one spec per bit width: the prefetch and every test share its key."""
+    return RunSpec(
+        scenario="case_a",
+        policy="priority_qos",
+        duration_ps=DURATION_PS,
+        config=scenario_config("case_a").with_overrides(priority_bits=bits),
+        label=str(bits),
+    )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _prefetch_grid():
+    """Batch the whole grid through one sweep so cold runs can parallelise."""
+    cached_sweep([_spec(bits) for bits in BIT_WIDTHS])
 
 
 def _run(bits: int):
-    if bits not in _RESULTS:
-        config = scenario_config("case_a").with_overrides(priority_bits=bits)
-        _RESULTS[bits] = run_experiment(
-            scenario="case_a",
-            policy="priority_qos",
-            duration_ps=DURATION_PS,
-            config=config,
-        )
-    return _RESULTS[bits]
+    return cached_sweep([_spec(bits)])[0]
 
 
 @pytest.mark.parametrize("bits", BIT_WIDTHS)
-def test_priority_bits_run(benchmark, bits):
-    result = benchmark.pedantic(lambda: _run(bits), rounds=1, iterations=1)
+def test_priority_bits_run(bits):
+    result = _run(bits)
     assert result.served_transactions > 0
 
 

@@ -12,20 +12,25 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.conftest import cached_sweep
 from repro.analysis.metrics import qos_satisfied
+from repro.runner import RunSpec
 from repro.scenario import critical_cores_for, scenario_config
 from repro.sim.clock import MS
 from repro.sim.config import NocConfig
-from repro.system.experiment import run_experiment
 
 DURATION_PS = 8 * MS
-_RESULTS = {}
+TOPOLOGIES = ["tree", "mesh"]
 
 
-def _run(topology: str):
-    if topology not in _RESULTS:
-        base = scenario_config("case_a")
-        config = base.with_overrides(
+def _spec(topology: str) -> RunSpec:
+    """The one spec per topology: the prefetch and every test share its key."""
+    base = scenario_config("case_a")
+    return RunSpec(
+        scenario="case_a",
+        policy="priority_qos",
+        duration_ps=DURATION_PS,
+        config=base.with_overrides(
             duration_ps=DURATION_PS,
             noc=NocConfig(
                 link_bytes_per_ns=base.noc.link_bytes_per_ns,
@@ -33,20 +38,25 @@ def _run(topology: str):
                 arbitration="priority_qos",
                 topology=topology,
             ),
-        )
-        _RESULTS[topology] = run_experiment(
-            scenario="case_a",
-            policy="priority_qos",
-            config=config,
-            duration_ps=DURATION_PS,
-            keep_trace=False,
-        )
-    return _RESULTS[topology]
+        ),
+        keep_trace=False,
+        label=topology,
+    )
 
 
-@pytest.mark.parametrize("topology", ["tree", "mesh"])
-def test_topology_run(benchmark, topology):
-    result = benchmark.pedantic(lambda: _run(topology), rounds=1, iterations=1)
+@pytest.fixture(scope="module", autouse=True)
+def _prefetch_grid():
+    """Batch the whole grid through one sweep so cold runs can parallelise."""
+    cached_sweep([_spec(topology) for topology in TOPOLOGIES])
+
+
+def _run(topology: str):
+    return cached_sweep([_spec(topology)])[0]
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_topology_run(topology):
+    result = _run(topology)
     assert result.served_transactions > 0
 
 

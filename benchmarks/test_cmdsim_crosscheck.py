@@ -12,30 +12,41 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.conftest import cached_sweep
 from repro.analysis.metrics import qos_satisfied
+from repro.runner import RunSpec
 from repro.scenario import critical_cores_for
 from repro.sim.clock import MS
-from repro.system.experiment import run_experiment
 
 DURATION_PS = 8 * MS
-_RESULTS = {}
+DRAM_MODELS = ["transaction", "command"]
+
+
+def _spec(dram_model: str) -> RunSpec:
+    """The one spec per backend: the prefetch and every test share its key."""
+    return RunSpec(
+        scenario="case_a",
+        policy="priority_rowbuffer",
+        duration_ps=DURATION_PS,
+        dram_model=dram_model,
+        keep_trace=False,
+        label=dram_model,
+    )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _prefetch_grid():
+    """Batch the whole grid through one sweep so cold runs can parallelise."""
+    cached_sweep([_spec(dram_model) for dram_model in DRAM_MODELS])
 
 
 def _run(dram_model: str):
-    if dram_model not in _RESULTS:
-        _RESULTS[dram_model] = run_experiment(
-            scenario="case_a",
-            policy="priority_rowbuffer",
-            duration_ps=DURATION_PS,
-            dram_model=dram_model,
-            keep_trace=False,
-        )
-    return _RESULTS[dram_model]
+    return cached_sweep([_spec(dram_model)])[0]
 
 
-@pytest.mark.parametrize("dram_model", ["transaction", "command"])
-def test_backend_run(benchmark, dram_model):
-    result = benchmark.pedantic(lambda: _run(dram_model), rounds=1, iterations=1)
+@pytest.mark.parametrize("dram_model", DRAM_MODELS)
+def test_backend_run(dram_model):
+    result = _run(dram_model)
     assert result.served_transactions > 0
 
 

@@ -30,8 +30,8 @@ def _run(policy: str):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_energy_run(benchmark, policy):
-    report, _hit_rate = benchmark.pedantic(lambda: _run(policy), rounds=1, iterations=1)
+def test_energy_run(policy):
+    report, _hit_rate = _run(policy)
     assert report.total_j > 0
 
 

@@ -30,10 +30,8 @@ def _prefetch_grid():
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_extended_policy_run(benchmark, policy):
-    result = benchmark.pedantic(
-        lambda: cached_run("case_a", policy, duration_ps=DURATION_PS), rounds=1, iterations=1
-    )
+def test_extended_policy_run(policy):
+    result = cached_run("case_a", policy, duration_ps=DURATION_PS)
     assert result.served_transactions > 0
 
 

@@ -32,11 +32,9 @@ def _prefetch_grid():
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_fig5_policy_run(benchmark, policy):
+def test_fig5_policy_run(policy):
     """Run test case A under one policy (results shared via the session cache)."""
-    result = benchmark.pedantic(
-        lambda: cached_run("case_a", policy), rounds=1, iterations=1
-    )
+    result = cached_run("case_a", policy)
     assert result.served_transactions > 0
     assert result.dram_bandwidth_bytes_per_s > 0
 

@@ -27,10 +27,8 @@ def _prefetch_grid():
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_fig6_policy_run(benchmark, policy):
-    result = benchmark.pedantic(
-        lambda: cached_run("case_b", policy), rounds=1, iterations=1
-    )
+def test_fig6_policy_run(policy):
+    result = cached_run("case_b", policy)
     assert result.served_transactions > 0
     assert result.dram_freq_mhz == 1700.0
 

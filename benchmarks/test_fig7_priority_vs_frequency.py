@@ -50,12 +50,8 @@ def _prefetch_grid():
 
 
 @pytest.mark.parametrize("freq", FREQUENCIES_MHZ)
-def test_fig7_frequency_run(benchmark, freq):
-    result = benchmark.pedantic(
-        lambda: cached_run("case_a", "priority_qos", dram_freq_mhz=freq),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig7_frequency_run(freq):
+    result = cached_run("case_a", "priority_qos", dram_freq_mhz=freq)
     assert result.dram_freq_mhz == freq
 
 

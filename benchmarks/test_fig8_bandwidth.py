@@ -30,10 +30,8 @@ def _prefetch_grid():
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_fig8_policy_run(benchmark, policy):
-    result = benchmark.pedantic(
-        lambda: cached_run("case_a", policy), rounds=1, iterations=1
-    )
+def test_fig8_policy_run(policy):
+    result = cached_run("case_a", policy)
     assert result.dram_bandwidth_bytes_per_s > 0
 
 

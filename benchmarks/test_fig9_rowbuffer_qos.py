@@ -26,10 +26,8 @@ def _prefetch_grid():
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_fig9_policy_run(benchmark, policy):
-    result = benchmark.pedantic(
-        lambda: cached_run("case_a", policy), rounds=1, iterations=1
-    )
+def test_fig9_policy_run(policy):
+    result = cached_run("case_a", policy)
     assert result.served_transactions > 0
 
 

@@ -14,12 +14,8 @@ from repro.system.platform import table1_settings
 from repro.traffic.camcorder import CASE_B_INACTIVE_CORES
 
 
-def _collect_settings():
-    return {case: table1_settings(case) for case in ("A", "B")}
-
-
-def test_table1_settings(benchmark):
-    settings = benchmark.pedantic(_collect_settings, rounds=1, iterations=1)
+def test_table1_settings():
+    settings = {case: table1_settings(case) for case in ("A", "B")}
 
     for case, values in settings.items():
         print(f"\nTable 1 — test case {case}")
@@ -40,12 +36,8 @@ def test_table1_settings(benchmark):
     assert case_a["timing_trrd_tfaw"] == (19, 75)
 
 
-def test_case_b_deactivates_the_listed_cores(benchmark):
-    system = benchmark.pedantic(
-        lambda: build_system(scenario="case_b", policy="priority_qos", traffic_scale=0.1),
-        rounds=1,
-        iterations=1,
-    )
+def test_case_b_deactivates_the_listed_cores():
+    system = build_system(scenario="case_b", policy="priority_qos", traffic_scale=0.1)
     for core in CASE_B_INACTIVE_CORES:
         assert core not in system.cores
     assert system.dram.config.io_freq_mhz == 1700.0

@@ -27,8 +27,8 @@ PAPER_TABLE2 = {
 }
 
 
-def test_table2_core_types(benchmark):
-    types = benchmark.pedantic(table2_core_types, rounds=1, iterations=1)
+def test_table2_core_types():
+    types = table2_core_types()
 
     print("\nTable 2 — cores and types of target performance")
     for core in sorted(PAPER_TABLE2):
@@ -41,8 +41,6 @@ def test_table2_core_types(benchmark):
     assert types["cpu"] == "bandwidth"
 
 
-def test_workload_instantiates_every_table2_core(benchmark):
-    workload = benchmark.pedantic(
-        lambda: camcorder_workload("A"), rounds=1, iterations=1
-    )
+def test_workload_instantiates_every_table2_core():
+    workload = camcorder_workload("A")
     assert set(PAPER_TABLE2).issubset(set(workload.cores()))

@@ -63,11 +63,7 @@ from repro.scenario import (
     settings_label,
 )
 from repro.sim.config import SimulationConfig
-from repro.system.experiment import (
-    ExperimentResult,
-    RunTimings,
-    run_experiment_timed,
-)
+from repro.system.experiment import ExperimentResult, RunTimings
 
 
 @dataclass(frozen=True)
@@ -320,23 +316,6 @@ class SweepStats:
         return "sweep: " + ", ".join(parts)
 
 
-def _execute_spec(spec: RunSpec) -> ExperimentResult:
-    """Run one spec in the current process (timings discarded).
-
-    Plugin modules are loaded first so that registrations (policies,
-    workloads, traffic models, scenarios) exist in this process; the call is
-    a few dictionary lookups when the modules are already imported.
-    Execution goes through :func:`run_experiment_timed` — the same path the
-    sweep's sequential and batched modes use — so this convenience wrapper
-    cannot drift from what sweeps actually run.
-    """
-    load_plugins(spec.plugin_modules)
-    result, _ = run_experiment_timed(
-        spec.resolved_scenario(), keep_trace=spec.keep_trace
-    )
-    return result
-
-
 #: Per-spec landing callback:
 #: ``observer(index, result, timings, from_cache, source)``.
 #: ``timings`` is the run's phase breakdown for the spec that actually
@@ -356,7 +335,6 @@ def run_sweep(
     cache: Optional[ResultCache] = None,
     cache_dir: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
-    batching: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
     observer: Optional[Observer] = None,
     executor: Optional[Executor] = None,
@@ -381,11 +359,6 @@ def run_sweep(
         started if needed (only that start-up lands in ``pool_startup_s``)
         and is *not* closed afterwards — that is what lets one warm pool
         serve a whole campaign of sweeps for a single spawn cost.
-    batching:
-        Group cold specs into cost-balanced batches (one IPC round trip per
-        batch) instead of dispatching one spec per message.  Results are
-        bit-identical either way; ``False`` exists for measurement and as an
-        escape hatch.
     progress:
         Optional ``callback(done, cold_total)`` invoked in the parent as
         executed specs stream back, interleaved with execution.
@@ -493,7 +466,7 @@ def run_sweep(
     if executor is None:
         use_pool = pool is not None or (jobs > 1 and len(cold) > 1)
         executor = (
-            PoolExecutor(pool=pool, jobs=jobs, batching=batching)
+            PoolExecutor(pool=pool, jobs=jobs)
             if use_pool
             else InProcessExecutor()
         )

@@ -18,8 +18,9 @@ Layers (each its own module, testable in isolation):
 * :mod:`repro.serve.client` — the typed client, the background server for
   embedding, and the ``repro serve`` foreground entry point.
 
-See ``docs/results_service.md`` for endpoints and caching semantics, and
-``benchmarks/perf/bench_serve.py`` for the tracked load benchmark.
+See ``docs/results_service.md`` for endpoints and caching semantics; the
+``serve_reads`` workload of ``BENCHMARK.json`` is the service's load
+benchmark.
 
 Logging: the service logs through the stdlib ``repro.serve`` logger
 (access lines at INFO with structured ``extra`` fields).  The library adds

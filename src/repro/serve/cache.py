@@ -5,7 +5,8 @@ entry can never go stale — the only policy needed is a byte budget with
 least-recently-used eviction.  The store's read path re-verifies a blob's
 hash on every disk read; caching the verified bytes means a hot report is
 served without touching the filesystem *or* re-hashing, which is where the
-service's requests/s comes from (see ``benchmarks/perf/bench_serve.py``).
+service's requests/s comes from (the ``serve_reads`` benchmark workload
+reports the hit ratio as ``serve.blob_cache_hit_ratio``).
 
 The hit, miss and eviction counters are instruments of a
 :class:`~repro.obs.MetricsRegistry` — the app shares one registry across the

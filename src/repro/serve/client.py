@@ -5,9 +5,8 @@ typed methods mirroring the routes (``healthz`` / ``manifests`` /
 ``manifest`` / ``artifact`` / ``report``) and first-class conditional GET:
 pass the ``etag`` a previous reply carried and a ``304`` comes back as a
 :class:`Reply` with ``not_modified=True`` and an empty body.  Tests and the
-load benchmark (``benchmarks/perf/bench_serve.py``) drive the service
-through it, so the client is exercised by the same suite that defines the
-server's behaviour.
+``serve_reads`` load benchmark drive the service through it, so the client
+is exercised by the same suite that defines the server's behaviour.
 
 :class:`BackgroundResultsServer` runs a :class:`~repro.serve.app.ResultsApp`
 on a daemon thread with its own event loop — the embedding surface for

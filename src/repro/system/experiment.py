@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.obs import span
+from repro import obs
 from repro.scenario import Scenario, critical_cores_for, resolve_scenario
 from repro.sim.config import SimulationConfig
 from repro.sim.trace import TimeSeries, TraceRecorder
@@ -73,9 +73,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one simulation and collect the paper's metrics.
 
-    A pre-built ``system`` may be supplied (the ablation benchmarks do this to
-    tweak internal parameters); otherwise one is built from the scenario plus
-    the keyword overrides.
+    A pre-built ``system`` may be supplied (:func:`run_experiment_timed` does
+    this to time the build on its own); otherwise one is built from the
+    scenario plus the keyword overrides.
     """
     if system is None:
         resolved = resolve_scenario(
@@ -164,26 +164,30 @@ def run_experiment_timed(
     — resolution with no overrides is a no-op and pre-building the system is
     exactly what :func:`run_experiment` does internally — but the three phases
     are timed separately.  This is the worker entry point of the sweep
-    orchestrator's batched dispatch.
+    orchestrator's batched dispatch.  Each phase is read once: the same
+    reading fills :class:`RunTimings` and, when tracing is on, the phase's
+    ``experiment.*`` span.
     """
     timings = RunTimings()
     started = time.perf_counter()
-    with span("experiment.resolve"):
-        resolved = resolve_scenario(scenario)
+    resolved = resolve_scenario(scenario)
     built = time.perf_counter()
     timings.resolve_s = built - started
-    with span("experiment.build", scenario=resolved.name):
-        system = build_system(resolved)
+    obs.complete("experiment.resolve", timings.resolve_s)
+    system = build_system(resolved)
     ran = time.perf_counter()
     timings.build_s = ran - built
-    with span(
-        "experiment.sim", scenario=resolved.name, policy=system.policy_name
-    ) as sim_span:
-        result = run_experiment(scenario=resolved, keep_trace=keep_trace, system=system)
-        sim_span.set(
-            fired_events=system.engine.fired_events, now_ps=system.engine.now_ps
-        )
+    obs.complete("experiment.build", timings.build_s, scenario=resolved.name)
+    result = run_experiment(scenario=resolved, keep_trace=keep_trace, system=system)
     timings.sim_s = time.perf_counter() - ran
+    obs.complete(
+        "experiment.sim",
+        timings.sim_s,
+        scenario=resolved.name,
+        policy=system.policy_name,
+        fired_events=system.engine.fired_events,
+        now_ps=system.engine.now_ps,
+    )
     return result, timings
 
 

@@ -9,8 +9,10 @@ lifecycle against a real results store.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import time
 
 import pytest
 
@@ -26,7 +28,10 @@ from repro.obs import (
     merge_journals,
     summarize_events,
 )
+from repro.runner import RunSpec
+from repro.sim.clock import MS
 from repro.store import ArtifactRef, ResultsStore
+from repro.system.experiment import run_experiment_timed
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +41,44 @@ def clean_tracer(monkeypatch):
     obs.uninstall_tracer()
     yield
     obs.uninstall_tracer()
+
+
+def _point():
+    """One short simulated point, resolved up front (resolution is not timed)."""
+    return RunSpec(
+        scenario="case_b",
+        policy="priority_qos",
+        duration_ps=MS // 4,
+        traffic_scale=0.2,
+        keep_trace=False,
+    ).resolved_scenario()
+
+
+def _traced_point_events(journal):
+    """The span and instant events one traced ``run_experiment_timed`` emits,
+    plus the run's :class:`RunTimings`."""
+    obs.install_tracer(journal, proc="t")
+    try:
+        _, timings = run_experiment_timed(_point(), keep_trace=False)
+    finally:
+        obs.uninstall_tracer()
+    events = [e for e in load_journal(journal) if e["ev"] in ("span", "instant")]
+    return events, timings
+
+
+def _best_cpu_s(repeats, run):
+    """Minimum CPU time over ``repeats`` calls of ``run()``, GC paused."""
+    best = float("inf")
+    for _ in range(repeats):
+        gc.collect()
+        gc.disable()
+        began = time.process_time()
+        try:
+            run()
+        finally:
+            gc.enable()
+        best = min(best, time.process_time() - began)
+    return best
 
 
 class TestDisabledPath:
@@ -64,6 +107,45 @@ class TestDisabledPath:
     def test_install_from_env_without_env_is_a_noop(self):
         assert obs.install_from_env("pool-worker") is None
         assert not obs.tracing()
+
+    def test_disabled_overhead_under_two_percent(self, tmp_path):
+        """Events one traced point emits, times the worst disabled per-call
+        cost of ``span``/``instant``/``complete``, stay under 2% of the same
+        point's untraced CPU time.  Both sides scale per point, so one point
+        measured on this machine needs no baseline."""
+        calls = 200_000
+
+        def span_loop():
+            span = obs.span
+            for _ in range(calls):
+                with span("bench.noop"):
+                    pass
+
+        def instant_loop():
+            instant = obs.instant
+            for _ in range(calls):
+                instant("bench.noop")
+
+        def complete_loop():
+            complete = obs.complete
+            for _ in range(calls):
+                complete("bench.noop", 0.0)
+
+        per_call_s = max(
+            _best_cpu_s(5, loop) / calls
+            for loop in (span_loop, instant_loop, complete_loop)
+        )
+        scenario = _point()
+        point_cpu_s = _best_cpu_s(
+            3, lambda: run_experiment_timed(scenario, keep_trace=False)
+        )
+        events, _ = _traced_point_events(tmp_path / "j.jsonl")
+        assert events
+        overhead = len(events) * per_call_s / point_cpu_s
+        assert overhead < 0.02, (
+            f"{len(events)} events x {per_call_s * 1e9:.0f} ns = "
+            f"{overhead:.4%} of {point_cpu_s:.3f}s CPU"
+        )
 
 
 class TestRecording:
@@ -106,6 +188,25 @@ class TestRecording:
         # Back-dated start: the externally measured duration is preserved.
         assert landed["dur_us"] == pytest.approx(250_000, rel=0.05)
         assert landed["attrs"]["indices"] == [3]
+
+    def test_experiment_spans_carry_the_run_timings(self, tmp_path):
+        """One clock per phase: each ``experiment.*`` span is the reading
+        that fills :class:`RunTimings`, not a second measurement."""
+        events, timings = _traced_point_events(tmp_path / "j.jsonl")
+        spans = {e["name"]: e for e in events if e["name"].startswith("experiment.")}
+        assert set(spans) == {"experiment.resolve", "experiment.build", "experiment.sim"}
+        for name, seconds in (
+            ("experiment.resolve", timings.resolve_s),
+            ("experiment.build", timings.build_s),
+            ("experiment.sim", timings.sim_s),
+        ):
+            assert spans[name]["dur_us"] == pytest.approx(seconds * 1e6, abs=0.002), name
+        assert spans["experiment.build"]["attrs"] == {"scenario": "case_b"}
+        sim_attrs = spans["experiment.sim"]["attrs"]
+        assert sim_attrs["scenario"] == "case_b"
+        assert sim_attrs["policy"] == "priority_qos"
+        assert sim_attrs["fired_events"] > 0
+        assert sim_attrs["now_ps"] == MS // 4
 
     def test_sequence_numbers_are_monotonic(self, tmp_path):
         obs.install_tracer(tmp_path / "j.jsonl", proc="t")

@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis.serialize import experiment_result_to_dict
 from repro.runner import (
+    PoolExecutor,
     RunSpec,
     WorkerDiedError,
     WorkerPool,
@@ -158,7 +159,9 @@ class TestWarmPoolParityAndReuse:
     def test_unbatched_dispatch_matches_batched(self):
         specs = _specs(POLICIES[:2])
         batched, batched_stats = run_sweep(specs, jobs=2)
-        unbatched, unbatched_stats = run_sweep(specs, jobs=2, batching=False)
+        unbatched, unbatched_stats = run_sweep(
+            specs, executor=PoolExecutor(jobs=2, batching=False)
+        )
         assert unbatched_stats.batches == len(specs)
         assert _fingerprints(batched) == _fingerprints(unbatched)
 

@@ -115,7 +115,6 @@ class TestResolvedScenarioMemoization:
 
     def test_single_resolution_per_spec(self, monkeypatch):
         import repro.runner.sweep as sweep_module
-        from repro.runner.sweep import _execute_spec
 
         calls = []
         real_resolve = sweep_module.resolve_scenario
@@ -134,7 +133,7 @@ class TestResolvedScenarioMemoization:
         spec.key()
         spec.display_label()
         spec.key()
-        result = _execute_spec(spec)
+        (result,), _ = run_sweep([spec])
         assert result.policy == "fcfs"
         assert len(calls) == 1
 
