@@ -33,6 +33,12 @@ reads re-verify their content address and go through a bounded LRU hot
 cache; a tampered or missing blob is a ``404`` with a ``repro store
 verify`` hint, never forged bytes.
 
+Every request sees the store as it is on disk, but work is done once per
+on-disk version: the store parses a manifest only when its file's bytes
+change, and the JSON bodies (and ETags) of ``/manifests`` and
+``/manifests/<fingerprint>`` are rendered again only when the store hands
+back a different :class:`~repro.store.Manifest` object.
+
 Handlers are ``async`` only because the protocol core is; every operation
 here is an in-memory or small-file read — the point of the service is that
 serving recorded results never resolves a scenario or runs the simulator.
@@ -43,7 +49,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.obs import MetricsRegistry, span
 from repro.serve.cache import DEFAULT_CACHE_BYTES, BlobCache
@@ -95,6 +101,12 @@ def _json_body(payload: object) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
+def _etagged(payload: object) -> Tuple[bytes, str]:
+    """A JSON body and its ETag, the hash of its own bytes."""
+    body = _json_body(payload)
+    return body, content_digest(body)
+
+
 class ResultsApp:
     """The handler behind :class:`~repro.serve.http.HttpServer`."""
 
@@ -108,6 +120,10 @@ class ResultsApp:
         self.blob_cache = BlobCache(cache_bytes, registry=self.metrics)
         self.started_monotonic = time.monotonic()
         self._requests_served = 0
+        # Rendered manifest documents: key -> (the manifests rendered,
+        # body, ETag).  "" is the /manifests index, a fingerprint is
+        # /manifests/<fingerprint>.
+        self._documents: Dict[str, Tuple[Tuple[Manifest, ...], bytes, str]] = {}
 
     def record_request(
         self, method: str, path: str, status: int, elapsed_s: float
@@ -212,12 +228,21 @@ class ResultsApp:
 
     def _manifest_index(self, request: Request) -> Response:
         manifests = self.store.manifests()
-        payload = {
-            "store_dir": str(self.store.directory),
-            "count": len(manifests),
-            "manifests": [manifest_summary(manifest) for manifest in manifests],
-        }
-        return self._json_with_etag(request, payload)
+        listed = {manifest.fingerprint for manifest in manifests}
+        for key in [key for key in self._documents if key and key not in listed]:
+            del self._documents[key]
+        return self._conditional(
+            request,
+            self._document(
+                "",
+                manifests,
+                lambda: {
+                    "store_dir": str(self.store.directory),
+                    "count": len(manifests),
+                    "manifests": [manifest_summary(manifest) for manifest in manifests],
+                },
+            ),
+        )
 
     def _manifest(self, request: Request, prefix: str) -> Response:
         try:
@@ -235,7 +260,9 @@ class ResultsApp:
             )
         except StoreError as exc:
             return self._error(404, str(exc))
-        return self._json_with_etag(request, manifest.to_dict())
+        return self._conditional(
+            request, self._document(manifest.fingerprint, [manifest], manifest.to_dict)
+        )
 
     def _artifact(self, request: Request, digest: str) -> Response:
         ref = self.store.find_artifact(digest)
@@ -281,7 +308,7 @@ class ResultsApp:
                 hint="run `repro store index --store-dir <dir>` to rebuild "
                 "the point index from the manifests",
             )
-        return self._json_with_etag(request, entry.to_dict())
+        return self._conditional(request, _etagged(entry.to_dict()))
 
     # ------------------------------------------------------------------ #
     # Shared pieces
@@ -329,10 +356,31 @@ class ResultsApp:
             body=content, content_type=content_type_for(ext), headers=headers
         )
 
-    def _json_with_etag(self, request: Request, payload: object) -> Response:
-        """A JSON document whose ETag is the hash of its own bytes."""
-        body = _json_body(payload)
-        etag = content_digest(body)
+    def _document(
+        self, key: str, manifests: Sequence[Manifest], render: Callable[[], Any]
+    ) -> Tuple[bytes, str]:
+        """The JSON body and ETag of ``render()``, a function of ``manifests``.
+
+        The store returns the very same objects until a manifest file's
+        bytes change, so the same objects mean the same body: it is
+        rendered once per on-disk version.  Compared by identity, not
+        equality — equal values can serialize differently (``1`` and
+        ``1.0``).
+        """
+        cached = self._documents.get(key)
+        if (
+            cached is not None
+            and len(cached[0]) == len(manifests)
+            and all(old is new for old, new in zip(cached[0], manifests))
+        ):
+            return cached[1], cached[2]
+        body, etag = _etagged(render())
+        self._documents[key] = (tuple(manifests), body, etag)
+        return body, etag
+
+    def _conditional(self, request: Request, document: Tuple[bytes, str]) -> Response:
+        """A JSON ``(body, etag)`` as a ``200``, or ``304`` when the ETag matches."""
+        body, etag = document
         headers = (
             ("ETag", f'"{etag}"'),
             ("Cache-Control", REVALIDATE_CACHE),

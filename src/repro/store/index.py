@@ -38,7 +38,19 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.analysis.serialize import (
     experiment_result_from_dict,
@@ -82,6 +94,55 @@ def _atomic_write(path: Path, content: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+T = TypeVar("T")
+
+
+class FileMemo(Generic[T]):
+    """Parsed files, each parsed again only when its bytes change.
+
+    :meth:`read` reads the file on every call, so a caller always sees it
+    as it is on disk — whichever process wrote it, whatever its mtime says
+    — but decoding and validation run once per distinct content.  It holds
+    one entry per file: an unreadable file leaves none behind, a file that
+    is gone drops its entry, and :meth:`remember` records what this process
+    just wrote so its next read parses nothing.  The store's manifests and
+    the point index's shards both go through one of these.
+    """
+
+    def __init__(self, parse: Callable[[bytes], T]) -> None:
+        self._parse = parse
+        self._entries: Dict[Path, Tuple[bytes, T]] = {}
+
+    def read(self, path: Path) -> T:
+        """``parse`` of the file's current bytes.
+
+        Raises :class:`OSError` when the file cannot be read, and whatever
+        ``parse`` raises for bytes it rejects.
+        """
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            self._entries.pop(path, None)
+            raise
+        entry = self._entries.get(path)
+        if entry is not None and entry[0] == raw:
+            return entry[1]
+        self._entries.pop(path, None)
+        value = self._parse(raw)
+        self._entries[path] = (raw, value)
+        return value
+
+    def remember(self, path: Path, raw: bytes, value: T) -> None:
+        """Record that ``path`` now holds ``raw``, which parses to ``value``."""
+        self._entries[path] = (raw, value)
+
+    def retain(self, paths: Iterable[Path]) -> None:
+        """Drop the entries of every file not in ``paths`` (a listing)."""
+        keep = set(paths)
+        for path in [path for path in self._entries if path not in keep]:
+            del self._entries[path]
 
 
 def _is_key(value: Any) -> bool:
@@ -197,18 +258,33 @@ def manifest_index_entries(
     return points, specs
 
 
+def _decode_shard(raw: bytes) -> Dict[str, Any]:
+    """One shard file's payload; unreadable or foreign shards are empty."""
+    try:
+        data = json.loads(raw)
+    except ValueError:
+        return {}
+    if (
+        not isinstance(data, dict)
+        or data.get("index_schema_version", INDEX_SCHEMA_VERSION)
+        != INDEX_SCHEMA_VERSION
+    ):
+        return {}
+    return data
+
+
 class PointIndex:
     """Sharded on-disk mapping from cache key (and memo key) to recorded point.
 
-    Loaded shards are memoized per instance, so a campaign intersecting
-    hundreds of points against the index touches each shard file once.
-    Writes go through the same cache, keeping reads coherent within the
-    process; on disk every shard write is atomic.
+    Shards go through a :class:`FileMemo`: every lookup re-reads its shard
+    file, so a point another process recorded is found at once, but a shard
+    is decoded only when its bytes change, and this instance's own writes
+    are remembered without a re-read.  On disk every shard write is atomic.
     """
 
     def __init__(self, directory: Path) -> None:
         self.directory = Path(directory)
-        self._shards: Dict[Path, Dict[str, Any]] = {}
+        self._shards: FileMemo[Dict[str, Any]] = FileMemo(_decode_shard)
 
     @property
     def points_dir(self) -> Path:
@@ -226,31 +302,21 @@ class PointIndex:
     # Shard I/O
     # ------------------------------------------------------------------ #
     def _shard(self, path: Path, table: str) -> Dict[str, Any]:
-        """One shard's key table (cached; unreadable or foreign shards = empty)."""
-        cached = self._shards.get(path)
-        if cached is None:
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError):
-                data = {}
-            if (
-                not isinstance(data, dict)
-                or data.get("index_schema_version", INDEX_SCHEMA_VERSION)
-                != INDEX_SCHEMA_VERSION
-            ):
-                data = {}
-            cached = data.get(table)
-            if not isinstance(cached, dict):
-                cached = {}
-            self._shards[path] = cached
-        return cached
+        """One shard's key table (missing, unreadable or foreign shards = empty).
+
+        The table is shared with the memo: callers copy before changing it.
+        """
+        try:
+            entries = self._shards.read(path).get(table)
+        except OSError:
+            return {}
+        return entries if isinstance(entries, dict) else {}
 
     def _write_shard(self, path: Path, table: str, entries: Dict[str, Any]) -> None:
         payload = {"index_schema_version": INDEX_SCHEMA_VERSION, table: entries}
-        _atomic_write(
-            path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        )
-        self._shards[path] = entries
+        raw = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        _atomic_write(path, raw)
+        self._shards.remember(path, raw, payload)
 
     def _point_shard(self, cache_key: str) -> Path:
         return self.points_dir / f"{cache_key[:2]}.json"
@@ -376,7 +442,6 @@ class PointIndex:
             for path in sorted(directory.glob("*.json")):
                 if path not in shards:
                     path.unlink()
-                    self._shards.pop(path, None)
         return len(all_points), len(all_specs)
 
     # ------------------------------------------------------------------ #

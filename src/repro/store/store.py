@@ -47,7 +47,7 @@ from repro.campaign.report import (
     subgrid_report_md,
     subgrid_report_payload,
 )
-from repro.store.index import PointIndex, StoreMemo, encode_point_result
+from repro.store.index import FileMemo, PointIndex, StoreMemo, encode_point_result
 from repro.store.manifest import (
     AmbiguousFingerprintError,
     ArtifactRef,
@@ -114,6 +114,29 @@ class GridSection:
     rendered_md: str
 
 
+def _decode_manifest(raw: bytes) -> Manifest:
+    return Manifest.from_dict(json.loads(raw))
+
+
+def _tree_bytes(directory: Union[str, Path]) -> int:
+    """Bytes of every file under ``directory`` (0 when it is not a directory)."""
+    try:
+        listing = os.scandir(directory)
+    except OSError:
+        return 0
+    total = 0
+    with listing:
+        for entry in listing:
+            if entry.is_dir(follow_symlinks=False):
+                total += _tree_bytes(entry.path)
+            elif entry.is_file():
+                try:
+                    total += entry.stat().st_size
+                except FileNotFoundError:
+                    continue  # a temp file renamed away mid-walk
+    return total
+
+
 def _atomic_write(path: Path, content: bytes) -> None:
     """Write ``content`` to ``path`` via a temp file and atomic rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -131,11 +154,18 @@ def _atomic_write(path: Path, content: bytes) -> None:
 
 
 class ResultsStore:
-    """A directory of manifests and content-addressed rendered artifacts."""
+    """A directory of manifests and content-addressed rendered artifacts.
+
+    Manifest reads go through a :class:`~repro.store.index.FileMemo`: each
+    read sees the file as it is on disk, but a manifest is parsed and
+    validated once per distinct content, and an unchanged one comes back as
+    the same :class:`Manifest` object.
+    """
 
     def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
         self._point_index: Optional[PointIndex] = None
+        self._manifest_files: FileMemo[Manifest] = FileMemo(_decode_manifest)
 
     @property
     def manifest_dir(self) -> Path:
@@ -248,21 +278,20 @@ class ResultsStore:
         Unreadable or schema-invalid manifests are misses, not errors: the
         caller's fallback is a live render, which will re-record a good one.
         """
-        path = self.manifest_path(fingerprint)
         try:
-            data = json.loads(path.read_text())
-            return Manifest.from_dict(data)
+            return self._manifest_files.read(self.manifest_path(fingerprint))
         except (OSError, ValueError):
             return None
 
     def manifests(self) -> List[Manifest]:
         """Every readable manifest, newest ``created_at`` first."""
+        paths = sorted(self.manifest_dir.glob("*.json")) if self.manifest_dir.is_dir() else []
+        self._manifest_files.retain(paths)
         loaded = []
-        if self.manifest_dir.is_dir():
-            for path in sorted(self.manifest_dir.glob("*.json")):
-                manifest = self.get_manifest(path.stem)
-                if manifest is not None:
-                    loaded.append(manifest)
+        for path in paths:
+            manifest = self.get_manifest(path.stem)
+            if manifest is not None:
+                loaded.append(manifest)
         loaded.sort(key=lambda m: (m.provenance.created_at, m.fingerprint), reverse=True)
         return loaded
 
@@ -589,7 +618,7 @@ class ResultsStore:
         if self.manifest_dir.is_dir():
             for path in sorted(self.manifest_dir.glob("*.json")):
                 try:
-                    manifest = Manifest.from_dict(json.loads(path.read_text()))
+                    manifest = self._manifest_files.read(path)
                 except (OSError, ValueError) as exc:
                     problems.append(f"manifest {path.name}: unreadable ({exc})")
                     continue
@@ -708,13 +737,10 @@ class ResultsStore:
 
     def size_bytes(self) -> int:
         """Total bytes the store occupies on disk (manifests, blobs, index)."""
-        total = 0
-        for root in (self.manifest_dir, self.artifact_dir, self.index_dir):
-            if root.is_dir():
-                total += sum(
-                    path.stat().st_size for path in root.rglob("*") if path.is_file()
-                )
-        return total
+        return sum(
+            _tree_bytes(root)
+            for root in (self.manifest_dir, self.artifact_dir, self.index_dir)
+        )
 
 
 def _stats_payload(stats: Any) -> Dict[str, Any]:

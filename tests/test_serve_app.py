@@ -6,12 +6,17 @@ live :class:`~repro.serve.client.BackgroundResultsServer` through the typed
 client.  The acceptance test asserts the core promise end to end: a ``GET``
 of a recorded report returns bytes identical to ``campaign report
 --store-dir`` while every scenario-resolution path is booby-trapped.
+Tests that change a store under a running server record their own store
+from the shared result cache, so the module's store never changes.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import shutil
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stdout
 
@@ -19,12 +24,14 @@ import pytest
 
 import repro.campaign.spec as campaign_spec
 import repro.runner.sweep as sweep_mod
+import repro.serve.app as app_module
 from repro.cli import main
 from repro.serve import BackgroundResultsServer, ResultsClient, ServiceError
-from repro.store import ResultsStore
+from repro.store import Manifest, ResultsStore
 
 RUN_ARGS = ["--duration-ms", "0.25", "--traffic-scale", "0.1"]
 CAMPAIGN_ARGS = ["campaign", "report", "paper_figures", "--subgrid", "fig5", *RUN_ARGS]
+GRID_ARGS = ["grid", "case_b", *RUN_ARGS]
 
 
 def _invoke(argv):
@@ -43,10 +50,7 @@ def recorded(tmp_path_factory):
         [*CAMPAIGN_ARGS, "--store-dir", store_dir, "--cache-dir", cache_dir]
     )
     assert code == 0
-    code, _ = _invoke(
-        ["grid", "case_b", *RUN_ARGS, "--store-dir", store_dir,
-         "--cache-dir", cache_dir]
-    )
+    code, _ = _invoke([*GRID_ARGS, "--store-dir", store_dir, "--cache-dir", cache_dir])
     assert code == 0
     campaign_fp = next(
         m.fingerprint
@@ -54,6 +58,27 @@ def recorded(tmp_path_factory):
         if m.provenance.kind == "campaign"
     )
     return store_dir, cache_dir, live, campaign_fp
+
+
+@pytest.fixture(scope="module")
+def campaign_only(recorded, tmp_path_factory):
+    """A store holding only the campaign run (every point a cache hit)."""
+    store_dir = str(tmp_path_factory.mktemp("campaign_only") / "store")
+    code, _ = _invoke([*CAMPAIGN_ARGS, "--store-dir", store_dir, "--cache-dir", recorded[1]])
+    assert code == 0
+    return store_dir
+
+
+def _record_grid(store_dir, recorded):
+    """Record the module's grid run into ``store_dir`` the way another
+    process would (its own ``ResultsStore``); returns its manifest."""
+    before = {m.fingerprint for m in ResultsStore(store_dir).manifests()}
+    code, _ = _invoke([*GRID_ARGS, "--store-dir", str(store_dir), "--cache-dir", recorded[1]])
+    assert code == 0
+    (manifest,) = [
+        m for m in ResultsStore(store_dir).manifests() if m.fingerprint not in before
+    ]
+    return manifest
 
 
 @pytest.fixture(scope="module")
@@ -220,11 +245,148 @@ class TestPoints:
         again = client.get(f"/points/{cache_key}", etag=first.etag)
         assert again.not_modified and again.body == b""
 
+    def test_point_recorded_by_another_writer_is_found_in_a_loaded_shard(
+        self, recorded, campaign_only, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        shutil.copytree(campaign_only, store_dir)
+        with BackgroundResultsServer(store_dir) as isolated:
+            # Look up one key in every shard, so each one is loaded.
+            for prefix in range(256):
+                assert isolated.app.store.point_index.get(f"{prefix:02x}" + "0" * 62) is None
+            grid = _record_grid(store_dir, recorded)
+            with ResultsClient(isolated.host, isolated.port) as fresh:
+                for point in grid.subgrids[0].points:
+                    reply = fresh.get(f"/points/{point.cache_key}")
+                    assert reply.status == 200
+                    assert reply.json()["fingerprint"] == grid.fingerprint
+
     def test_unknown_point_is_404_with_a_rebuild_hint(self, client):
         reply = client.get("/points/" + "0" * 64)
         assert reply.status == 404
         assert "repro store index" in reply.json()["hint"]
         assert client.get("/points/not-a-key").status == 404
+
+
+class TestStoreChangesUnderARunningServer:
+    """Every request sees the store as it is on disk, whoever changed it."""
+
+    @pytest.fixture()
+    def live(self, campaign_only, tmp_path):
+        """(store, its one fingerprint, client) on a private copy of the store."""
+        store_dir = tmp_path / "store"
+        shutil.copytree(campaign_only, store_dir)
+        store = ResultsStore(store_dir)
+        (fingerprint,) = [m.fingerprint for m in store.manifests()]
+        with BackgroundResultsServer(store_dir) as isolated:
+            with ResultsClient(isolated.host, isolated.port) as connected:
+                # Warm every route that reads a manifest.
+                assert connected.healthz()["manifests"] == 1
+                assert connected.get("/manifests").status == 200
+                assert connected.get(f"/manifests/{fingerprint}").status == 200
+                assert connected.report(fingerprint, "report_md").status == 200
+                yield store, fingerprint, connected
+
+    def test_manifest_recorded_after_start_is_served(self, recorded, live):
+        store, _, client = live
+        grid = _record_grid(store.directory, recorded)
+        assert client.healthz()["manifests"] == 2
+        assert grid.fingerprint in [m["fingerprint"] for m in client.manifests()]
+        reply = client.report(grid.fingerprint, "report_md")
+        assert reply.status == 200
+        assert reply.body == store.read_artifact_bytes(grid.artifacts["report_md"])
+
+    def test_same_size_rewrite_with_mtime_put_back_serves_the_new_body(self, live):
+        store, fingerprint, client = live
+        first = client.get(f"/manifests/{fingerprint}")
+        path = store.manifest_path(fingerprint)
+        before = path.stat()
+        old = first.json()["provenance"]["created_at"]
+        new = "".join(str((int(ch) + 1) % 10) if ch.isdigit() else ch for ch in old)
+        text = path.read_text()
+        path.write_text(text.replace(f'"created_at": "{old}"', f'"created_at": "{new}"'))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        again = client.get(f"/manifests/{fingerprint}", etag=first.etag)
+        assert again.status == 200
+        assert again.json()["provenance"]["created_at"] == new
+        assert again.etag != first.etag
+        assert client.manifests()[0]["created_at"] == new
+
+    def test_deleted_manifest_is_404_and_leaves_the_count(self, live):
+        store, fingerprint, client = live
+        store.manifest_path(fingerprint).unlink()
+        assert client.healthz()["manifests"] == 0
+        assert client.get("/manifests").json()["count"] == 0
+        assert client.get(f"/manifests/{fingerprint}").status == 404
+        assert client.get(f"/reports/{fingerprint}/report_md").status == 404
+
+    def test_corrupted_manifest_leaves_the_count_and_is_404(self, live):
+        store, fingerprint, client = live
+        store.manifest_path(fingerprint).write_text('{"fingerprint": ')
+        assert client.healthz()["manifests"] == 0
+        assert client.get("/manifests").json()["count"] == 0
+        reply = client.get(f"/manifests/{fingerprint}")
+        assert reply.status == 404
+        assert "unreadable" in reply.json()["error"]
+        assert client.get(f"/reports/{fingerprint}/report_md").status == 404
+
+
+def _serve_reads_cycle(store):
+    """The ``serve_reads`` benchmark's request mix: (path, etag, status),
+    11 requests per manifest."""
+    cycle = []
+    for manifest in sorted(store.manifests(), key=lambda m: m.fingerprint):
+        fingerprint = manifest.fingerprint
+        digest = manifest.artifacts["report_md"].digest
+        report = f"/reports/{fingerprint}/report_md"
+        cycle += [
+            ("/healthz", None, 200),
+            ("/healthz", None, 200),
+            ("/manifests", None, 200),
+            (f"/manifests/{fingerprint}", None, 200),
+            (f"/artifacts/{digest}", None, 200),
+            (report, None, 200),
+            (report, digest, 304),
+            ("/healthz", None, 200),
+            ("/metrics", None, 200),
+            (report, None, 200),
+            (report, digest, 304),
+        ]
+    return cycle
+
+
+class TestWarmReads:
+    def test_a_warm_pass_parses_and_renders_no_manifest(self, recorded, monkeypatch):
+        store_dir = recorded[0]
+        cycle = _serve_reads_cycle(ResultsStore(store_dir))
+        assert len(cycle) == 22
+        calls = Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Manifest, "from_dict", classmethod(counting("parse", Manifest.from_dict.__func__))
+        )
+        monkeypatch.setattr(Manifest, "to_dict", counting("manifest body", Manifest.to_dict))
+        monkeypatch.setattr(
+            app_module, "manifest_summary", counting("index body", app_module.manifest_summary)
+        )
+        with BackgroundResultsServer(store_dir) as isolated:
+            with ResultsClient(isolated.host, isolated.port) as fresh:
+                for warm in (True, False):
+                    calls.clear()
+                    for path, etag, status in cycle:
+                        assert fresh.get(path, etag=etag).status == status
+                    if warm:
+                        assert calls["parse"] == 2 and calls["manifest body"] == 2
+        assert calls == {}
 
 
 class TestIntegrity:

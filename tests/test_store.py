@@ -175,6 +175,28 @@ class TestVerifyAndGc:
         assert removed > 0
 
 
+class TestSize:
+    def test_size_bytes_is_every_file_under_manifests_artifacts_and_index(self, recorded):
+        store, _, _, _, _ = recorded
+        stray = store.manifest_dir / "interrupted.tmp"
+        empty = store.index_dir / "empty"
+        stray.write_bytes(b"half a manifest")
+        empty.mkdir()
+        try:
+            expected = sum(
+                path.stat().st_size
+                for root in (store.manifest_dir, store.artifact_dir, store.index_dir)
+                for path in root.rglob("*")
+                if path.is_file()
+            )
+            assert store.size_bytes() == expected
+        finally:
+            stray.unlink()
+            empty.rmdir()
+        assert store.size_bytes() == expected - len(b"half a manifest")
+        assert ResultsStore(store.directory / "missing").size_bytes() == 0
+
+
 class TestNarrative:
     def test_narrative_quotes_claims_checks_and_measured_numbers(self, recorded):
         _, _, _, outcome, manifest = recorded
