@@ -348,11 +348,11 @@ class CampaignScheduler:
         artifacts, cache keys, check outcomes and provenance (stamped
         ``recorded_at``, a caller-supplied timestamp) are recorded under
         :meth:`fingerprint` the moment the results exist — the single write
-        that makes every later report against this run a pure read.  While
-        the sweep is in flight the store also carries a *partial journal*
-        for this fingerprint (progress counters, the cache directory), so
-        ``repro campaign run --resume`` can tell a crashed campaign from
-        one that never started; a successful recording deletes it.
+        that makes every later report against this run a pure read.  Nothing
+        is written to the store while the sweep is in flight: a crashed run
+        resumes from the result cache, which holds every point that landed
+        (``repro campaign run --resume`` counts what is left with
+        :meth:`dry_run`).
 
         Under a quarantining ``failure_policy`` a point that exhausts its
         retries lands in ``CampaignResult.quarantined`` instead of aborting
@@ -394,7 +394,6 @@ class CampaignScheduler:
                 obs.instant(
                     "campaign.point", index=index, subgrid=run.subgrid, label=run.label
                 )
-        landed_count = [0]
 
         def observer(
             index: int,
@@ -415,17 +414,6 @@ class CampaignScheduler:
                 stats.executed += 1
             if timings is not None:
                 stats.add_timings(timings)
-            landed_count[0] += 1
-            if store is not None:
-                store.record_partial(
-                    fingerprint,
-                    campaign=self.campaign.name,
-                    total=len(plan),
-                    recorded=landed_count[0],
-                    cache_dir=cache_dir
-                    if cache_dir is not None
-                    else (str(cache.directory) if cache is not None else None),
-                )
 
         logger.info(
             "running campaign '%s': %d point(s), jobs=%d",
@@ -546,7 +534,6 @@ class CampaignScheduler:
                 provenance=self.provenance(subgrids, recorded_at=recorded_at),
                 extra_stats=extra_stats,
             )
-            store.clear_partial(fingerprint)
             logger.info("campaign recorded under fingerprint %s", fingerprint)
         return outcome
 

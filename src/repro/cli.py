@@ -808,21 +808,20 @@ def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
                 file=sys.stderr,
             )
             return 2
-        fingerprint = scheduler.fingerprint(args.subgrids)
-        partial = store.partial(fingerprint) if store is not None else None
-        if partial is not None:
-            print(
-                f"resuming: {partial.get('recorded', 0)}/"
-                f"{partial.get('total', '?')} point(s) already recorded"
-            )
-        elif store is not None and store.get_manifest(fingerprint) is not None:
-            print("run already recorded; nothing to resume (cache serves every point)")
-        else:
-            print(
-                "warning: no partial journal for this run; resuming from "
-                "whatever the cache holds",
-                file=sys.stderr,
-            )
+        # The cache (and, with --store-dir, the point index) is the one
+        # record of a crashed run, so what is left is what a dry run of the
+        # same plan would simulate.
+        plan = scheduler.dry_run(
+            args.subgrids,
+            cache=ResultCache(args.cache_dir),
+            store=store if args.reuse else None,
+        )
+        left = sum(counts["to_simulate"] for counts in plan.values())
+        total = sum(counts["points"] for counts in plan.values())
+        print(
+            f"resuming: {left} of {total} planned point(s) left to simulate"
+            + ("; nothing to resume" if left == 0 else "")
+        )
     failure_policy = None
     if args.timeout_s is not None or args.max_attempts is not None:
         attempts = args.max_attempts if args.max_attempts is not None else 1

@@ -98,17 +98,6 @@ class LatencyMeter(PerformanceMeter):
     def _record(self, size_bytes: int, latency_ps: int, now_ps: int) -> None:
         self._latencies.add(now_ps, latency_ps)
 
-    def record_completion(self, size_bytes: int, latency_ps: int, now_ps: int) -> None:
-        # Hot-path override: same checks and bookkeeping as the base class,
-        # without the abstract-method dispatch.
-        if size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        if latency_ps < 0:
-            raise ValueError("latency_ps must be non-negative")
-        self.completed_bytes += size_bytes
-        self.completed_transactions += 1
-        self._latencies.add(now_ps, latency_ps)
-
     def raw_npi(self, now_ps: int) -> float:
         average = self._latencies.window_mean(now_ps)
         if average <= 0:
@@ -140,16 +129,6 @@ class BandwidthMeter(PerformanceMeter):
         self._bytes = WindowedRate(window_ps)
 
     def _record(self, size_bytes: int, latency_ps: int, now_ps: int) -> None:
-        self._bytes.add(now_ps, size_bytes)
-
-    def record_completion(self, size_bytes: int, latency_ps: int, now_ps: int) -> None:
-        # Hot-path override: see LatencyMeter.record_completion.
-        if size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        if latency_ps < 0:
-            raise ValueError("latency_ps must be non-negative")
-        self.completed_bytes += size_bytes
-        self.completed_transactions += 1
         self._bytes.add(now_ps, size_bytes)
 
     def achieved_bytes_per_s(self, now_ps: int) -> float:
@@ -217,17 +196,6 @@ class FrameProgressMeter(PerformanceMeter):
         self._frame_end_ps = self.start_offset_ps + (frame + 1) * self.frame_period_ps
 
     def _record(self, size_bytes: int, latency_ps: int, now_ps: int) -> None:
-        self._roll_frame(now_ps)
-        self._frame_bytes += size_bytes
-
-    def record_completion(self, size_bytes: int, latency_ps: int, now_ps: int) -> None:
-        # Hot-path override: see LatencyMeter.record_completion.
-        if size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        if latency_ps < 0:
-            raise ValueError("latency_ps must be non-negative")
-        self.completed_bytes += size_bytes
-        self.completed_transactions += 1
         self._roll_frame(now_ps)
         self._frame_bytes += size_bytes
 
@@ -304,18 +272,6 @@ class BufferOccupancyMeter(PerformanceMeter):
         self._last_update_ps = now_ps
 
     def _record(self, size_bytes: int, latency_ps: int, now_ps: int) -> None:
-        self._drain(now_ps)
-        self._refills.add(now_ps, size_bytes)
-        self._occupancy = min(self.buffer_bytes, self._occupancy + size_bytes)
-
-    def record_completion(self, size_bytes: int, latency_ps: int, now_ps: int) -> None:
-        # Hot-path override: see LatencyMeter.record_completion.
-        if size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        if latency_ps < 0:
-            raise ValueError("latency_ps must be non-negative")
-        self.completed_bytes += size_bytes
-        self.completed_transactions += 1
         self._drain(now_ps)
         self._refills.add(now_ps, size_bytes)
         self._occupancy = min(self.buffer_bytes, self._occupancy + size_bytes)

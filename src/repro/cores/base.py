@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.core.npi import PerformanceMeter
-from repro.memctrl.transaction import BatchTransaction, QueueClass, Transaction
+from repro.memctrl.transaction import QueueClass, Transaction
 from repro.sim.engine import Engine
 from repro.traffic.addresses import AddressStream
 from repro.traffic.generator import TrafficGenerator
@@ -137,7 +137,7 @@ class Dma:
         max_outstanding = self.max_outstanding
         issued = 0
         while backlog >= size and outstanding < max_outstanding:
-            transaction = BatchTransaction(
+            transaction = Transaction(
                 core,
                 name,
                 queue_class,

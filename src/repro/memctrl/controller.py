@@ -290,9 +290,8 @@ class BatchedMemoryController(MemoryController):
     def enqueue(self, transaction: Transaction) -> None:
         """Accept a transaction from the NoC into its class queue."""
         now = self.engine._now_ps
-        # Inlined TransactionQueue.push stamping (see queue.py): the sort key
-        # is refreshed explicitly because BatchTransaction has no __setattr__
-        # coherency hook.
+        # Inlined TransactionQueue.push stamping (see queue.py): whoever sets
+        # enqueued_ps sets the age key too.
         transaction.enqueued_ps = now
         transaction.sort_key = (now, transaction.uid)
         decoded = self._mapper.decode(transaction.address)

@@ -32,10 +32,7 @@ class TransactionQueue:
         self.total_enqueued = 0
 
     def push(self, transaction: Transaction, now_ps: int) -> None:
-        # The sort key is refreshed explicitly so the push works for both
-        # transaction types: BatchTransaction, which every DMA issues, has
-        # no __setattr__ coherency hook (a hand-built Transaction's hook
-        # makes the second assignment a harmless no-op).
+        # Whoever sets enqueued_ps sets the age key too (see Transaction).
         transaction.enqueued_ps = now_ps
         transaction.sort_key = (now_ps, transaction.uid)
         pending = self._pending

@@ -26,7 +26,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.analysis.serialize import (
     experiment_result_from_dict,
@@ -43,9 +43,32 @@ PathLike = Union[str, Path]
 CACHE_SCHEMA_VERSION = 2
 
 
-def _canonical_json(payload: Dict[str, object]) -> str:
-    """Deterministic JSON used for hashing (sorted keys, no whitespace)."""
+def canonical_json(payload: Any) -> str:
+    """Deterministic JSON for hashing and content addressing (sorted keys,
+    no spaces): cache keys here, and the results store's fingerprints and
+    point-result blobs."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def atomic_write(path: Path, content: bytes) -> None:
+    """Write ``content`` to ``path`` via a temp file and atomic rename.
+
+    A concurrent reader, or an interrupted run, never sees a half-written
+    file.  Cache entries and every file of the results store are written
+    this way.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(content)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def cache_key(fingerprint: Dict[str, object]) -> str:
@@ -56,7 +79,7 @@ def cache_key(fingerprint: Dict[str, object]) -> str:
     """
     payload = dict(fingerprint)
     payload["cache_schema_version"] = CACHE_SCHEMA_VERSION
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -116,29 +139,19 @@ class ResultCache:
     def put(self, key: str, result: ExperimentResult, include_trace: bool = True) -> Path:
         """Store a result under ``key`` and return the written path.
 
-        The entry is written to a temporary file and renamed into place so
-        that concurrent workers (or an interrupted run) never leave a
-        half-written JSON file behind.
+        The entry is written with :func:`atomic_write`, so concurrent
+        workers (or an interrupted run) never leave a half-written JSON file
+        behind.
         """
         path = self.path_for(key)
         began = time.perf_counter()
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "key": key,
             "cache_schema_version": CACHE_SCHEMA_VERSION,
             "result": experiment_result_to_dict(result, include_trace=include_trace),
         }
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(payload, sort_keys=True))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            atomic_write(path, json.dumps(payload, sort_keys=True).encode("utf-8"))
         finally:
             self.write_s += time.perf_counter() - began
         self.stores += 1

@@ -40,6 +40,7 @@ from repro.store.manifest import (
     StoreError,
     SubGridEntry,
     content_digest,
+    is_content_digest,
     run_fingerprint,
     spec_hash,
 )
@@ -49,7 +50,6 @@ from repro.store.store import (
     ResultsStore,
     content_type_for,
     describe_manifest,
-    is_content_digest,
     manifest_summary,
 )
 

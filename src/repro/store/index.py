@@ -34,8 +34,6 @@ re-simulates and the re-recording heals the entry.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -45,7 +43,6 @@ from typing import (
     Generic,
     Iterable,
     Iterator,
-    List,
     Mapping,
     Optional,
     Tuple,
@@ -56,7 +53,14 @@ from repro.analysis.serialize import (
     experiment_result_from_dict,
     experiment_result_to_dict,
 )
-from repro.store.manifest import ArtifactRef, Manifest, StoreError, canonical_json
+from repro.runner.cache import atomic_write
+from repro.store.manifest import (
+    ArtifactRef,
+    Manifest,
+    StoreError,
+    canonical_json,
+    is_content_digest,
+)
 from repro.system.experiment import ExperimentResult
 
 #: Version of the index shard schema.  Shards declaring another version are
@@ -78,22 +82,6 @@ def encode_point_result(result: ExperimentResult, include_trace: bool = True) ->
 def decode_point_result(raw: bytes) -> ExperimentResult:
     """Invert :func:`encode_point_result` (raises on malformed payloads)."""
     return experiment_result_from_dict(json.loads(raw.decode("utf-8")))
-
-
-def _atomic_write(path: Path, content: bytes) -> None:
-    """Temp-file-plus-rename write (the store's crash-safety idiom)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(content)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 T = TypeVar("T")
@@ -145,16 +133,6 @@ class FileMemo(Generic[T]):
             del self._entries[path]
 
 
-def _is_key(value: Any) -> bool:
-    if not isinstance(value, str) or len(value) != 64:
-        return False
-    try:
-        int(value, 16)
-        return True
-    except ValueError:
-        return False
-
-
 @dataclass(frozen=True)
 class PointEntry:
     """One indexed point: everything a reuse decision or a lookup needs.
@@ -177,11 +155,11 @@ class PointEntry:
     result: Optional[ArtifactRef] = None
 
     def __post_init__(self) -> None:
-        if not _is_key(self.cache_key):
+        if not is_content_digest(self.cache_key):
             raise StoreError(
                 f"index entry: expected a 64-hex-digit cache key, got {self.cache_key!r}"
             )
-        if not _is_key(self.fingerprint):
+        if not is_content_digest(self.fingerprint):
             raise StoreError(
                 f"index entry {self.cache_key[:12]}…: expected a manifest "
                 f"fingerprint, got {self.fingerprint!r}"
@@ -315,7 +293,7 @@ class PointIndex:
     def _write_shard(self, path: Path, table: str, entries: Dict[str, Any]) -> None:
         payload = {"index_schema_version": INDEX_SCHEMA_VERSION, table: entries}
         raw = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        _atomic_write(path, raw)
+        atomic_write(path, raw)
         self._shards.remember(path, raw, payload)
 
     def _point_shard(self, cache_key: str) -> Path:
@@ -329,7 +307,7 @@ class PointIndex:
     # ------------------------------------------------------------------ #
     def get(self, cache_key: str) -> Optional[PointEntry]:
         """The recorded point behind a cache key, or ``None`` (a miss)."""
-        if not _is_key(cache_key):
+        if not is_content_digest(cache_key):
             return None
         raw = self._shard(self._point_shard(cache_key), "points").get(cache_key)
         if not isinstance(raw, dict):
@@ -341,10 +319,10 @@ class PointIndex:
 
     def cache_key_for(self, memo_key: str) -> Optional[str]:
         """The cache key a (resolution-free) memo key resolved to, if known."""
-        if not _is_key(memo_key):
+        if not is_content_digest(memo_key):
             return None
         target = self._shard(self._spec_shard(memo_key), "specs").get(memo_key)
-        return target if _is_key(target) else None
+        return target if is_content_digest(target) else None
 
     def find(self, memo_key: str) -> Optional[PointEntry]:
         """Memo key straight to its recorded point (two shard lookups)."""

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.runner.cache import CACHE_SCHEMA_VERSION
+from repro.runner.cache import CACHE_SCHEMA_VERSION, canonical_json
 from repro.scenario import ScenarioError
 from repro.scenario.spec import (
     _plain as _scenario_plain,
@@ -103,14 +104,21 @@ def _require_str(value: Any, path: str, allow_empty: bool = True) -> str:
     return value
 
 
-def canonical_json(payload: Any) -> str:
-    """Deterministic JSON used for content hashes (sorted keys, no spaces)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+_CONTENT_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def content_digest(content: bytes) -> str:
     """The store's content address: SHA-256 hex of the raw bytes."""
     return hashlib.sha256(content).hexdigest()
+
+
+def is_content_digest(value: Any) -> bool:
+    """True when ``value`` is exactly 64 lowercase hex digits.
+
+    That is the form :func:`content_digest` and every cache key and run
+    fingerprint take.
+    """
+    return isinstance(value, str) and _CONTENT_DIGEST.fullmatch(value) is not None
 
 
 def spec_hash(spec: Mapping[str, Any]) -> str:

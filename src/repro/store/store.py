@@ -22,8 +22,9 @@ put_manifest` / :meth:`~ResultsStore.delete_manifest`, rebuilt on demand by
 what lets a later overlapping campaign reuse recorded points in O(1)
 instead of scanning every manifest.
 
-Writes follow the result cache's crash-safety idiom: temporary file plus
-atomic rename, so a concurrent reader (or an interrupted run) never sees a
+Writes go through the result cache's
+:func:`~repro.runner.cache.atomic_write` (temporary file plus atomic
+rename), so a concurrent reader (or an interrupted run) never sees a
 half-written manifest or blob.
 """
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -47,6 +47,7 @@ from repro.campaign.report import (
     subgrid_report_md,
     subgrid_report_payload,
 )
+from repro.runner.cache import atomic_write
 from repro.store.index import FileMemo, PointIndex, StoreMemo, encode_point_result
 from repro.store.manifest import (
     AmbiguousFingerprintError,
@@ -58,6 +59,7 @@ from repro.store.manifest import (
     StoreError,
     SubGridEntry,
     content_digest,
+    is_content_digest,
 )
 from repro.store.narrative import narrative_md
 
@@ -83,17 +85,6 @@ CONTENT_TYPES = {
 def content_type_for(ext: str) -> str:
     """The ``Content-Type`` to serve an artifact extension under."""
     return CONTENT_TYPES.get(ext.lower(), "application/octet-stream")
-
-
-def is_content_digest(value: str) -> bool:
-    """True when ``value`` is a full 64-hex-digit SHA-256 content address."""
-    if len(value) != 64:
-        return False
-    try:
-        int(value, 16)
-        return True
-    except ValueError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -135,22 +126,6 @@ def _tree_bytes(directory: Union[str, Path]) -> int:
                 except FileNotFoundError:
                     continue  # a temp file renamed away mid-walk
     return total
-
-
-def _atomic_write(path: Path, content: bytes) -> None:
-    """Write ``content`` to ``path`` via a temp file and atomic rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(content)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class ResultsStore:
@@ -213,7 +188,7 @@ class ResultsStore:
         path = self.artifact_path(ref)
         if not path.is_file():
             with obs.span("store.put_artifact", ext=ext, size=len(raw)):
-                _atomic_write(path, raw)
+                atomic_write(path, raw)
         return ref
 
     def read_artifact_bytes(self, ref: ArtifactRef) -> bytes:
@@ -266,7 +241,7 @@ class ResultsStore:
     def put_manifest(self, manifest: Manifest) -> Path:
         path = self.manifest_path(manifest.fingerprint)
         with obs.span("store.put_manifest", fingerprint=manifest.fingerprint[:12]):
-            _atomic_write(path, (manifest.to_json() + "\n").encode("utf-8"))
+            atomic_write(path, (manifest.to_json() + "\n").encode("utf-8"))
             # Keep the point index current on every recording — this is the
             # single choke point all recording paths go through.
             self.point_index.record_manifest(manifest)
@@ -326,49 +301,6 @@ class ResultsStore:
         if manifest is not None:
             self.point_index.remove_manifest(manifest)
         return True
-
-    # ------------------------------------------------------------------ #
-    # Partial journal (crash-resumable campaigns)
-    # ------------------------------------------------------------------ #
-    @property
-    def partial_dir(self) -> Path:
-        return self.directory / "partials"
-
-    def partial_path(self, fingerprint: str) -> Path:
-        return self.partial_dir / f"{fingerprint}.json"
-
-    def record_partial(self, fingerprint: str, **payload: Any) -> Path:
-        """Journal an in-flight run's progress under its fingerprint.
-
-        The scheduler writes this from its landing observer — one small
-        atomic JSON per landed point — so a SIGKILLed campaign leaves
-        behind exactly how far it got and which cache directory holds the
-        results.  ``campaign run --resume`` reads it to report progress;
-        the actual resume substrate is the result cache itself.  A
-        successful :meth:`record_campaign` is followed by
-        :meth:`clear_partial`, so a lingering journal *means* "crashed
-        mid-run".
-        """
-        obs.instant("store.record_partial", fingerprint=fingerprint[:12])
-        path = self.partial_path(fingerprint)
-        data = {"fingerprint": fingerprint, **payload}
-        _atomic_write(path, (json.dumps(data, indent=2) + "\n").encode("utf-8"))
-        return path
-
-    def partial(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        """The crashed-run journal for a fingerprint, or ``None``."""
-        try:
-            data = json.loads(self.partial_path(fingerprint).read_text())
-        except (OSError, ValueError):
-            return None
-        return data if isinstance(data, dict) else None
-
-    def clear_partial(self, fingerprint: str) -> bool:
-        try:
-            self.partial_path(fingerprint).unlink()
-            return True
-        except OSError:
-            return False
 
     # ------------------------------------------------------------------ #
     # Recording

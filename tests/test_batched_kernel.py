@@ -7,9 +7,9 @@ pins the edge cases the batched structures introduce:
   buckets, single-entry buckets, tombstone compaction interleaved with
   bucketed batches, and horizon put-back;
 * columnar-store tombstone compaction interleaved with further pushes;
-* NPI meter saturation at batch boundaries (the hot-path
-  ``record_completion`` overrides must keep the base class's validation and
-  the cap/floor clamp);
+* NPI meter saturation at batch boundaries (the one
+  ``PerformanceMeter.record_completion`` path must validate before it
+  counts, and ``npi()`` must clamp at the cap and floor);
 * ``serve_direct`` empty-idle bypass state parity (round-robin rotation,
   priority turns, aging accounting).
 """
@@ -28,7 +28,7 @@ from repro.core.npi import (
 from repro.memctrl.aging import AgingTracker
 from repro.memctrl.columnar import ColumnarStore, make_selector
 from repro.memctrl.policies import FcfsPolicy, PriorityQosPolicy, RoundRobinPolicy
-from repro.memctrl.transaction import BatchTransaction, QueueClass
+from repro.memctrl.transaction import QueueClass, Transaction
 from repro.sim.clock import MS
 from repro.sim.engine import COMPACT_MIN_TOMBSTONES, Engine
 
@@ -128,8 +128,8 @@ def _txn(
     priority: int = 0,
     created_ps: int = 0,
     behind: bool = False,
-) -> BatchTransaction:
-    return BatchTransaction(
+) -> Transaction:
+    return Transaction(
         "core0", dma, queue_class, 0x1000, 64, False, priority, behind, created_ps
     )
 
@@ -184,7 +184,7 @@ class TestColumnarCompaction:
 
 
 class TestMeterSaturation:
-    """The hot-path record_completion overrides at batch boundaries."""
+    """Every meter's completion path at batch boundaries."""
 
     def test_latency_meter_clamps_at_cap_and_floor(self):
         meter = LatencyMeter(limit_ps=1000, window_ps=MS)

@@ -1,14 +1,14 @@
 """Crash-resume parity: SIGKILL a campaign driver, ``--resume``, same bytes.
 
 The contract under test is the whole point of the fault-tolerant executor
-work: every landed point goes through the result cache and the partial
-journal *before* the campaign completes, so a driver killed with SIGKILL
-mid-run loses only in-flight work.  Re-running with ``--resume`` must
-simulate exactly the missing points and record a manifest whose rendered
-reports are byte-identical to an uninterrupted run — the only fields
-allowed to differ are the run telemetry (``stats``) and the recording
-timestamp, which is precisely what :func:`repro.store.store._stats_payload`
-documents.
+work: every landed point goes through the result cache *before* the
+campaign completes, so a driver killed with SIGKILL mid-run loses only
+in-flight work, and the cache is the one record a resume needs.  Re-running
+with ``--resume`` must announce how many planned points are left, simulate
+exactly those, and record a manifest whose rendered reports are
+byte-identical to an uninterrupted run — the only fields allowed to differ
+are the run telemetry (``stats``) and the recording timestamp, which is
+precisely what :func:`repro.store.store._stats_payload` documents.
 
 The driver is killed from outside (a real subprocess, a real ``SIGKILL``)
 — no cooperative shutdown path is exercised.
@@ -40,6 +40,7 @@ RUN_ARGS = ["--duration-ms", "0.5", "--traffic-scale", "0.1"]
 CAMPAIGN = ["campaign", "run", "paper_figures", "--subgrid", "fig5", *RUN_ARGS]
 POINTS = 4
 
+_BANNER = re.compile(r"^resuming: (?P<left>\d+) of (?P<total>\d+) planned point", re.M)
 _SUMMARY = re.compile(
     r"^campaign \S+: .*?(?P<hits>\d+) cache hit\(s\), "
     r"(?:(?P<reused>\d+) reused, )?(?P<executed>\d+) executed"
@@ -163,8 +164,11 @@ def parity(tmp_path_factory):
 
 class TestKilledAtHalf:
     def test_resume_announces_recorded_progress(self, parity):
-        # The partial journal survived the SIGKILL and drives the banner.
-        assert "resuming:" in parity["resume_out"]
+        # The banner counts what the surviving cache entries leave to do.
+        banner = _BANNER.search(parity["resume_out"])
+        assert banner is not None, parity["resume_out"]
+        assert int(banner.group("total")) == POINTS
+        assert int(banner.group("left")) == POINTS - parity["survivors"]
 
     def test_only_the_missing_points_are_simulated(self, parity):
         # The killed run never recorded a manifest, so the point index has
@@ -205,10 +209,6 @@ class TestKilledAtHalf:
         ]
         assert flat(resumed) == flat(control)
 
-    def test_partial_journal_cleared_after_successful_resume(self, parity):
-        store, manifest = _sole_manifest(parity["resumed_store"])
-        assert store.partial(manifest.fingerprint) is None
-
 
 class TestKilledAtHalfUnderPool(TestKilledAtHalf):
     """The same contract when the killed and the resumed run use the pool."""
@@ -236,6 +236,21 @@ class TestZeroWorkResume:
         # point before the cache is even probed.
         assert executed == 0
         assert hits + reused == 2
+
+    def test_resume_without_a_store_counts_from_the_cache(self, tmp_path):
+        argv = [
+            "campaign", "run", "paper_figures", "--subgrid", "fig9",
+            "--duration-ms", "0.25", "--traffic-scale", "0.1",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        code, _ = _invoke(argv)
+        assert code == 0
+        code, output = _invoke([*argv, "--resume"])
+        assert code == 0
+        banner = _BANNER.search(output)
+        assert banner is not None, output
+        assert (banner.group("left"), banner.group("total")) == ("0", "2")
+        assert _telemetry(output) == (2, 0, 0)
 
 
 @pytest.mark.chaos

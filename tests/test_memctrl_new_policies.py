@@ -54,6 +54,7 @@ def txn(
         created_ps=created_ps,
     )
     transaction.enqueued_ps = created_ps
+    transaction.sort_key = (created_ps, transaction.uid)
     return transaction
 
 

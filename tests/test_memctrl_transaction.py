@@ -6,6 +6,8 @@ import pytest
 
 from repro.memctrl.queue import TransactionQueue
 from repro.memctrl.transaction import QueueClass, Transaction
+from repro.sim.clock import MS
+from repro.system.builder import build_system
 
 
 def make_txn(**overrides) -> Transaction:
@@ -35,6 +37,7 @@ class TestTransaction:
         txn = make_txn()
         assert txn.waiting_time_ps(1000) == 0
         txn.enqueued_ps = 400
+        txn.sort_key = (400, txn.uid)
         assert txn.waiting_time_ps(1000) == 600
 
     def test_invalid_size_rejected(self):
@@ -69,6 +72,7 @@ class TestTransactionQueue:
         txn = make_txn()
         queue.push(txn, now_ps=777)
         assert txn.enqueued_ps == 777
+        assert txn.sort_key == (777, txn.uid)
 
     def test_remove_middle_entry(self):
         queue = TransactionQueue("media", visible_entries=8)
@@ -92,3 +96,15 @@ class TestTransactionQueue:
         assert queue.is_empty
         queue.push(make_txn(), now_ps=0)
         assert not queue.is_empty
+
+
+class TestSimulatorTransactions:
+    def test_every_completed_transaction_is_a_transaction(self):
+        # The unit tests above build the very class the DMAs issue, so what
+        # they pin (validation, the age key) is what the simulator runs.
+        system = build_system(scenario="case_b", traffic_scale=0.2)
+        completed = []
+        system.controller.add_completion_listener(completed.append)
+        system.run(duration_ps=MS // 4)
+        assert completed
+        assert {type(transaction) for transaction in completed} == {Transaction}

@@ -62,8 +62,10 @@ class TestArbiter:
         arbiter = NocArbiter("fcfs")
         old = make_txn("old")
         old.enqueued_ps = 0
+        old.sort_key = (0, old.uid)
         new = make_txn("new")
         new.enqueued_ps = 100
+        new.sort_key = (100, new.uid)
         assert arbiter.select([new, old], now_ps=0) is old
 
     def test_empty_candidates_rejected(self):

@@ -31,7 +31,7 @@ from repro.memctrl.aging import AgingTracker
 from repro.memctrl.columnar import ColumnarStore, make_selector
 from repro.memctrl.policies import make_policy
 from repro.memctrl.scheduler import SchedulingContext
-from repro.memctrl.transaction import BatchTransaction, QueueClass
+from repro.memctrl.transaction import QueueClass, Transaction
 
 SELECTOR_POLICIES = (
     "fcfs",
@@ -122,8 +122,8 @@ def trials(draw) -> Trial:
     )
 
 
-def _transaction(spec: Spec, enqueued_ps: int) -> BatchTransaction:
-    txn = BatchTransaction(
+def _transaction(spec: Spec, enqueued_ps: int) -> Transaction:
+    txn = Transaction(
         "core", spec.dma, spec.queue_class, 0, 64, False, spec.priority, spec.behind, 0
     )
     # Stamped the way BatchedMemoryController.enqueue stamps an arrival.
@@ -148,7 +148,7 @@ def test_selector_picks_what_its_policy_picks(policy_name, trial):
     reference = make_policy(policy_name)
     store = ColumnarStore.for_selector(selector, {}, sorted_mode=True, track_rows=True)
     bank_row: Dict[int, Tuple[int, int]] = {}
-    live: List[BatchTransaction] = []
+    live: List[Transaction] = []
 
     def push(spec: Spec, enqueued_ps: int) -> None:
         txn = _transaction(spec, enqueued_ps)

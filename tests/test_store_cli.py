@@ -153,6 +153,15 @@ class TestArtifactHelpers:
         assert not is_content_digest("a" * 63)
         assert not is_content_digest("g" * 64)  # not hex
         assert not is_content_digest("")
+        # Exactly 64 lowercase hex digits, the form hexdigest() produces:
+        # int(value, 16) would take every one of these.
+        assert not is_content_digest("A" * 64)
+        assert not is_content_digest("0x" + "a" * 62)
+        assert not is_content_digest("+" + "a" * 63)
+        assert not is_content_digest(" " + "a" * 63)
+        assert not is_content_digest("a_" * 31 + "aa")
+        assert not is_content_digest("a" * 64 + "\n")
+        assert not is_content_digest(None)
 
     def test_find_artifact_roundtrip_and_none_for_unknown(self, store_dir):
         store = ResultsStore(store_dir)
