@@ -24,114 +24,73 @@ public API is intentionally small:
 * :mod:`repro.core` — the SARA contribution itself: NPI performance meters,
   the NPI-to-priority look-up table and the adaptation framework.
 
+Every name above resolves on first use (PEP 562, :mod:`repro._lazy`), as do
+the names ``repro.analysis``, ``repro.campaign``, ``repro.dvfs``,
+``repro.runner``, ``repro.scenario`` and ``repro.sim`` re-export: ``import
+repro`` imports no subpackage, and ``from repro import run_sweep`` imports the
+runner and the simulator it drives only then.  So the results store,
+``repro serve`` and the report renderers run without the simulator and
+without numpy.
+
 See docs/running_experiments.md for a quickstart and EXPERIMENTS.md for the
 paper-versus-measured comparison.
 """
 
-from repro.campaign import (
-    Campaign,
-    CampaignError,
-    CampaignScheduler,
-    SubGrid,
-    available_campaigns,
-    campaign_from_file,
-    campaign_report_md,
-    get_campaign,
-)
-from repro.core import (
-    BandwidthMeter,
-    BufferOccupancyMeter,
-    FrameProgressMeter,
-    LatencyMeter,
-    PerformanceMeter,
-    PriorityAdapter,
-    PriorityLookupTable,
-    ProcessingTimeMeter,
-    SaraFramework,
-)
-from repro.sim.config import (
-    DramConfig,
-    DramTimingConfig,
-    MemoryControllerConfig,
-    NocConfig,
-    SimulationConfig,
-)
-from repro.runner import (
-    ResultCache,
-    RunSpec,
-    SweepStats,
-    WorkerPool,
-    run_sweep,
-)
-from repro.scenario import (
-    Scenario,
-    ScenarioError,
-    available_scenarios,
-    critical_cores_for,
-    get_scenario,
-    load_plugins,
-    register_scenario,
-    resolve_scenario,
-    scenario_config,
-    scenario_from_file,
-)
-from repro.system import (
-    ExperimentResult,
-    System,
-    build_system,
-    run_experiment,
-    table1_settings,
-    table2_core_types,
-)
-from repro.traffic.camcorder import CamcorderWorkload, DmaSpec, camcorder_workload
-from repro.version import __version__
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BandwidthMeter",
-    "BufferOccupancyMeter",
-    "CamcorderWorkload",
-    "Campaign",
-    "CampaignError",
-    "CampaignScheduler",
-    "DmaSpec",
-    "DramConfig",
-    "DramTimingConfig",
-    "ExperimentResult",
-    "FrameProgressMeter",
-    "LatencyMeter",
-    "MemoryControllerConfig",
-    "NocConfig",
-    "PerformanceMeter",
-    "PriorityAdapter",
-    "PriorityLookupTable",
-    "ProcessingTimeMeter",
-    "ResultCache",
-    "RunSpec",
-    "SaraFramework",
-    "Scenario",
-    "ScenarioError",
-    "SimulationConfig",
-    "SubGrid",
-    "SweepStats",
-    "System",
-    "WorkerPool",
-    "__version__",
-    "available_campaigns",
-    "available_scenarios",
-    "build_system",
-    "camcorder_workload",
-    "campaign_from_file",
-    "campaign_report_md",
-    "critical_cores_for",
-    "get_campaign",
-    "get_scenario",
-    "load_plugins",
-    "register_scenario",
-    "resolve_scenario",
-    "run_experiment",
-    "run_sweep",
-    "scenario_config",
-    "scenario_from_file",
-    "table1_settings",
-    "table2_core_types",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "campaign": (
+            "Campaign",
+            "CampaignError",
+            "CampaignScheduler",
+            "SubGrid",
+            "available_campaigns",
+            "campaign_from_file",
+            "campaign_report_md",
+            "get_campaign",
+        ),
+        "core": (
+            "BandwidthMeter",
+            "BufferOccupancyMeter",
+            "FrameProgressMeter",
+            "LatencyMeter",
+            "PerformanceMeter",
+            "PriorityAdapter",
+            "PriorityLookupTable",
+            "ProcessingTimeMeter",
+            "SaraFramework",
+        ),
+        "sim.config": (
+            "DramConfig",
+            "DramTimingConfig",
+            "MemoryControllerConfig",
+            "NocConfig",
+            "SimulationConfig",
+        ),
+        "runner": ("ResultCache", "RunSpec", "SweepStats", "WorkerPool", "run_sweep"),
+        "scenario": (
+            "Scenario",
+            "ScenarioError",
+            "available_scenarios",
+            "critical_cores_for",
+            "get_scenario",
+            "load_plugins",
+            "register_scenario",
+            "resolve_scenario",
+            "scenario_config",
+            "scenario_from_file",
+        ),
+        "system": (
+            "ExperimentResult",
+            "System",
+            "build_system",
+            "run_experiment",
+            "table1_settings",
+            "table2_core_types",
+        ),
+        "traffic.camcorder": ("CamcorderWorkload", "DmaSpec", "camcorder_workload"),
+        "version": ("__version__",),
+    },
+)

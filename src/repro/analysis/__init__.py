@@ -9,40 +9,29 @@
 Tables and the paper's shape checks live in :mod:`repro.campaign.report`.
 """
 
-from repro.analysis.ascii_plot import ascii_bar_chart
-from repro.analysis.metrics import (
-    bandwidth_gain,
-    bandwidth_ordering,
-    fraction_of_time_failing,
-    mean_priority,
-    priority_distribution_table,
-    qos_satisfied,
-)
-from repro.analysis.serialize import (
-    experiment_result_from_dict,
-    experiment_result_to_dict,
-    load_config,
-    load_result,
-    save_config,
-    save_result,
-    simulation_config_from_dict,
-    simulation_config_to_dict,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ascii_bar_chart",
-    "bandwidth_gain",
-    "bandwidth_ordering",
-    "experiment_result_from_dict",
-    "experiment_result_to_dict",
-    "fraction_of_time_failing",
-    "load_config",
-    "load_result",
-    "mean_priority",
-    "priority_distribution_table",
-    "qos_satisfied",
-    "save_config",
-    "save_result",
-    "simulation_config_from_dict",
-    "simulation_config_to_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ascii_plot": ("ascii_bar_chart",),
+        "metrics": (
+            "bandwidth_gain",
+            "bandwidth_ordering",
+            "fraction_of_time_failing",
+            "mean_priority",
+            "priority_distribution_table",
+            "qos_satisfied",
+        ),
+        "serialize": (
+            "experiment_result_from_dict",
+            "experiment_result_to_dict",
+            "load_config",
+            "load_result",
+            "save_config",
+            "save_result",
+            "simulation_config_from_dict",
+            "simulation_config_to_dict",
+        ),
+    },
+)

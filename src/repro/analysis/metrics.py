@@ -7,9 +7,10 @@ target, and how the policies order in delivered DRAM bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional
 
-from repro.system.experiment import ExperimentResult
+if TYPE_CHECKING:  # pragma: no cover - type-only import: the metrics run no simulator
+    from repro.system.experiment import ExperimentResult
 
 
 def qos_satisfied(

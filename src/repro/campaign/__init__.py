@@ -10,72 +10,42 @@ renders per-sub-grid tables plus a campaign summary as markdown or JSON.
 evaluation section in one command.
 """
 
-from repro.campaign.catalog import (
-    BUILTIN_CAMPAIGN_DIR,
-    available_campaigns,
-    builtin_campaign_paths,
-    describe_campaign,
-    get_campaign,
-)
-from repro.campaign.report import (
-    DEFAULT_COLUMNS,
-    KNOWN_CHECKS,
-    KNOWN_COLUMNS,
-    ClaimCheck,
-    campaign_report_md,
-    campaign_report_payload,
-    format_points_table,
-    points_csv,
-    points_payload,
-    priority_residency_csv,
-    priority_residency_md,
-    render_markdown_table,
-    run_subgrid_checks,
-    summarize_checks,
-)
-from repro.campaign.scheduler import (
-    CampaignResult,
-    CampaignScheduler,
-    QuarantinedRun,
-    ScheduledRun,
-)
-from repro.campaign.spec import (
-    CAMPAIGN_SCHEMA_VERSION,
-    Campaign,
-    CampaignError,
-    CheckSpec,
-    SubGrid,
-    campaign_from_file,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BUILTIN_CAMPAIGN_DIR",
-    "CAMPAIGN_SCHEMA_VERSION",
-    "Campaign",
-    "CampaignError",
-    "CampaignResult",
-    "CampaignScheduler",
-    "CheckSpec",
-    "ClaimCheck",
-    "DEFAULT_COLUMNS",
-    "KNOWN_CHECKS",
-    "KNOWN_COLUMNS",
-    "QuarantinedRun",
-    "ScheduledRun",
-    "SubGrid",
-    "available_campaigns",
-    "builtin_campaign_paths",
-    "campaign_from_file",
-    "campaign_report_md",
-    "campaign_report_payload",
-    "describe_campaign",
-    "format_points_table",
-    "get_campaign",
-    "points_csv",
-    "points_payload",
-    "priority_residency_csv",
-    "priority_residency_md",
-    "render_markdown_table",
-    "run_subgrid_checks",
-    "summarize_checks",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "catalog": (
+            "BUILTIN_CAMPAIGN_DIR",
+            "available_campaigns",
+            "builtin_campaign_paths",
+            "describe_campaign",
+            "get_campaign",
+        ),
+        "report": (
+            "DEFAULT_COLUMNS",
+            "KNOWN_CHECKS",
+            "KNOWN_COLUMNS",
+            "ClaimCheck",
+            "campaign_report_md",
+            "campaign_report_payload",
+            "format_points_table",
+            "points_csv",
+            "points_payload",
+            "priority_residency_csv",
+            "priority_residency_md",
+            "render_markdown_table",
+            "run_subgrid_checks",
+            "summarize_checks",
+        ),
+        "scheduler": ("CampaignResult", "CampaignScheduler", "QuarantinedRun", "ScheduledRun"),
+        "spec": (
+            "CAMPAIGN_SCHEMA_VERSION",
+            "Campaign",
+            "CampaignError",
+            "CheckSpec",
+            "SubGrid",
+            "campaign_from_file",
+        ),
+    },
+)

@@ -39,18 +39,18 @@ from repro.analysis.metrics import (
     priority_distribution_table,
     qos_satisfied,
 )
-from repro.system.experiment import ExperimentResult
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports us)
+if TYPE_CHECKING:  # pragma: no cover - type-only imports: rendering runs no simulator
     from repro.campaign.scheduler import CampaignResult
     from repro.campaign.spec import SubGrid
+    from repro.system.experiment import ExperimentResult
 
 #: NPI below this is a missed performance target (the paper's pass line).
 NPI_TARGET = 1.0
 
 #: A grid point ready for reporting/checking: the dotted-path settings that
 #: produced it, its display label, and the measured result.
-Point = Tuple[Mapping[str, Any], str, ExperimentResult]
+Point = Tuple[Mapping[str, Any], str, "ExperimentResult"]
 
 
 # --------------------------------------------------------------------------- #

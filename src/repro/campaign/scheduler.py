@@ -175,30 +175,13 @@ class CampaignScheduler:
         # count every point once.
         return [self.campaign.subgrid(name) for name in dict.fromkeys(subgrids)]
 
-    def _selection(self, subgrids: Optional[Sequence[str]]) -> Optional[Tuple[str, ...]]:
-        """The deduplicated sub-grid selection as recorded in provenance."""
-        if subgrids is None:
-            return None
-        return tuple(dict.fromkeys(subgrids))
-
     def fingerprint(self, subgrids: Optional[Sequence[str]] = None) -> str:
-        """The results-store lookup key for this scheduler's effective run.
-
-        Computed entirely from the campaign's dictionary form plus the
-        scheduler's overrides — no scenario is resolved, no ``RunSpec`` is
-        built — which is exactly what lets a warm ``campaign report`` find
-        its manifest as a pure read.  Execution knobs that cannot change
-        results (``jobs``, cache and store directories, output format) do
-        not participate.
-        """
-        from repro.store import run_fingerprint
-
-        return run_fingerprint(
-            "campaign",
-            self.campaign.to_dict(),
+        """The results-store lookup key for this scheduler's effective run
+        (:meth:`~repro.campaign.spec.Campaign.fingerprint`)."""
+        return self.campaign.fingerprint(
+            subgrids,
             duration_ms=self.duration_ms,
             traffic_scale=self.traffic_scale,
-            selection=self._selection(subgrids),
             plugin_modules=self.plugin_modules,
         )
 
@@ -219,7 +202,7 @@ class CampaignScheduler:
             created_at=recorded_at,
             duration_ms=self.duration_ms,
             traffic_scale=self.traffic_scale,
-            selection=self._selection(subgrids),
+            selection=self.campaign.selection(subgrids),
             plugin_modules=self.plugin_modules,
         )
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.report import CHECK_REQUIRED_PARAMS, KNOWN_CHECKS, KNOWN_COLUMNS
-from repro.runner import RunSpec
 from repro.scenario import (
     Scenario,
     ScenarioError,
@@ -41,6 +40,9 @@ from repro.scenario.spec import (
     load_spec_file,
 )
 from repro.sim.clock import MS
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import: loading a campaign runs nothing
+    from repro.runner.sweep import RunSpec
 
 PathLike = Union[str, Path]
 
@@ -261,6 +263,10 @@ class SubGrid:
         argument (a CLI override) beats the sub-grid's declaration, which
         beats the campaign default.
         """
+        # Imported here: building specs is the first step towards running
+        # them, and loading or serving a campaign must not load the runner.
+        from repro.runner.sweep import RunSpec
+
         effective_ms = (
             duration_ms
             if duration_ms is not None
@@ -397,6 +403,40 @@ class Campaign:
         raise CampaignError(
             f"campaign '{self.name}' has no sub-grid '{name}' "
             f"(declared: {', '.join(self.subgrid_names())})"
+        )
+
+    def selection(self, subgrids: Optional[Sequence[str]]) -> Optional[Tuple[str, ...]]:
+        """A sub-grid selection as a run records it: deduplicated, in order
+        (``None`` runs every sub-grid)."""
+        if subgrids is None:
+            return None
+        return tuple(dict.fromkeys(subgrids))
+
+    def fingerprint(
+        self,
+        subgrids: Optional[Sequence[str]] = None,
+        *,
+        duration_ms: Optional[float] = None,
+        traffic_scale: Optional[float] = None,
+        plugin_modules: Sequence[str] = (),
+    ) -> str:
+        """The results-store lookup key of one run of this campaign.
+
+        Computed entirely from the dictionary form plus the run's overrides
+        — no scenario is resolved, no ``RunSpec`` is built — which is exactly
+        what lets a warm ``campaign report`` find its manifest as a pure
+        read.  Execution knobs that cannot change results (``jobs``, cache
+        and store directories, output format) do not participate.
+        """
+        from repro.store import run_fingerprint
+
+        return run_fingerprint(
+            "campaign",
+            self.to_dict(),
+            duration_ms=duration_ms,
+            traffic_scale=traffic_scale,
+            selection=self.selection(subgrids),
+            plugin_modules=tuple(plugin_modules),
         )
 
     def validate(self, deep: bool = True) -> int:

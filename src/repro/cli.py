@@ -51,12 +51,10 @@ from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.serialize import save_result
 from repro.campaign import (
     KNOWN_CHECKS,
-    CampaignScheduler,
     builtin_campaign_paths,
     campaign_report_md,
     campaign_report_payload,
@@ -70,21 +68,9 @@ from repro.campaign import (
     render_markdown_table,
     summarize_checks,
 )
-from repro.dvfs.experiment import run_with_governor
 from repro.dvfs.governor import available_governors, make_governor
-from repro.memctrl.policies import available_policies
-from repro.power import estimate_system_energy, format_energy_report
-from repro.runner import (
-    FailurePolicy,
-    InProcessExecutor,
-    PoolExecutor,
-    ResultCache,
-    WorkerPool,
-    compare_policies_specs,
-    frequency_sweep_specs,
-    run_sweep,
-    scenario_grid_specs,
-)
+from repro.obs import TraceSession, summarize_events
+from repro.runner import ResultCache
 from repro.scenario import (
     ScenarioError,
     available_scenarios,
@@ -96,7 +82,6 @@ from repro.scenario import (
     scenario_from_file,
 )
 from repro.sim.clock import MS
-from repro.obs import TraceSession, summarize_events
 from repro.store import (
     AmbiguousFingerprintError,
     ArtifactRef,
@@ -111,9 +96,12 @@ from repro.store import (
     run_fingerprint,
     spec_hash,
 )
-from repro.system.builder import build_system
-from repro.system.experiment import run_experiment
-from repro.system.platform import table1_settings, table2_core_types
+
+# The simulator, the runner and the DVFS and power models are imported by
+# the handlers that run them, so the parser, the store commands, a warm
+# `campaign report` and `serve` start without them (and without numpy).
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.campaign.scheduler import CampaignScheduler
 
 #: Default simulated window for CLI runs (milliseconds).
 DEFAULT_DURATION_MS = 4.0
@@ -597,6 +585,8 @@ def _sweep_pool(args: argparse.Namespace):
     if args.jobs == 1:
         yield None
         return
+    from repro.runner import WorkerPool
+
     with WorkerPool(args.jobs, plugin_modules=args.plugin_modules) as pool:
         yield pool
 
@@ -649,6 +639,8 @@ def _parse_settings(pairs: Sequence[str]) -> List[tuple]:
 
 def _check_policy(name: Optional[str]) -> None:
     """Validate a policy name against the (possibly plugin-extended) registry."""
+    from repro.memctrl.policies import available_policies
+
     if name is not None and name not in available_policies():
         known = ", ".join(sorted(available_policies()))
         raise ScenarioError(f"unknown scheduling policy '{name}' (known: {known})")
@@ -679,6 +671,8 @@ def _cmd_scenarios_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios_validate(args: argparse.Namespace) -> int:
+    from repro.system.experiment import run_experiment
+
     refs = list(args.scenarios) or sorted(builtin_scenario_paths())
     failures = 0
     for ref in refs:
@@ -739,15 +733,21 @@ def _dry_run_line(name: str, counts: Dict[str, int]) -> str:
     )
 
 
-def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
-    _configure_logging(args.log_level)
-    campaign = get_campaign(args.campaign)
-    scheduler = CampaignScheduler(
+def _campaign_scheduler(args: argparse.Namespace, campaign) -> CampaignScheduler:
+    """The scheduler of one run of ``campaign`` with the command's overrides."""
+    from repro.campaign.scheduler import CampaignScheduler
+
+    return CampaignScheduler(
         campaign,
         duration_ms=args.duration_ms,
         traffic_scale=args.traffic_scale,
         plugin_modules=args.plugin_modules,
     )
+
+
+def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
+    _configure_logging(args.log_level)
+    campaign = get_campaign(args.campaign)
     store = _store_for(args)
     if args.trace and store is None:
         print(
@@ -756,29 +756,22 @@ def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.dry_run:
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
-        plan = scheduler.dry_run(
-            args.subgrids, cache=cache, store=store if args.reuse else None
-        )
-        print(f"campaign {campaign.name} plan (dry run):")
-        totals = {"points": 0, "to_simulate": 0, "reused": 0, "cache_hits": 0}
-        for name, counts in plan.items():
-            for key in totals:
-                totals[key] += counts[key]
-            print(_dry_run_line(name, counts))
-        if len(plan) > 1:
-            print(_dry_run_line("total", totals))
-        return 0
-    if report_only and store is not None:
+    if report_only and store is not None and not args.dry_run:
         # The store-backed fast path: a matching recorded run serves its
         # rendered report as a pure read — no scenario is resolved, no
-        # RunSpec is built, no simulation can possibly start.  Any miss
-        # (no manifest, missing/tampered artifact) falls through to the
-        # live path below, which re-records.  The manifest is loaded once:
-        # it carries both the artifact reference and the recorded check
-        # outcomes --strict needs.
-        manifest = store.get_manifest(scheduler.fingerprint(args.subgrids))
+        # RunSpec is built, the scheduler and the simulator are not even
+        # imported.  Any miss (no manifest, missing/tampered artifact)
+        # falls through to the live path below, which re-records.  The
+        # manifest is loaded once: it carries both the artifact reference
+        # and the recorded check outcomes --strict needs.
+        manifest = store.get_manifest(
+            campaign.fingerprint(
+                args.subgrids,
+                duration_ms=args.duration_ms,
+                traffic_scale=args.traffic_scale,
+                plugin_modules=args.plugin_modules,
+            )
+        )
         ref = (
             manifest.artifacts.get(
                 "report_json" if args.format == "json" else "report_md"
@@ -800,6 +793,21 @@ def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
                 )
                 _write_output(served, args.output)
                 return _strict_exit(failed_checks, args.strict)
+    scheduler = _campaign_scheduler(args, campaign)
+    if args.dry_run:
+        cache = ResultCache(args.cache_dir) if args.cache_dir else None
+        plan = scheduler.dry_run(
+            args.subgrids, cache=cache, store=store if args.reuse else None
+        )
+        print(f"campaign {campaign.name} plan (dry run):")
+        totals = {"points": 0, "to_simulate": 0, "reused": 0, "cache_hits": 0}
+        for name, counts in plan.items():
+            for key in totals:
+                totals[key] += counts[key]
+            print(_dry_run_line(name, counts))
+        if len(plan) > 1:
+            print(_dry_run_line("total", totals))
+        return 0
     if args.resume:
         if not args.cache_dir:
             print(
@@ -822,6 +830,8 @@ def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
             f"resuming: {left} of {total} planned point(s) left to simulate"
             + ("; nothing to resume" if left == 0 else "")
         )
+    from repro.runner import FailurePolicy, InProcessExecutor, PoolExecutor
+
     failure_policy = None
     if args.timeout_s is not None or args.max_attempts is not None:
         attempts = args.max_attempts if args.max_attempts is not None else 1
@@ -900,6 +910,8 @@ def _smoke_subgrid(campaign, requested: Optional[str]) -> str:
 
 
 def _cmd_campaign_validate(args: argparse.Namespace) -> int:
+    from repro.campaign.scheduler import CampaignScheduler
+
     refs = list(args.campaigns) or sorted(builtin_campaign_paths())
     failures = 0
     for ref in refs:
@@ -942,15 +954,18 @@ def _run_recording(
 
 def _cmd_campaign_narrative(args: argparse.Namespace) -> int:
     campaign = get_campaign(args.campaign)
-    scheduler = CampaignScheduler(
-        campaign,
-        duration_ms=args.duration_ms,
-        traffic_scale=args.traffic_scale,
-        plugin_modules=args.plugin_modules,
-    )
     store = _store_for(args)
-    manifest = store.get_manifest(scheduler.fingerprint()) if store is not None else None
+    manifest = None
+    if store is not None:
+        manifest = store.get_manifest(
+            campaign.fingerprint(
+                duration_ms=args.duration_ms,
+                traffic_scale=args.traffic_scale,
+                plugin_modules=args.plugin_modules,
+            )
+        )
     if manifest is None:
+        scheduler = _campaign_scheduler(args, campaign)
         if store is None:
             # No store requested: record into a scratch store just to build
             # the manifest the narrative renders from, then discard it.
@@ -1159,6 +1174,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_policies() -> int:
+    from repro.memctrl.policies import available_policies
+
     print("Registered scheduling policies (memory controller and NoC arbiters):")
     for name, policy_cls in sorted(available_policies().items()):
         doc = (policy_cls.__doc__ or "").strip().splitlines()[0]
@@ -1180,6 +1197,8 @@ def _settings_md(settings: Mapping[str, object]) -> str:
 
 
 def _cmd_settings(args: argparse.Namespace) -> int:
+    from repro.system.platform import table1_settings, table2_core_types
+
     settings = table1_settings(args.scenario)
     print(f"Table 1 — simulation settings (scenario {settings['scenario']})")
     print(_settings_md(settings))
@@ -1190,6 +1209,9 @@ def _cmd_settings(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.serialize import save_result
+    from repro.system.experiment import run_experiment
+
     _check_policy(args.policy)
     scenario = _resolved_scenario(args)
     duration_ps = int(args.duration_ms * MS)
@@ -1219,6 +1241,8 @@ def _default_policies(scenario) -> List[str]:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.runner import compare_policies_specs, run_sweep
+
     scenario = _resolved_scenario(args)
     policies = args.policies or _default_policies(scenario)
     for policy in policies:
@@ -1259,6 +1283,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.runner import frequency_sweep_specs, run_sweep
+
     _check_policy(args.policy)
     scenario = _resolved_scenario(args)
     frequencies = args.frequencies
@@ -1329,6 +1355,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         if served is not None:
             print(served)
             return 0
+    from repro.runner import run_sweep, scenario_grid_specs
+
     duration_ps = int(args.duration_ms * MS)
     critical = critical_cores_for(scenario)
     payload: dict = {"scenario": scenario.name, "axis_sets": {}}
@@ -1411,6 +1439,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_dvfs(args: argparse.Namespace) -> int:
+    from repro.dvfs.experiment import run_with_governor
+
     _check_policy(args.policy)
     scenario = _resolved_scenario(args)
     duration_ps = int(args.duration_ms * MS)
@@ -1435,6 +1465,9 @@ def _cmd_dvfs(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
+    from repro.power import estimate_system_energy, format_energy_report
+    from repro.system.builder import build_system
+
     _check_policy(args.policy)
     scenario = _resolved_scenario(args)
     duration_ps = int(args.duration_ms * MS)

@@ -17,34 +17,24 @@ priority signals the memory system already receives.
   camcorder experiment and reports QoS, residency and energy together.
 """
 
-from repro.dvfs.controller import DvfsController
-from repro.dvfs.experiment import DvfsResult, run_with_governor
-from repro.dvfs.governor import (
-    ConservativeGovernor,
-    Governor,
-    GovernorSample,
-    OndemandGovernor,
-    PerformanceGovernor,
-    PowersaveGovernor,
-    PriorityPressureGovernor,
-    StaticGovernor,
-    make_governor,
-)
-from repro.dvfs.opp import OperatingPoint, OppTable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConservativeGovernor",
-    "DvfsController",
-    "DvfsResult",
-    "Governor",
-    "GovernorSample",
-    "OndemandGovernor",
-    "OperatingPoint",
-    "OppTable",
-    "PerformanceGovernor",
-    "PowersaveGovernor",
-    "PriorityPressureGovernor",
-    "StaticGovernor",
-    "make_governor",
-    "run_with_governor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "controller": ("DvfsController",),
+        "experiment": ("DvfsResult", "run_with_governor"),
+        "governor": (
+            "ConservativeGovernor",
+            "Governor",
+            "GovernorSample",
+            "OndemandGovernor",
+            "PerformanceGovernor",
+            "PowersaveGovernor",
+            "PriorityPressureGovernor",
+            "StaticGovernor",
+            "make_governor",
+        ),
+        "opp": ("OperatingPoint", "OppTable"),
+    },
+)

@@ -19,55 +19,34 @@ each spec in-process, because every run is seeded from its own
 siblings.
 """
 
-from repro.runner.cache import CACHE_SCHEMA_VERSION, ResultCache, cache_key
-from repro.runner.executor import (
-    RESILIENT_POLICY,
-    STRICT_POLICY,
-    ExecutionFault,
-    Executor,
-    FailurePolicy,
-    InProcessExecutor,
-    PayloadError,
-    PoolExecutor,
-    QuarantinedPoint,
-    SpecTimeoutError,
-    WorkerDiedError,
-)
-from repro.runner.pool import TaskOutcome, WorkerPool, estimate_cost, plan_batches
-from repro.runner.sweep import (
-    Observer,
-    RunSpec,
-    SweepStats,
-    compare_policies_specs,
-    frequency_sweep_specs,
-    run_sweep,
-    scenario_grid_specs,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "ExecutionFault",
-    "Executor",
-    "FailurePolicy",
-    "InProcessExecutor",
-    "Observer",
-    "PayloadError",
-    "PoolExecutor",
-    "QuarantinedPoint",
-    "RESILIENT_POLICY",
-    "ResultCache",
-    "RunSpec",
-    "STRICT_POLICY",
-    "SpecTimeoutError",
-    "SweepStats",
-    "TaskOutcome",
-    "WorkerDiedError",
-    "WorkerPool",
-    "cache_key",
-    "compare_policies_specs",
-    "estimate_cost",
-    "frequency_sweep_specs",
-    "plan_batches",
-    "run_sweep",
-    "scenario_grid_specs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("CACHE_SCHEMA_VERSION", "ResultCache", "cache_key"),
+        "executor": (
+            "RESILIENT_POLICY",
+            "STRICT_POLICY",
+            "ExecutionFault",
+            "Executor",
+            "FailurePolicy",
+            "InProcessExecutor",
+            "PayloadError",
+            "PoolExecutor",
+            "QuarantinedPoint",
+            "SpecTimeoutError",
+            "WorkerDiedError",
+        ),
+        "pool": ("TaskOutcome", "WorkerPool", "estimate_cost", "plan_batches"),
+        "sweep": (
+            "Observer",
+            "RunSpec",
+            "SweepStats",
+            "compare_policies_specs",
+            "frequency_sweep_specs",
+            "run_sweep",
+            "scenario_grid_specs",
+        ),
+    },
+)

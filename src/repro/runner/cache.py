@@ -26,13 +26,10 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.analysis.serialize import (
-    experiment_result_from_dict,
-    experiment_result_to_dict,
-)
-from repro.system.experiment import ExperimentResult
+if TYPE_CHECKING:  # pragma: no cover - type-only import: keys and writes need no simulator
+    from repro.system.experiment import ExperimentResult
 
 PathLike = Union[str, Path]
 
@@ -114,6 +111,10 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[ExperimentResult]:
         """Load a cached result, or ``None`` on a miss or unreadable entry."""
+        # Imported at the call, like the encoder in put(): results are
+        # simulator objects, and keys and listings must not need it.
+        from repro.analysis.serialize import experiment_result_from_dict
+
         path = self.path_for(key)
         began = time.perf_counter()
         try:
@@ -143,6 +144,8 @@ class ResultCache:
         workers (or an interrupted run) never leave a half-written JSON file
         behind.
         """
+        from repro.analysis.serialize import experiment_result_to_dict
+
         path = self.path_for(key)
         began = time.perf_counter()
         payload = {

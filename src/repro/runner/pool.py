@@ -5,9 +5,12 @@ of several sweeps (the CLI's ``grid`` command, the benchmark harness, a
 notebook iterating on a figure) paid interpreter start-up plus the full
 ``repro`` import once per sweep *per worker*.  :class:`WorkerPool` makes the
 pool a first-class, reusable object: start it once (lazily, on first use),
-hand it to as many ``run_sweep`` calls as you like, and the spawn cost — a
-second or so for four workers importing the simulator stack — is paid exactly
-once.  The pool is a context manager, so the common shape is::
+hand it to as many ``run_sweep`` calls as you like, and the spawn cost is
+paid exactly once: each worker starts an interpreter and imports the
+simulator stack, 0.31–0.34 s for one worker and 0.79–0.83 s for four on a
+2-CPU host (Python 3.11, bytecode cached; see
+``docs/running_experiments.md``).  The pool is a context manager, so the
+common shape is::
 
     with WorkerPool(jobs=4) as pool:
         a, _ = run_sweep(grid_a, pool=pool)
@@ -110,11 +113,18 @@ def _send_envelope(conn: Any, task_id: int, status: str, value: Any) -> None:
 def _worker_main(conn: Any, plugin_modules: Tuple[str, ...], ready: Any) -> None:
     """Worker process body: one-time setup, then a task-at-a-time loop.
 
-    Importing ``repro.runner.sweep`` pulls in the scenario, system and
-    engine modules, so the import cost lands in pool start-up (measured as
-    ``SweepStats.pool_startup_s``) instead of silently inflating the first
-    batch; plugin imports run once per process instead of once per spec.
-    A failed import is deliberately swallowed: it is not cached in
+    The setup imports everything a task runs, so the import cost lands in
+    pool start-up (measured as ``SweepStats.pool_startup_s``) instead of
+    silently inflating the first batch.  Package ``__init__``s import
+    nothing until a name is used, so the list is explicit:
+    ``repro.runner.sweep`` brings the executor, the system builder, the
+    engine and every substrate; ``repro.scenario.builders`` and
+    ``repro.scenario.workloads`` register the built-in traffic models,
+    address streams and workloads, which their registries would otherwise
+    import during the first task.  Nothing a worker never runs is imported:
+    not the campaign layer, the store, the service, the CLI, DVFS or the
+    power model.  Plugin imports run once per process instead of once per
+    spec.  A failed import is deliberately swallowed: it is not cached in
     ``sys.modules``, so it retries when the first task runs and the real
     error surfaces as an ordinary task failure with the actionable
     message.  Releasing the semaphore signals :meth:`WorkerPool.start`;
@@ -124,7 +134,9 @@ def _worker_main(conn: Any, plugin_modules: Tuple[str, ...], ready: Any) -> None
     obs.install_from_env("pool-worker")
     try:
         with obs.span("worker.start", plugins=len(plugin_modules)):
-            import repro.runner.sweep  # noqa: F401  (imports the full simulator stack)
+            import repro.runner.sweep  # noqa: F401
+            import repro.scenario.builders  # noqa: F401
+            import repro.scenario.workloads  # noqa: F401
 
             load_plugins(plugin_modules)
     except Exception:

@@ -10,70 +10,38 @@ workload families; :func:`register_scenario` and the plugin hook
 including inside spawn sweep workers.
 """
 
-from repro.scenario.builders import CONSTANT_RATE_PREFETCH
-from repro.scenario.catalog import (
-    BUILTIN_SCENARIO_DIR,
-    available_scenarios,
-    builtin_scenario_paths,
-    critical_cores_for,
-    describe_scenario,
-    get_scenario,
-    is_path_ref,
-    register_scenario,
-    scenario_config,
-    unregister_scenario,
-)
-from repro.scenario.errors import RegistryError, ScenarioError
-from repro.scenario.plugins import load_plugins
-from repro.scenario.registry import ADDRESS_STREAMS, TRAFFIC_MODELS, WORKLOADS, Registry
-from repro.scenario.spec import (
-    DEFAULT_AXIS_SET,
-    SCENARIO_SCHEMA_VERSION,
-    PlatformSpec,
-    Scenario,
-    WorkloadSpec,
-    expand_axis_points,
-    resolve_scenario,
-    scenario_from_file,
-    settings_label,
-)
-from repro.scenario.workloads import (
-    build_workload,
-    dma_spec_from_dict,
-    dma_spec_to_dict,
-    place_regions,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ADDRESS_STREAMS",
-    "BUILTIN_SCENARIO_DIR",
-    "CONSTANT_RATE_PREFETCH",
-    "DEFAULT_AXIS_SET",
-    "PlatformSpec",
-    "Registry",
-    "RegistryError",
-    "SCENARIO_SCHEMA_VERSION",
-    "Scenario",
-    "ScenarioError",
-    "TRAFFIC_MODELS",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "available_scenarios",
-    "build_workload",
-    "builtin_scenario_paths",
-    "critical_cores_for",
-    "describe_scenario",
-    "dma_spec_from_dict",
-    "dma_spec_to_dict",
-    "expand_axis_points",
-    "get_scenario",
-    "is_path_ref",
-    "load_plugins",
-    "place_regions",
-    "register_scenario",
-    "resolve_scenario",
-    "scenario_config",
-    "scenario_from_file",
-    "settings_label",
-    "unregister_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "builders": ("CONSTANT_RATE_PREFETCH",),
+        "catalog": (
+            "BUILTIN_SCENARIO_DIR",
+            "available_scenarios",
+            "builtin_scenario_paths",
+            "critical_cores_for",
+            "describe_scenario",
+            "get_scenario",
+            "is_path_ref",
+            "register_scenario",
+            "scenario_config",
+            "unregister_scenario",
+        ),
+        "errors": ("RegistryError", "ScenarioError"),
+        "plugins": ("load_plugins",),
+        "registry": ("ADDRESS_STREAMS", "TRAFFIC_MODELS", "WORKLOADS", "Registry"),
+        "spec": (
+            "DEFAULT_AXIS_SET",
+            "SCENARIO_SCHEMA_VERSION",
+            "PlatformSpec",
+            "Scenario",
+            "WorkloadSpec",
+            "expand_axis_points",
+            "resolve_scenario",
+            "scenario_from_file",
+            "settings_label",
+        ),
+        "workloads": ("build_workload", "dma_spec_from_dict", "dma_spec_to_dict", "place_regions"),
+    },
+)

@@ -81,6 +81,15 @@ REVALIDATE_CACHE = "no-cache"
 
 VERIFY_HINT = "run `repro store verify --store-dir <dir>` to diagnose the store"
 
+#: The ``method`` and ``route`` label values ``/metrics`` counts requests
+#: under.  Both labels come from the client, so anything else is counted
+#: as :data:`OTHER_LABEL`: a client cannot grow the series set.
+METHOD_LABELS = frozenset({"GET", "HEAD"})
+ROUTE_LABELS = frozenset(
+    {"/", "/healthz", "/metrics", "/manifests", "/artifacts", "/reports", "/points"}
+)
+OTHER_LABEL = "other"
+
 
 def _etag_matches(header: Optional[str], etag: str) -> bool:
     """``If-None-Match`` comparison (strong ETags; ``W/`` prefixes ignored)."""
@@ -132,10 +141,15 @@ class ResultsApp:
 
         Paths are reduced to their route class (``/artifacts/<sha>`` counts
         as ``/artifacts``) so the label set stays bounded no matter how many
-        blobs the store holds.
+        blobs the store holds; unknown routes and methods count as
+        :data:`OTHER_LABEL`.
         """
         self._requests_served += 1
         route = "/" + path.strip("/").split("/", 1)[0] if path.strip("/") else "/"
+        if route not in ROUTE_LABELS:
+            route = OTHER_LABEL
+        if method not in METHOD_LABELS:
+            method = OTHER_LABEL
         self.metrics.counter(
             "repro_http_requests_total",
             "HTTP requests served, by method, route and status.",

@@ -9,39 +9,22 @@ configuration dataclasses that describe a simulated platform
 (:mod:`repro.sim.config`).
 """
 
-from repro.sim.clock import Clock, MS, NS, PS, US, SECOND
-from repro.sim.config import (
-    DramConfig,
-    DramTimingConfig,
-    MemoryControllerConfig,
-    NocConfig,
-    SimulationConfig,
-)
-from repro.sim.engine import Engine, Event
-from repro.sim.random import derive_rng, derive_seed
-from repro.sim.stats import Counter, Histogram, RunningMean, WindowedRate
-from repro.sim.trace import TimeSeries, TraceRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Clock",
-    "Counter",
-    "DramConfig",
-    "DramTimingConfig",
-    "Engine",
-    "Event",
-    "Histogram",
-    "MS",
-    "MemoryControllerConfig",
-    "NS",
-    "NocConfig",
-    "PS",
-    "RunningMean",
-    "SECOND",
-    "SimulationConfig",
-    "TimeSeries",
-    "TraceRecorder",
-    "US",
-    "WindowedRate",
-    "derive_rng",
-    "derive_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "clock": ("Clock", "MS", "NS", "PS", "SECOND", "US"),
+        "config": (
+            "DramConfig",
+            "DramTimingConfig",
+            "MemoryControllerConfig",
+            "NocConfig",
+            "SimulationConfig",
+        ),
+        "engine": ("Engine", "Event"),
+        "random": ("derive_rng", "derive_seed"),
+        "stats": ("Counter", "Histogram", "RunningMean", "WindowedRate"),
+        "trace": ("TimeSeries", "TraceRecorder"),
+    },
+)

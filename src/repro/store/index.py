@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -49,10 +50,6 @@ from typing import (
     TypeVar,
 )
 
-from repro.analysis.serialize import (
-    experiment_result_from_dict,
-    experiment_result_to_dict,
-)
 from repro.runner.cache import atomic_write
 from repro.store.manifest import (
     ArtifactRef,
@@ -61,7 +58,9 @@ from repro.store.manifest import (
     canonical_json,
     is_content_digest,
 )
-from repro.system.experiment import ExperimentResult
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import: serving reads no results
+    from repro.system.experiment import ExperimentResult
 
 #: Version of the index shard schema.  Shards declaring another version are
 #: treated as unreadable (every lookup misses) until ``store index`` rebuilds
@@ -76,11 +75,17 @@ def encode_point_result(result: ExperimentResult, include_trace: bool = True) ->
     always produces the same bytes — which is what lets a re-recording of a
     reused point dedup to the original blob by content address.
     """
+    # Imported here, like decoding below: the store's readers and the
+    # service never touch a result, so they never load the simulator.
+    from repro.analysis.serialize import experiment_result_to_dict
+
     return canonical_json(experiment_result_to_dict(result, include_trace=include_trace))
 
 
 def decode_point_result(raw: bytes) -> ExperimentResult:
     """Invert :func:`encode_point_result` (raises on malformed payloads)."""
+    from repro.analysis.serialize import experiment_result_from_dict
+
     return experiment_result_from_dict(json.loads(raw.decode("utf-8")))
 
 

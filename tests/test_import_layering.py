@@ -1,0 +1,253 @@
+"""Each process imports only the layers it runs.
+
+The results store, ``repro serve``, the report renderers and the CLI's
+parser never simulate, so importing them must load neither the simulator
+nor numpy.  Package ``__init__``s resolve their public names on first use
+(:mod:`repro._lazy`).  Every check here runs in a fresh interpreter, because
+this process has long since imported everything:
+
+* the light entry points leave the simulator and numpy out of
+  ``sys.modules``;
+* every public name of a lazy package still resolves, by attribute, by
+  ``from package import *`` and in ``dir()``;
+* the registries that import side effects fill list their built-ins on the
+  first lookup, with the same keys and unknown-name errors as ever;
+* a pool worker still imports the whole simulator before it reports ready.
+
+Nothing from ``repro`` is imported at module level: a pool worker imports
+this module to run :func:`_loaded_modules`.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: The simulator: its packages and modules, and their submodules.
+SIMULATOR = (
+    "repro.system",
+    "repro.sim.engine",
+    "repro.memctrl",
+    "repro.noc",
+    "repro.dram",
+    "repro.cores",
+    "repro.core",
+    "repro.traffic",
+    "repro.runner.executor",
+    "repro.runner.pool",
+    "repro.runner.sweep",
+)
+
+#: Packages whose ``__init__`` resolves its public names on first use, with
+#: the number of names each exports.
+LAZY_PACKAGES = {
+    "repro": 47,
+    "repro.analysis": 15,
+    "repro.campaign": 29,
+    "repro.dvfs": 14,
+    "repro.runner": 25,
+    "repro.scenario": 31,
+    "repro.sim": 21,
+}
+
+
+def _fresh(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter and return its stdout."""
+    completed = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+def _heavy(modules):
+    """numpy and the simulator modules among ``modules``."""
+    return [
+        name
+        for name in modules
+        if name == "numpy"
+        or any(name == root or name.startswith(root + ".") for root in SIMULATOR)
+    ]
+
+
+def _loaded_modules(_argument):
+    """Pool task: the worker's ``sys.modules`` when it runs the task."""
+    return sorted(sys.modules)
+
+
+class TestLightEntryPoints:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import repro",
+            "import repro.serve",
+            "import repro.store",
+            "import repro.obs",
+            "import repro.version",
+            "import repro.campaign.report",
+            "import repro.analysis.metrics",
+            "import repro.cli; repro.cli.build_parser()",
+        ],
+    )
+    def test_loads_neither_the_simulator_nor_numpy(self, code):
+        loaded = json.loads(
+            _fresh(f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+        )
+        assert _heavy(loaded) == []
+
+
+PUBLIC_NAMES_PROBE = """
+import importlib, json, sys
+
+name = sys.argv[1]
+package = importlib.import_module(name)
+listed = dir(package)
+star = {}
+exec(f"from {name} import *", star)
+report = {
+    "all": list(package.__all__),
+    "missing_from_dir": [n for n in package.__all__ if n not in listed],
+    "missing_from_star": [n for n in package.__all__ if n not in star],
+    "star_differs": [n for n in package.__all__ if getattr(package, n) is not star.get(n)],
+}
+try:
+    package.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+class TestLazyPackages:
+    @pytest.mark.parametrize("package", sorted(LAZY_PACKAGES))
+    def test_every_public_name_resolves(self, package):
+        report = json.loads(_fresh(PUBLIC_NAMES_PROBE, package))
+        assert len(report["all"]) == LAZY_PACKAGES[package]
+        assert report["missing_from_dir"] == []
+        assert report["missing_from_star"] == []
+        assert report["star_differs"] == []
+        assert report["unknown"] == f"module '{package}' has no attribute 'no_such_name'"
+
+    def test_top_level_names_are_the_defining_objects(self):
+        out = _fresh(
+            "import repro\n"
+            "from repro.runner.sweep import run_sweep\n"
+            "from repro.system.experiment import run_experiment\n"
+            "from repro.version import __version__\n"
+            "print(repro.run_sweep is run_sweep, repro.run_experiment is run_experiment,"
+            " repro.__version__ == __version__)"
+        )
+        assert out.split() == ["True", "True", "True"]
+
+
+REGISTRIES_PROBE = """
+import json
+from repro.scenario.registry import ADDRESS_STREAMS, TRAFFIC_MODELS, WORKLOADS
+
+report = {
+    "workloads": WORKLOADS.names(),
+    "traffic_models": TRAFFIC_MODELS.names(),
+    "address_streams": ADDRESS_STREAMS.names(),
+}
+for key, registry in (("workload_error", WORKLOADS), ("traffic_error", TRAFFIC_MODELS)):
+    try:
+        registry.get("camcorde")
+    except ValueError as exc:
+        report[key] = str(exc)
+from repro.dvfs.governor import available_governors
+from repro.memctrl.policies import available_policies
+from repro.scenario import available_scenarios
+
+report["policies"] = sorted(available_policies())
+report["governors"] = sorted(available_governors())
+report["scenarios"] = sorted(available_scenarios())
+print(json.dumps(report))
+"""
+
+
+class TestRegistries:
+    def test_first_lookup_lists_the_builtins(self):
+        report = json.loads(_fresh(REGISTRIES_PROBE))
+        assert report == {
+            "workloads": [
+                "ar_glasses",
+                "camcorder",
+                "inline",
+                "latency_bandwidth_stress",
+                "manycore_streaming",
+            ],
+            "traffic_models": ["constant", "frame_burst", "poisson"],
+            "address_streams": ["random", "sequential", "strided"],
+            "workload_error": (
+                "unknown workload 'camcorde' (known: ar_glasses, camcorder, inline, "
+                "latency_bandwidth_stress, manycore_streaming) — did you mean 'camcorder'?"
+            ),
+            "traffic_error": (
+                "unknown traffic model 'camcorde' (known: constant, frame_burst, poisson)"
+            ),
+            "policies": [
+                "atlas",
+                "edf",
+                "fcfs",
+                "fr_fcfs",
+                "frame_rate_qos",
+                "priority_qos",
+                "priority_rowbuffer",
+                "round_robin",
+                "sms",
+                "tcm",
+            ],
+            "governors": [
+                "conservative",
+                "ondemand",
+                "performance",
+                "powersave",
+                "priority_pressure",
+            ],
+            "scenarios": [
+                "ar_glasses",
+                "case_a",
+                "case_b",
+                "latency_bandwidth_stress",
+                "manycore_streaming",
+            ],
+        }
+
+    def test_a_first_registration_still_collides_with_a_builtin(self):
+        out = _fresh(
+            "from repro.scenario.registry import WORKLOADS\n"
+            "try:\n"
+            "    WORKLOADS.register('camcorder', object())\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out.strip() == (
+            "workload 'camcorder' is already registered (pass replace=True to override)"
+        )
+
+
+class TestPoolWorker:
+    def test_worker_imports_the_simulator_before_its_first_task(self):
+        from repro.runner import WorkerPool
+
+        with WorkerPool(1) as pool:
+            startup_s = pool.start()
+            session = pool.session()
+            session.submit(_loaded_modules, None)
+            (outcome,) = list(session.outcomes())
+        assert outcome.error is None
+        assert startup_s > 0.0
+        loaded = set(outcome.value)
+        assert {"repro.system.builder", "repro.sim.engine", "numpy"} <= loaded
+        assert "repro.serve" not in loaded

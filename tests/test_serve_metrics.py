@@ -10,6 +10,7 @@ logging contract (the background server logs on its own thread with
 
 from __future__ import annotations
 
+import http.client
 import io
 import logging
 from contextlib import redirect_stdout
@@ -86,6 +87,37 @@ class TestMetricsEndpoint:
         # reduced to their first segment so the series set stays bounded.
         assert fingerprint not in text
         assert int(line.rsplit(" ", 1)[1]) >= 2
+
+    def test_client_chosen_labels_add_at_most_one_series(self, server, client):
+        # The method and the path come from the client: many distinct
+        # unknown paths, then many unknown methods, may each add one series
+        # per family (the folded value), never one per request.
+        families = ("repro_http_requests_total{", "repro_http_request_seconds_count{")
+
+        def series_counts():
+            text = client.get("/metrics").body.decode("utf-8")
+            return [sum(line.startswith(family) for line in text.splitlines())
+                    for family in families]
+
+        def send(method, path):
+            connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                connection.request(method, path)
+                connection.getresponse().read()
+            finally:
+                connection.close()
+
+        before = series_counts()
+        for index in range(50):
+            send("GET", f"/probe{index}")
+        after_paths = series_counts()
+        for index in range(20):
+            send(f"M{index}", "/manifests")
+        after_methods = series_counts()
+        assert all(a - b <= 1 for a, b in zip(after_paths, before))
+        assert all(a - b <= 1 for a, b in zip(after_methods, after_paths))
+        text = client.get("/metrics").body.decode("utf-8")
+        assert "probe" not in text and 'method="M' not in text
 
     def test_metrics_is_not_cacheable(self, client):
         reply = client.get("/metrics")
