@@ -33,12 +33,12 @@ from repro.scenario import (
     is_path_ref,
     settings_label,
 )
-from repro.scenario.spec import (
+from repro.scenario.errors import (
     _plain as _scenario_plain,
     _reject_unknown_keys as _scenario_reject_unknown_keys,
     _require_mapping as _scenario_require_mapping,
-    load_spec_file,
 )
+from repro.scenario.spec import load_spec_file
 from repro.sim.clock import MS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import: loading a campaign runs nothing

@@ -55,12 +55,9 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.campaign import (
     KNOWN_CHECKS,
-    builtin_campaign_paths,
     campaign_report_md,
     campaign_report_payload,
-    describe_campaign,
     format_points_table,
-    get_campaign,
     points_csv,
     points_payload,
     priority_residency_csv,
@@ -71,16 +68,7 @@ from repro.campaign import (
 from repro.dvfs.governor import available_governors, make_governor
 from repro.obs import TraceSession, summarize_events
 from repro.runner import ResultCache
-from repro.scenario import (
-    ScenarioError,
-    available_scenarios,
-    builtin_scenario_paths,
-    critical_cores_for,
-    describe_scenario,
-    get_scenario,
-    load_plugins,
-    scenario_from_file,
-)
+from repro.scenario import ScenarioError, load_plugins
 from repro.sim.clock import MS
 from repro.store import (
     AmbiguousFingerprintError,
@@ -97,9 +85,10 @@ from repro.store import (
     spec_hash,
 )
 
-# The simulator, the runner and the DVFS and power models are imported by
-# the handlers that run them, so the parser, the store commands, a warm
-# `campaign report` and `serve` start without them (and without numpy).
+# The simulator, the runner, the DVFS and power models and the scenario and
+# campaign catalogs are imported by the handlers that use them, so the
+# parser, the store commands, a warm `campaign report` and `serve` start
+# without them (and without numpy).
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.campaign.scheduler import CampaignScheduler
 
@@ -647,6 +636,8 @@ def _check_policy(name: Optional[str]) -> None:
 
 
 def _resolved_scenario(args: argparse.Namespace):
+    from repro.scenario import get_scenario
+
     scenario = get_scenario(args.scenario)
     settings = _parse_settings(args.settings)
     if settings:
@@ -658,6 +649,8 @@ def _resolved_scenario(args: argparse.Namespace):
 # Command implementations
 # --------------------------------------------------------------------------- #
 def _cmd_scenarios_list() -> int:
+    from repro.scenario import available_scenarios, describe_scenario
+
     print("Known scenarios (bundled and runtime-registered):")
     for name in available_scenarios():
         print(f"  {describe_scenario(name)}")
@@ -666,11 +659,14 @@ def _cmd_scenarios_list() -> int:
 
 
 def _cmd_scenarios_show(args: argparse.Namespace) -> int:
+    from repro.scenario import get_scenario
+
     print(get_scenario(args.scenario).to_json())
     return 0
 
 
 def _cmd_scenarios_validate(args: argparse.Namespace) -> int:
+    from repro.scenario import builtin_scenario_paths, get_scenario, scenario_from_file
     from repro.system.experiment import run_experiment
 
     refs = list(args.scenarios) or sorted(builtin_scenario_paths())
@@ -705,6 +701,8 @@ def _cmd_scenarios_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_list() -> int:
+    from repro.campaign import builtin_campaign_paths, describe_campaign
+
     print("Bundled campaigns:")
     for name in builtin_campaign_paths():
         print(f"  {describe_campaign(name)}")
@@ -713,6 +711,8 @@ def _cmd_campaign_list() -> int:
 
 
 def _cmd_campaign_show(args: argparse.Namespace) -> int:
+    from repro.campaign import get_campaign
+
     print(get_campaign(args.campaign).to_json())
     return 0
 
@@ -746,6 +746,8 @@ def _campaign_scheduler(args: argparse.Namespace, campaign) -> CampaignScheduler
 
 
 def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
+    from repro.campaign import get_campaign
+
     _configure_logging(args.log_level)
     campaign = get_campaign(args.campaign)
     store = _store_for(args)
@@ -910,6 +912,7 @@ def _smoke_subgrid(campaign, requested: Optional[str]) -> str:
 
 
 def _cmd_campaign_validate(args: argparse.Namespace) -> int:
+    from repro.campaign import builtin_campaign_paths, get_campaign
     from repro.campaign.scheduler import CampaignScheduler
 
     refs = list(args.campaigns) or sorted(builtin_campaign_paths())
@@ -953,6 +956,8 @@ def _run_recording(
 
 
 def _cmd_campaign_narrative(args: argparse.Namespace) -> int:
+    from repro.campaign import get_campaign
+
     campaign = get_campaign(args.campaign)
     store = _store_for(args)
     manifest = None
@@ -1210,6 +1215,7 @@ def _cmd_settings(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.serialize import save_result
+    from repro.scenario import critical_cores_for
     from repro.system.experiment import run_experiment
 
     _check_policy(args.policy)
@@ -1242,6 +1248,7 @@ def _default_policies(scenario) -> List[str]:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.runner import compare_policies_specs, run_sweep
+    from repro.scenario import critical_cores_for
 
     scenario = _resolved_scenario(args)
     policies = args.policies or _default_policies(scenario)
@@ -1284,6 +1291,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.runner import frequency_sweep_specs, run_sweep
+    from repro.scenario import critical_cores_for
 
     _check_policy(args.policy)
     scenario = _resolved_scenario(args)
@@ -1356,6 +1364,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             print(served)
             return 0
     from repro.runner import run_sweep, scenario_grid_specs
+    from repro.scenario import critical_cores_for
 
     duration_ps = int(args.duration_ms * MS)
     critical = critical_cores_for(scenario)

@@ -11,7 +11,7 @@ optimisation of the paper relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.sim.config import DramConfig
 
@@ -64,29 +64,32 @@ class AddressMapper:
     def rows_per_bank(self) -> int:
         return self._rows_per_bank
 
-    def decode(self, address: int) -> DecodedAddress:
-        """Decode a byte address into DRAM coordinates.
+    def locate(self, address: int) -> Tuple[int, int, int, int]:
+        """Map a byte address to ``(channel, bank_slot, row, column)`` integers.
 
+        The one implementation of the mapping.  ``bank_slot`` is the bank's
+        flat index within its channel, ``rank * banks_per_rank + bank``.
         Addresses beyond the configured capacity wrap around, which keeps
         synthetic traffic generators simple without affecting contention
         behaviour.
         """
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
-        address %= self.config.capacity_bytes
+        config = self.config
+        interleave = self.channel_interleave_bytes
+        channels = config.channels
+        row_size = config.row_size_bytes
+        banks = self._banks_per_channel
+        block, offset = divmod(address % config.capacity_bytes, interleave)
+        channel_block, channel = divmod(block, channels)
+        row_block, column = divmod(channel_block * interleave + offset, row_size)
+        row_group, bank_slot = divmod(row_block, banks)
+        return channel, bank_slot, row_group % self._rows_per_bank, column
 
-        block = address // self.channel_interleave_bytes
-        offset = address % self.channel_interleave_bytes
-        channel = block % self.config.channels
-        channel_local = (block // self.config.channels) * self.channel_interleave_bytes + offset
-
-        column = channel_local % self.config.row_size_bytes
-        row_block = channel_local // self.config.row_size_bytes
-        bank_index = row_block % self._banks_per_channel
-        row = (row_block // self._banks_per_channel) % self._rows_per_bank
-
-        rank = bank_index // self.config.banks_per_rank
-        bank = bank_index % self.config.banks_per_rank
+    def decode(self, address: int) -> DecodedAddress:
+        """Decode a byte address into DRAM coordinates (see :meth:`locate`)."""
+        channel, bank_slot, row, column = self.locate(address)
+        rank, bank = divmod(bank_slot, self.config.banks_per_rank)
         return DecodedAddress(
             channel=channel, rank=rank, bank=bank, row=row, column=column
         )

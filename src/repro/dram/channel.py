@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dram.address import DecodedAddress
 from repro.dram.bank import Bank, RowBufferState
@@ -28,6 +28,12 @@ class Channel:
     occupies it for the duration of its burst.  Bank preparation (precharge +
     activation) happens in parallel with other banks' bursts, which is how
     bank-level parallelism shows up in aggregate bandwidth.
+
+    Banks are addressed by ``(rank, bank)`` in :attr:`banks` and by flat
+    bank slot (``rank * banks_per_rank + bank``, the address map's own bank
+    index) in :attr:`bank_slots`, with :attr:`rank_slots` giving each slot's
+    rank; both views hold the same :class:`Bank` and :class:`Rank` objects.
+    The timing rules live in :meth:`service_prepared`, which takes a slot.
     """
 
     def __init__(self, index: int, config: DramConfig, timing: DramTimingPs) -> None:
@@ -37,16 +43,25 @@ class Channel:
         self.bus_free_at_ps = 0
         self.banks: Dict[Tuple[int, int], Bank] = {}
         self.ranks: Dict[int, Rank] = {}
-        for rank in range(config.ranks_per_channel):
-            self.ranks[rank] = Rank(rank)
-            for bank in range(config.banks_per_rank):
-                self.banks[(rank, bank)] = Bank(rank=rank, index=bank)
+        self.bank_slots: List[Bank] = []
+        self.rank_slots: List[Rank] = []
+        for rank_index in range(config.ranks_per_channel):
+            rank = self.ranks[rank_index] = Rank(rank_index)
+            for bank_index in range(config.banks_per_rank):
+                bank = self.banks[(rank_index, bank_index)] = Bank(
+                    rank=rank_index, index=bank_index
+                )
+                self.bank_slots.append(bank)
+                self.rank_slots.append(rank)
+        #: Burst time per transfer size at the current timing.
+        self._burst_ps: Dict[int, int] = {}
         self.bytes_served = 0
         self.busy_time_ps = 0
 
     def set_timing(self, timing: DramTimingPs) -> None:
         """Switch the channel to a new resolved timing (DVFS)."""
         self.timing = timing
+        self._burst_ps.clear()
 
     def is_row_hit(self, decoded: DecodedAddress) -> bool:
         """Would an access to this address hit the currently open row?"""
@@ -71,7 +86,11 @@ class Channel:
         if size_bytes <= 0:
             raise ValueError(f"transfer size must be positive, got {size_bytes}")
         data_start_ps, completion_ps, state = self.service_prepared(
-            decoded.rank, decoded.bank, decoded.row, size_bytes, is_write, now_ps
+            decoded.rank * self.config.banks_per_rank + decoded.bank,
+            decoded.row,
+            size_bytes,
+            is_write,
+            now_ps,
         )
         return ChannelServiceResult(
             data_start_ps=data_start_ps, completion_ps=completion_ps, state=state
@@ -79,23 +98,26 @@ class Channel:
 
     def service_prepared(
         self,
-        rank_index: int,
-        bank_index: int,
+        bank_slot: int,
         row: int,
         size_bytes: int,
         is_write: bool,
         now_ps: int,
     ) -> Tuple[int, int, RowBufferState]:
-        """The service-time computation on pre-decoded coordinates.
+        """The service-time computation on a bank slot and row.
 
         Single source of truth for channel timing: :meth:`service` delegates
         here, and the batched memory controller calls it directly with the
-        coordinates it decoded once at enqueue, skipping the per-issue address
-        decode and the result-object allocation.  Returns ``(data_start_ps,
-        completion_ps, state)``.
+        coordinates the address map gave it once at enqueue, skipping the
+        per-issue address decode and the result-object allocation.  The
+        burst time is computed, and the size checked, once per transfer size
+        and timing.  Returns ``(data_start_ps, completion_ps, state)``.
         """
-        bank = self.banks[(rank_index, bank_index)]
-        rank = self.ranks[rank_index]
+        burst_ps = self._burst_ps.get(size_bytes)
+        if burst_ps is None:
+            burst_ps = self.timing.burst_ps(size_bytes, self.config.bus_bytes_per_cycle)
+            self._burst_ps[size_bytes] = burst_ps
+        bank = self.bank_slots[bank_slot]
         timing = self.timing
         state = bank.classify(row)
 
@@ -107,6 +129,7 @@ class Channel:
         else:
             # A precharge (row miss only) plus an activation is required; the
             # activation must respect the rank's tRRD/tFAW window.
+            rank = self.rank_slots[bank_slot]
             precharge_ps = timing.t_rp_ps if state is RowBufferState.MISS else 0
             activation_ps = rank.earliest_activation_ps(
                 bank_available_ps + precharge_ps, timing
@@ -114,7 +137,6 @@ class Channel:
             rank.record_activation(activation_ps)
             data_ready_ps = activation_ps + timing.t_rcd_ps + timing.cl_ps
 
-        burst_ps = timing.burst_ps(size_bytes, self.config.bus_bytes_per_cycle)
         data_start_ps = data_ready_ps
         if data_start_ps < self.bus_free_at_ps:
             data_start_ps = self.bus_free_at_ps

@@ -107,23 +107,23 @@ class DramDevice:
     def service_prepared(
         self,
         channel_index: int,
-        rank: int,
-        bank: int,
+        bank_slot: int,
         row: int,
         size_bytes: int,
         is_write: bool,
         now_ps: int,
     ) -> Tuple[int, bool]:
-        """Decoded fast path of :meth:`service` for the batched controller.
+        """Fast path of :meth:`service` for the batched controller.
 
-        The batched memory controller decodes each address once at enqueue and
-        keeps the coordinates in its columnar store, so per-issue it can skip
-        the mapper and the :class:`ServiceResult` allocation.  Statistics
-        update exactly as in :meth:`service`; returns ``(completion_ps,
-        row_hit)``.
+        The batched memory controller maps each address once at enqueue
+        (:meth:`AddressMapper.locate`) and keeps the channel, bank slot
+        (``rank * banks_per_rank + bank``) and row in its columnar store, so
+        per issue it skips the mapper, the :class:`DecodedAddress` and the
+        :class:`ServiceResult` allocation.  Statistics update exactly as in
+        :meth:`service`; returns ``(completion_ps, row_hit)``.
         """
         _, completion_ps, state = self.channels[channel_index].service_prepared(
-            rank, bank, row, size_bytes, is_write, now_ps
+            bank_slot, row, size_bytes, is_write, now_ps
         )
         self.total_bytes += size_bytes
         if is_write:

@@ -11,12 +11,17 @@ scheduling decision by reducing the columns directly instead of walking an
 object graph, and a store only maintains the columns its selector actually
 reads (an FCFS router push is three list appends).
 
-Every selector makes its decision with one early-exit scan over the list
-columns, at every window size.  Copying the columns into numpy arrays for a
+Every store keeps its candidates in age order: a push appends, and an
+arrival older than the newest entry (an interior router merging links of
+different speeds) is inserted in its place.  So the oldest live candidate is
+always ``head``, and the first match found scanning from ``head`` is the
+oldest match.  Removal writes a sentinel into the scanned columns (priority
+and queue class ``-1``, realtime-behind ``False``), so a selector finds the
+next live match with ``list.index`` in C.  All policies break ties on total
+per-transaction keys (``(age, uid)`` with unique uids), so there are no ties
+for iteration order to resolve.  Copying the columns into numpy arrays for a
 masked reduction costs more than the whole scan, even for windows of
-thousands of candidates (measurements in ``docs/engine.md``).  All policies
-break ties on total per-transaction keys (``(age, uid)`` with unique uids),
-so there are no ties for iteration order to resolve.
+thousands of candidates (measurements in ``docs/engine.md``).
 
 Selectors replicate their policies' ``select()`` *exactly*:
 
@@ -28,22 +33,11 @@ Selectors replicate their policies' ``select()`` *exactly*:
 ``tests/test_sim_golden.py`` checks this on whole runs by making
 :func:`make_selector` return ``None``, which sends every decision through
 the policy's own ``select()``.
-
-Two store flavours share one class:
-
-* **sorted mode** (memory controller and leaf routers): the NoC delivers
-  transactions to the controller at strictly increasing timestamps (the root
-  router serialises them over one link) and DMAs inject synchronously at
-  creation, so insertion order *is* age order and "oldest" is the store's
-  head pointer — O(1).  The store verifies the invariant on every push and
-  silently degrades to the scan paths if violated — which is exactly what
-  happens at interior routers merging links of different speeds.
-* **unsorted mode**: "oldest" is a minimum over the ``skey`` column.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from repro.memctrl.aging import AgingTracker
@@ -72,9 +66,6 @@ _ROTATIONS = tuple(
 )
 _NEXT_CLASS = tuple((code + 1) % _NUM_CLASSES for code in range(_NUM_CLASSES))
 
-#: The sentinel age key greater than every real ``(time, uid)`` key.
-_SKEY_MAX: Tuple[int, int] = (1 << 62, 1 << 62)
-
 #: The sentinel round-robin turn greater than every real turn.
 _TURN_MAX = 1 << 62
 
@@ -83,21 +74,25 @@ _COMPACT_SLACK = 64
 
 
 class ColumnarStore:
-    """A candidate set as parallel columns plus the owning objects.
+    """A candidate set as parallel columns plus the owning objects, in age
+    order.
 
     Columns are plain Python lists: cheap to append, and scanned in place
-    by the selectors.
+    by the selectors.  From ``head`` on, the age keys (``skey``) strictly
+    increase with the index, dead entries included, so ``head`` is the
+    oldest live candidate; entries before ``head`` are dead.  A removed
+    entry keeps its age key and gets a sentinel in the scanned columns:
+    ``prio`` and ``cls`` ``-1``, ``behind`` ``False``.
 
     The ``track_*`` flags disable columns (and their counters) that the
     owning selector never reads, shrinking the per-push work: a disabled
     column stays an empty list.  ``track_rows`` is owner-driven rather than
-    selector-driven — the batched controller always needs the decoded
-    ``bank``/``row`` for issuing, NoC routers never do.
+    selector-driven — the batched controller always needs the ``bank``
+    slot and ``row`` for issuing, NoC routers never do.
     """
 
     __slots__ = (
         "codebook",
-        "sorted_mode",
         "skey",
         "prio",
         "cls",
@@ -112,30 +107,24 @@ class ColumnarStore:
         "track_dma",
         "track_behind",
         "track_rows",
-        "use_heap",
-        "_heap",
         "_columns",
         "head",
         "live",
         "class_count",
         "prio_count",
         "behind_count",
-        "_last_skey",
     )
 
     def __init__(
         self,
         codebook: Dict[str, int],
-        sorted_mode: bool,
         track_cls: bool = True,
         track_prio: bool = True,
         track_dma: bool = True,
         track_behind: bool = True,
         track_rows: bool = True,
-        use_heap: bool = False,
     ) -> None:
         self.codebook = codebook
-        self.sorted_mode = sorted_mode
         #: Age key column: the transactions' ``sort_key`` tuples, shared with
         #: the objects themselves (one append, tuple comparisons — exactly
         #: the scalar policies' ordering).
@@ -153,27 +142,21 @@ class ColumnarStore:
         self.track_dma = track_dma
         self.track_behind = track_behind
         self.track_rows = track_rows
-        columns = ["skey", "objs"]
+        #: The maintained columns themselves; every one is only ever
+        #: mutated in place, never rebound.
+        columns = [self.skey, self.objs, self.alive]
         if track_cls:
-            columns.append("cls")
+            columns.append(self.cls)
         if track_prio:
-            columns.append("prio")
+            columns.append(self.prio)
         if track_dma:
-            columns.append("dma")
+            columns.append(self.dma)
         if track_behind:
-            columns.append("behind")
+            columns.append(self.behind)
         if track_rows:
-            columns.extend(("bank", "row"))
+            columns.extend((self.bank, self.row))
         self._columns = tuple(columns)
-        #: Lazy min-heap over ``(skey, index)`` maintained only while the
-        #: store is unsorted *and* its selector leans on :meth:`oldest_index`
-        #: (FCFS-style policies): the oldest pop is then O(log n) instead of
-        #: an O(n) scan.  Entries of removed candidates go stale and are
-        #: discarded on pop; unique sort keys make the heap minimum identical
-        #: to the scan minimum.
-        self.use_heap = use_heap
-        self._heap: List[Tuple[Tuple[int, int], int]] = []
-        self.head = 0  # lowest index that may still be alive
+        self.head = 0  # the oldest live entry (the size when none is live)
         self.live = 0
         self.class_count = [0] * _NUM_CLASSES
         #: Live candidates per priority level, grown on demand (the paper's
@@ -181,14 +164,12 @@ class ColumnarStore:
         #: an O(levels) lookup instead of an O(window) scan.
         self.prio_count = [0] * 8
         self.behind_count = 0
-        self._last_skey: Tuple[int, int] = (-1, -1)
 
     @classmethod
     def for_selector(
         cls,
         selector,
         codebook: Dict[str, int],
-        sorted_mode: bool,
         track_rows: bool,
     ) -> "ColumnarStore":
         """A store maintaining exactly the columns ``selector`` reads.
@@ -199,16 +180,14 @@ class ColumnarStore:
         """
         needs = getattr(selector, "NEEDS", None)
         if needs is None:
-            return cls(codebook, sorted_mode, track_rows=track_rows)
+            return cls(codebook, track_rows=track_rows)
         return cls(
             codebook,
-            sorted_mode,
             track_cls="cls" in needs,
             track_prio="prio" in needs,
             track_dma="dma" in needs,
             track_behind="behind" in needs,
             track_rows=track_rows,
-            use_heap=getattr(selector, "USES_OLDEST", False),
         )
 
     @property
@@ -220,14 +199,17 @@ class ColumnarStore:
     # Mutation
     # ------------------------------------------------------------------ #
     def push(self, transaction: Transaction, bank_slot: int = 0, row: int = -1) -> int:
-        """Append a candidate; returns its store index.
+        """Add a candidate in age order; returns its store index.
 
         The age key is the transaction's cached ``sort_key`` (enqueue time in
-        the controller, creation time inside the NoC).
+        the controller, creation time inside the NoC).  A key newer than the
+        last entry's is appended; an older one is moved from the tail to its
+        place, found by bisection from ``head``.
         """
         skey = transaction.sort_key
-        index = len(self.skey)
-        self.skey.append(skey)
+        skeys = self.skey
+        size = len(skeys)
+        skeys.append(skey)
         self.objs.append(transaction)
         self.alive.append(True)
         self.live += 1
@@ -257,48 +239,41 @@ class ColumnarStore:
         if self.track_rows:
             self.bank.append(bank_slot)
             self.row.append(row)
-        if self.sorted_mode:
-            if skey < self._last_skey:
-                # Out-of-order insertion: age order no longer equals index
-                # order.  Degrade permanently to the scan-based paths (and
-                # seed the oldest-heap with everything currently live).
-                self.sorted_mode = False
-                if self.use_heap:
-                    skeys = self.skey
-                    alive = self.alive
-                    heap = [
-                        (skeys[i], i)
-                        for i in range(self.head, len(skeys))
-                        if alive[i]
-                    ]
-                    heapq.heapify(heap)
-                    self._heap = heap
-            else:
-                self._last_skey = skey
-        elif self.use_heap:
-            heapq.heappush(self._heap, (skey, index))
-        return index
+        if size and skey < skeys[size - 1]:
+            # Older than the newest entry: entries from head on are in
+            # strictly increasing key order, dead ones included, so bisect
+            # there (entries before head are dead and may be out of order).
+            index = bisect_left(skeys, skey, self.head, size)
+            if index < size:
+                for column in self._columns:
+                    column.insert(index, column.pop())
+                return index
+        return size
 
     def remove_index(self, index: int) -> None:
-        """Kill the candidate at a store index (columns keep their values)."""
-        self.alive[index] = False
+        """Kill the candidate at a store index: update the counters, then
+        write the sentinels into the scanned columns (the age key stays)."""
+        alive = self.alive
+        alive[index] = False
         live = self.live - 1
         self.live = live
         if self.track_cls:
-            self.class_count[self.cls[index]] -= 1
+            cls = self.cls
+            self.class_count[cls[index]] -= 1
+            cls[index] = -1
         if self.track_prio:
-            self.prio_count[self.prio[index]] -= 1
-        if self.track_behind and self.behind[index]:
-            self.behind_count -= 1
+            prio = self.prio
+            self.prio_count[prio[index]] -= 1
+            prio[index] = -1
+        if self.track_behind:
+            behind = self.behind
+            if behind[index]:
+                self.behind_count -= 1
+                behind[index] = False
         self.objs[index] = None
         if index == self.head:
-            head = index + 1
-            alive = self.alive
-            size = len(alive)
-            while head < size and not alive[head]:
-                head += 1
-            self.head = head
-        if len(self.skey) - live > _COMPACT_SLACK:
+            self.head = alive.index(True, index + 1) if live else len(alive)
+        if len(alive) - live > _COMPACT_SLACK:
             self._compact()
 
     def index_of_uid(self, uid: int) -> int:
@@ -311,21 +286,12 @@ class ColumnarStore:
         raise KeyError(f"uid {uid} is not a live candidate")
 
     def _compact(self) -> None:
-        """Drop dead entries in place; index order (and thus any sortedness
-        and FIFO/insertion order) is preserved."""
+        """Drop dead entries in place, keeping the age order."""
         alive = self.alive
         keep = [i for i in range(self.head, len(alive)) if alive[i]]
-        for name in self._columns:
-            col = getattr(self, name)
-            col[:] = [col[i] for i in keep]
-        self.alive = [True] * len(keep)
+        for column in self._columns:
+            column[:] = [column[i] for i in keep]
         self.head = 0
-        if self.use_heap and not self.sorted_mode:
-            # Store indices changed: rebuild the oldest-heap over survivors.
-            heap = list(enumerate(self.skey))
-            heap = [(skey, i) for i, skey in heap]
-            heapq.heapify(heap)
-            self._heap = heap
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -338,32 +304,10 @@ class ColumnarStore:
                 return level
         return -1
 
-    def oldest_index(self) -> int:
-        """Store index of the oldest live candidate: minimal ``sort_key``."""
-        if self.sorted_mode or self.live == 1:
-            return self.head
-        skeys = self.skey
-        alive = self.alive
-        if self.use_heap:
-            heap = self._heap
-            while heap:
-                index = heap[0][1]
-                if alive[index]:
-                    return index
-                heapq.heappop(heap)  # stale entry of a removed candidate
-            return -1
-        best = -1
-        best_key = _SKEY_MAX
-        for i in range(self.head, len(skeys)):
-            if alive[i]:
-                k = skeys[i]
-                if k < best_key:
-                    best = i
-                    best_key = k
-        return best
-
     def fallback_candidates(self) -> List[Transaction]:
-        """Live candidates in insertion order (a router's arrival order)."""
+        """Live candidates in age order (a router's policy without a
+        selector sees them so; every policy chooses by per-transaction
+        keys, not by list position)."""
         return [obj for obj in self.objs[self.head :] if obj is not None]
 
     def fallback_candidates_by_class(self) -> List[Transaction]:
@@ -384,33 +328,6 @@ class ColumnarStore:
         return out
 
 
-def _oldest_masked(store: ColumnarStore, mask_ok) -> int:
-    """Oldest live candidate satisfying a per-index predicate.
-
-    In sorted mode the first match is the oldest; otherwise track the
-    minimal ``sort_key``.  The caller guarantees at least one match.
-    """
-    alive = store.alive
-    size = len(alive)
-    if store.sorted_mode:
-        for i in range(store.head, size):
-            if alive[i] and mask_ok(i):
-                return i
-        raise ValueError("no candidate satisfies the selection mask")
-    skeys = store.skey
-    best = -1
-    best_key = _SKEY_MAX
-    for i in range(store.head, size):
-        if alive[i] and mask_ok(i):
-            k = skeys[i]
-            if k < best_key:
-                best = i
-                best_key = k
-    if best < 0:
-        raise ValueError("no candidate satisfies the selection mask")
-    return best
-
-
 # ---------------------------------------------------------------------- #
 # Batched selectors
 # ---------------------------------------------------------------------- #
@@ -418,16 +335,12 @@ class FcfsSelector:
     """FCFS and (row-state-blind) FR-FCFS: plain oldest."""
 
     NEEDS = frozenset()
-    USES_OLDEST = True
 
     def __init__(self, policy: SchedulingPolicy) -> None:
         self.policy = policy
 
     def select(self, store: ColumnarStore, now_ps: int, channel: int = 0) -> int:
-        # oldest_index() with its sorted-mode head fast path inlined.
-        if store.sorted_mode or store.live == 1:
-            return store.head
-        return store.oldest_index()
+        return store.head
 
     def serve_direct(
         self,
@@ -449,7 +362,6 @@ class RoundRobinSelector:
     """Round-robin over queue classes; rotation state shared with the policy."""
 
     NEEDS = frozenset(("cls",))
-    USES_OLDEST = True
 
     def __init__(self, policy: RoundRobinPolicy) -> None:
         self.policy = policy
@@ -462,32 +374,8 @@ class RoundRobinSelector:
             if count:
                 policy._next_class_index = _NEXT_CLASS[code]
                 if count == store.live:
-                    if store.sorted_mode:
-                        return store.head
-                    return store.oldest_index()
-                # Inlined masked-oldest scan (a predicate lambda per candidate
-                # is measurably slower on this per-arbitration path).
-                cls = store.cls
-                alive = store.alive
-                if store.sorted_mode:
-                    for i in range(store.head, len(alive)):
-                        if alive[i] and cls[i] == code:
-                            return i
-                    raise ValueError("class_count is out of sync with the store")
-                skeys = store.skey
-                best = -1
-                best_key = _SKEY_MAX
-                remaining = count
-                for i in range(store.head, len(alive)):
-                    if alive[i] and cls[i] == code:
-                        k = skeys[i]
-                        if k < best_key:
-                            best = i
-                            best_key = k
-                        remaining -= 1
-                        if not remaining:
-                            break
-                return best
+                    return store.head
+                return store.cls.index(code, store.head)
         raise ValueError("round-robin selector asked to select from an empty store")
 
     def serve_direct(
@@ -512,7 +400,6 @@ class FrameRateSelector:
     """Frame-rate QoS: oldest realtime-behind candidate, else oldest."""
 
     NEEDS = frozenset(("behind",))
-    USES_OLDEST = True
 
     def __init__(self, policy: FrameRateQosPolicy) -> None:
         self.policy = policy
@@ -520,31 +407,8 @@ class FrameRateSelector:
     def select(self, store: ColumnarStore, now_ps: int, channel: int = 0) -> int:
         behind_count = store.behind_count
         if behind_count == 0 or behind_count == store.live:
-            if store.sorted_mode:
-                return store.head
-            return store.oldest_index()
-        # Inlined masked-oldest scan, bounded by the live behind-count.
-        behind = store.behind
-        alive = store.alive
-        if store.sorted_mode:
-            for i in range(store.head, len(alive)):
-                if alive[i] and behind[i]:
-                    return i
-            raise ValueError("behind_count is out of sync with the store")
-        skeys = store.skey
-        best = -1
-        best_key = _SKEY_MAX
-        remaining = behind_count
-        for i in range(store.head, len(alive)):
-            if alive[i] and behind[i]:
-                k = skeys[i]
-                if k < best_key:
-                    best = i
-                    best_key = k
-                remaining -= 1
-                if not remaining:
-                    break
-        return best
+            return store.head
+        return store.behind.index(True, store.head)
 
     def serve_direct(
         self,
@@ -607,58 +471,50 @@ class PriorityQosSelector:
         """Round-robin pick within the urgent group (priority == ``top`` or
         enqueued at/before ``cutoff``): least recently served DMA first,
         oldest transaction within it — the scalar ``_round_robin_pick``
-        ordering over the scalar ``_urgent_group`` membership."""
+        ordering over the scalar ``_urgent_group`` membership.
+
+        Candidates are visited oldest first, so a strictly smaller turn
+        replaces the best and a tie keeps the older one; a never-served DMA
+        (turn -1, the smallest) wins outright.  Keys increase with the
+        index, so the aged candidates are a prefix of the live window: scan
+        it, then visit only the remaining top-priority members, found with
+        ``prio.index`` and counted down from ``prio_count[top]``.
+        """
         turns = self.turns
         if len(turns) < len(store.codebook):
             turns = self._turns_for(store)
-        alive = store.alive
         prio = store.prio
-        skeys = store.skey
         dma = store.dma
-        sorted_mode = store.sorted_mode
-        head = store.head
-        if sorted_mode and (cutoff is None or skeys[head][0] > cutoff):
-            # The head is the oldest live entry of a sorted store, so if it
-            # is not aged nothing is, and the urgent group is exactly the
-            # top-priority class.  prio_count bounds the scan (stop after the
-            # group's last member) and a never-served DMA wins outright:
-            # -1 is the smallest turn value and ties keep the earlier (older)
-            # entry, which is the one we are standing on.
-            remaining = store.prio_count[top]
-            best = -1
-            best_turn = _TURN_MAX
-            for i in range(head, len(alive)):
-                if not alive[i] or prio[i] != top:
-                    continue
-                turn = turns[dma[i]]
-                if turn < best_turn:
-                    best = i
-                    best_turn = turn
-                    if turn == -1:
-                        break
-                remaining -= 1
-                if not remaining:
-                    break
-            return self._serve(store, best, now_ps)
+        remaining = store.prio_count[top]
         best = -1
         best_turn = _TURN_MAX
-        best_key = _SKEY_MAX
-        for i in range(head, len(alive)):
-            if not alive[i]:
-                continue
-            if prio[i] != top and (cutoff is None or skeys[i][0] > cutoff):
-                continue
+        i = store.head
+        if cutoff is not None:
+            skeys = store.skey
+            alive = store.alive
+            size = len(skeys)
+            while i < size and skeys[i][0] <= cutoff:
+                if alive[i]:
+                    turn = turns[dma[i]]
+                    if turn < best_turn:
+                        if turn == -1:
+                            return self._serve(store, i, now_ps)
+                        best = i
+                        best_turn = turn
+                    if prio[i] == top:
+                        remaining -= 1
+                i += 1
+        find = prio.index
+        while remaining:
+            i = find(top, i)
             turn = turns[dma[i]]
-            if turn > best_turn:
-                continue
-            if turn == best_turn:
-                if sorted_mode:
-                    continue  # earlier index == older transaction
-                if skeys[i] > best_key:
-                    continue
-            best = i
-            best_turn = turn
-            best_key = skeys[i]
+            if turn < best_turn:
+                best = i
+                best_turn = turn
+                if turn == -1:
+                    break
+            remaining -= 1
+            i += 1
         return self._serve(store, best, now_ps)
 
     def select(self, store: ColumnarStore, now_ps: int, channel: int = 0) -> int:
@@ -716,19 +572,17 @@ class FrFcfsSelector:
         self.open_rows = open_rows
 
     def select(self, store: ColumnarStore, now_ps: int, channel: int = 0) -> int:
+        head = store.head
         if store.live == 1:
-            return store.head
+            return head
         open_rows = self.open_rows[channel]
         alive = store.alive
         bank = store.bank
         row = store.row
-        for i in range(store.head, len(alive)):
+        for i in range(head, len(alive)):
             if alive[i] and open_rows[bank[i]] == row[i]:
-                # At least one hit exists; serve the oldest among them.
-                if store.sorted_mode:
-                    return i
-                return _oldest_masked(store, lambda j: open_rows[bank[j]] == row[j])
-        return store.oldest_index()
+                return i  # the first row hit is the oldest
+        return head
 
     def serve_direct(
         self,
@@ -788,15 +642,12 @@ class PriorityRowBufferSelector:
         skeys = store.skey
         bank = store.bank
         row = store.row
+        # In both branches the first row hit found is the oldest one.
         if top < self.delta:
             # No transaction is urgent: spend the slot on DRAM efficiency.
             for i in range(store.head, len(alive)):
                 if alive[i] and open_rows[bank[i]] == row[i]:
-                    if store.sorted_mode:
-                        return i
-                    return _oldest_masked(
-                        store, lambda j: open_rows[bank[j]] == row[j]
-                    )
+                    return i
             return inner.pick_urgent(store, top, cutoff, now_ps)
         # Urgent traffic exists: a row hit *within* the urgent group wins,
         # otherwise round-robin over the group.
@@ -806,16 +657,7 @@ class PriorityRowBufferSelector:
                 and (prio[i] == top or (cutoff is not None and skeys[i][0] <= cutoff))
                 and open_rows[bank[i]] == row[i]
             ):
-                if store.sorted_mode:
-                    return i
-                return _oldest_masked(
-                    store,
-                    lambda j: (
-                        prio[j] == top
-                        or (cutoff is not None and skeys[j][0] <= cutoff)
-                    )
-                    and open_rows[bank[j]] == row[j],
-                )
+                return i
         return inner.pick_urgent(store, top, cutoff, now_ps)
 
     def serve_direct(
@@ -847,8 +689,9 @@ def make_selector(
     """Build the batched selector for a policy instance, or ``None``.
 
     ``None`` means "no selector for this policy" — the columnar controller
-    and the routers then fall back to handing the policy a candidate list in
-    the exact order the queue-based controller builds, so unknown or
+    and the routers then fall back to handing the policy a candidate list
+    (see :meth:`ColumnarStore.fallback_candidates` and
+    :meth:`ColumnarStore.fallback_candidates_by_class`), so unknown or
     user-registered policies keep bit-identical behaviour (just without the
     speedup).  Matching is on exact policy class: a subclass overriding
     ``select`` must not be silently routed through its parent's batched path.

@@ -222,9 +222,9 @@ class BatchedMemoryController(MemoryController):
     ``tests/test_sim_golden.py`` checks by swapping that controller in — but
     the per-channel candidate sets live in
     :class:`~repro.memctrl.columnar.ColumnarStore` columns so scheduling
-    decisions are selector reductions, and each address is decoded exactly
-    once at enqueue (the queue-based path decodes at enqueue, per row-hit
-    probe and again at issue).  Row-buffer-aware policies read a
+    decisions are selector reductions, and each address is mapped exactly
+    once at enqueue, to integers (the queue-based path decodes at enqueue,
+    per row-hit probe and again at issue).  Row-buffer-aware policies read a
     per-channel open-row mirror instead of probing the banks per candidate;
     the mirror is valid because the transaction-level :class:`Bank` latches
     the accessed row on every access and nothing else closes rows (the
@@ -254,9 +254,7 @@ class BatchedMemoryController(MemoryController):
                 "BatchedMemoryController requires the transaction-level DRAM device"
             )
         channels = dram.config.channels
-        banks_per_rank = dram.config.banks_per_rank
-        bank_count = dram.config.ranks_per_channel * banks_per_rank
-        self._banks_per_rank = banks_per_rank
+        bank_count = dram.config.ranks_per_channel * dram.config.banks_per_rank
         # Per-channel open-row mirror, indexed by flat bank slot
         # (rank * banks_per_rank + bank); -1 marks a precharged bank.  Plain
         # lists: the selectors gather a handful of entries per decision, and
@@ -272,12 +270,10 @@ class BatchedMemoryController(MemoryController):
             open_rows=self._open_rows,
         )
         self._stores = [
-            ColumnarStore.for_selector(
-                self._selector, self._codebook, sorted_mode=True, track_rows=True
-            )
+            ColumnarStore.for_selector(self._selector, self._codebook, track_rows=True)
             for _ in range(channels)
         ]
-        self._mapper = dram.mapper
+        self._locate = dram.mapper.locate
         # Per-class occupancy counters replace the TransactionQueue
         # bookkeeping: the columnar stores already hold the pending
         # transactions, so the queues would only duplicate membership for
@@ -288,14 +284,19 @@ class BatchedMemoryController(MemoryController):
         self._serve_direct = getattr(self._selector, "serve_direct", None)
 
     def enqueue(self, transaction: Transaction) -> None:
-        """Accept a transaction from the NoC into its class queue."""
+        """Accept a transaction from the NoC into its channel's store.
+
+        The address is mapped once, to ``(channel, bank slot, row)``
+        integers (:meth:`~repro.dram.address.AddressMapper.locate`); the
+        store keeps the slot and row, and issue hands them to
+        :meth:`~repro.dram.device.DramDevice.service_prepared` as they are.
+        """
         now = self.engine._now_ps
         # Inlined TransactionQueue.push stamping (see queue.py): whoever sets
         # enqueued_ps sets the age key too.
         transaction.enqueued_ps = now
         transaction.sort_key = (now, transaction.uid)
-        decoded = self._mapper.decode(transaction.address)
-        channel = decoded.channel
+        channel, bank_slot, row, _ = self._locate(transaction.address)
         store = self._stores[channel]
         serve_direct = self._serve_direct
         if serve_direct is not None and not store.live and not self._channel_busy[channel]:
@@ -304,22 +305,20 @@ class BatchedMemoryController(MemoryController):
             # (and the transient occupancy counts, net zero within this
             # synchronous call) can be skipped; only the selector's policy
             # state is committed.  This is _schedule_from's issue tail with
-            # the decoded coordinates used directly.
-            bank_slot = decoded.rank * self._banks_per_rank + decoded.bank
-            if serve_direct(store, transaction, now, channel, bank_slot, decoded.row):
+            # the mapped coordinates used directly.
+            if serve_direct(store, transaction, now, channel, bank_slot, row):
                 transaction.issued_ps = now
                 completion_ps, row_hit = self.dram.service_prepared(
                     channel,
-                    decoded.rank,
-                    decoded.bank,
-                    decoded.row,
+                    bank_slot,
+                    row,
                     transaction.size_bytes,
                     transaction.is_write,
                     now,
                 )
                 transaction.row_hit = row_hit
                 transaction.completed_ps = completion_ps
-                self._open_rows[channel][bank_slot] = decoded.row
+                self._open_rows[channel][bank_slot] = row
                 self._channel_busy[channel] = True
                 self.engine.schedule_call(
                     completion_ps, self._on_complete, (transaction, channel)
@@ -327,11 +326,7 @@ class BatchedMemoryController(MemoryController):
                 return
         self._class_occupancy[transaction.queue_class] += 1
         self._pending_count += 1
-        store.push(
-            transaction,
-            decoded.rank * self._banks_per_rank + decoded.bank,
-            decoded.row,
-        )
+        store.push(transaction, bank_slot, row)
         if not self._channel_busy[channel]:
             self._schedule_from(channel)
 
@@ -365,15 +360,8 @@ class BatchedMemoryController(MemoryController):
         self._pending_count -= 1
 
         chosen.issued_ps = now
-        rank_index = bank_slot // self._banks_per_rank
         completion_ps, row_hit = self.dram.service_prepared(
-            channel,
-            rank_index,
-            bank_slot - rank_index * self._banks_per_rank,
-            row,
-            chosen.size_bytes,
-            chosen.is_write,
-            now,
+            channel, bank_slot, row, chosen.size_bytes, chosen.is_write, now
         )
         chosen.row_hit = row_hit
         chosen.completed_ps = completion_ps

@@ -27,13 +27,18 @@ class Router:
     controller sink).
 
     Transactions traverse the NoC bare, with no per-hop wrapper.  The
-    candidate set lives in a :class:`~repro.memctrl.columnar.ColumnarStore`,
-    so arbitration for the built-in policies is a selector reduction over
-    its columns; policies without a selector get the candidates as a list in
-    arrival order and choose through :meth:`NocArbiter.select`.  Every
-    policy breaks ties on total per-transaction keys (age, uid), never on
-    candidate order, so the router keeps no input ports: the input a
-    transaction arrived on cannot take part in arbitration.
+    candidate set lives in a :class:`~repro.memctrl.columnar.ColumnarStore`
+    kept in age order (creation time, then uid): a leaf router receives
+    transactions in that order, because DMAs inject synchronously at
+    creation, and an interior router, which merges links of different
+    speeds, inserts a late-arriving older transaction in its place.
+    Arbitration for the built-in policies is a selector reduction over the
+    store's columns; policies without a selector get the live candidates as
+    a list in age order (not arrival order) and choose through
+    :meth:`NocArbiter.select`.  Every policy in the repository breaks ties
+    on total per-transaction keys (age, uid), never on candidate order, so
+    the router keeps no input ports: the input a transaction arrived on
+    cannot take part in arbitration.
     """
 
     def __init__(
@@ -58,17 +63,8 @@ class Router:
         self.forwarded_packets = 0
         self.forwarded_bytes = 0
         self.stalled_attempts = 0
-        # Optimistically sorted: a leaf (cluster) router receives transactions
-        # in creation order because DMAs inject synchronously at creation, so
-        # its store stays on the O(1)/early-exit "oldest is the head" paths.
-        # Interior routers (the root) merge links of different speeds, arrival
-        # order diverges from age order, and the store's own push guard
-        # degrades them to the scan paths — selection results are
-        # identical either way.
         self._selector = make_selector(arbiter.policy)
-        self._store = ColumnarStore.for_selector(
-            self._selector, codebook={}, sorted_mode=True, track_rows=False
-        )
+        self._store = ColumnarStore.for_selector(self._selector, {}, track_rows=False)
         self._serve_direct = getattr(self._selector, "serve_direct", None)
 
     def set_sink(self, sink: TransactionSink) -> None:

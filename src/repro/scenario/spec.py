@@ -20,7 +20,13 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.scenario.errors import RegistryError, ScenarioError
+from repro.scenario.errors import (
+    RegistryError,
+    ScenarioError,
+    _plain,
+    _reject_unknown_keys,
+    _require_mapping,
+)
 from repro.scenario.registry import WORKLOADS
 from repro.sim.config import SimulationConfig
 
@@ -38,39 +44,6 @@ KNOWN_DRAM_MODELS = ("transaction", "command")
 #: :meth:`Scenario.sweep_axis_sets`, so code that iterates axis sets does not
 #: need to special-case the flat form.
 DEFAULT_AXIS_SET = "grid"
-
-
-def _plain(value: Any, path: str) -> Any:
-    """Canonicalise a parameter value to JSON-compatible plain data.
-
-    Tuples become lists (so equality survives a JSON round trip) and any
-    type JSON cannot express is rejected up front with its dotted path.
-    """
-    if isinstance(value, (list, tuple)):
-        return [_plain(item, f"{path}[{i}]") for i, item in enumerate(value)]
-    if isinstance(value, Mapping):
-        for key in value:
-            if not isinstance(key, str):
-                raise ScenarioError(f"{path}: mapping keys must be strings, got {key!r}")
-        return {key: _plain(item, f"{path}.{key}") for key, item in value.items()}
-    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
-        return value
-    raise ScenarioError(
-        f"{path}: values must be JSON-compatible (null, bool, number, string, "
-        f"list or mapping), got {type(value).__name__}"
-    )
-
-
-def _require_mapping(data: Any, path: str) -> Mapping[str, Any]:
-    if not isinstance(data, Mapping):
-        raise ScenarioError(f"{path}: expected a mapping, got {type(data).__name__}")
-    return data
-
-
-def _reject_unknown_keys(data: Mapping[str, Any], known: Sequence[str], path: str) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ScenarioError(f"{path}: unknown key(s) {unknown} (known: {sorted(known)})")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.cache import CACHE_SCHEMA_VERSION, canonical_json
-from repro.scenario import ScenarioError
-from repro.scenario.spec import (
+from repro.scenario.errors import (
+    ScenarioError,
     _plain as _scenario_plain,
     _reject_unknown_keys as _scenario_reject_unknown_keys,
     _require_mapping as _scenario_require_mapping,

@@ -7,6 +7,8 @@ pins the edge cases the batched structures introduce:
   buckets, single-entry buckets, tombstone compaction interleaved with
   bucketed batches, and horizon put-back;
 * columnar-store tombstone compaction interleaved with further pushes;
+* a router store fed in reverse age order: it keeps age order, and every
+  selector picks what its policy's ``select()`` picks;
 * NPI meter saturation at batch boundaries (the one
   ``PerformanceMeter.record_completion`` path must validate before it
   counts, and ``npi()`` must clamp at the cap and floor);
@@ -27,8 +29,14 @@ from repro.core.npi import (
 )
 from repro.memctrl.aging import AgingTracker
 from repro.memctrl.columnar import ColumnarStore, make_selector
-from repro.memctrl.policies import FcfsPolicy, PriorityQosPolicy, RoundRobinPolicy
+from repro.memctrl.policies import (
+    FcfsPolicy,
+    PriorityQosPolicy,
+    RoundRobinPolicy,
+    make_policy,
+)
 from repro.memctrl.transaction import QueueClass, Transaction
+from repro.noc.arbiter import NocArbiter
 from repro.sim.clock import MS
 from repro.sim.engine import COMPACT_MIN_TOMBSTONES, Engine
 
@@ -135,9 +143,7 @@ def _txn(
 
 
 def _store_for(selector) -> ColumnarStore:
-    return ColumnarStore.for_selector(
-        selector, codebook={}, sorted_mode=True, track_rows=False
-    )
+    return ColumnarStore.for_selector(selector, codebook={}, track_rows=False)
 
 
 class TestColumnarCompaction:
@@ -181,6 +187,43 @@ class TestColumnarCompaction:
         store.remove_index(index)
         assert store.live == 0
         assert store.head == store.size
+
+
+class TestAgeOrderedStore:
+    @pytest.mark.parametrize(
+        "policy_name",
+        ["fcfs", "fr_fcfs", "frame_rate_qos", "priority_qos", "priority_rowbuffer", "round_robin"],
+    )
+    def test_reverse_age_order_router_store(self, policy_name):
+        # A router store (no row state, no aging) fed newest first, as an
+        # interior router merging a slow link behind a fast one can be.
+        arbiter = NocArbiter(make_policy(policy_name))
+        selector = make_selector(arbiter.policy)
+        store = _store_for(selector)
+        classes = list(QueueClass)
+        newest_first = [
+            _txn(
+                dma=f"dma{i % 5}",
+                queue_class=classes[i % len(classes)],
+                priority=(3 * i) % 8,
+                created_ps=1000 - 10 * i,
+                behind=i % 3 == 0,
+            )
+            for i in range(100)
+        ]
+        for count, txn in enumerate(newest_first):
+            # Each arrival is older than every candidate already stored.
+            assert store.push(txn) == store.head
+            assert store.live == count + 1
+        reference = NocArbiter(make_policy(policy_name))
+        live = sorted(newest_first, key=lambda txn: txn.sort_key)
+        while live:
+            assert store.fallback_candidates() == live
+            index = selector.select(store, now_ps=2000)
+            assert store.objs[index] is reference.select(list(live), 2000)
+            live.remove(store.objs[index])
+            store.remove_index(index)
+        assert store.size < len(newest_first)  # compaction ran mid-drain
 
 
 class TestMeterSaturation:

@@ -90,6 +90,26 @@ class TestDramDevice:
         slow_result = slow.service(0, 2048, is_write=False, now_ps=0)
         assert slow_result.completion_ps > fast_result.completion_ps
 
+    @pytest.mark.parametrize("path", ["service", "slot"])
+    def test_set_frequency_after_service_rebursts(self, path):
+        # Re-clocking after an access must not reuse that access's burst
+        # time: the next access of the same size bursts exactly as on a
+        # device built at the new frequency.
+        def burst_ps(device, now_ps):
+            channel = device.channels[0]
+            busy_before = channel.busy_time_ps
+            if path == "service":
+                device.service(0, 2048, is_write=False, now_ps=now_ps)
+            else:
+                device.service_prepared(0, 0, 0, 2048, False, now_ps)
+            return channel.busy_time_ps - busy_before
+
+        reclocked = DramDevice(DramConfig())
+        at_1866 = burst_ps(reclocked, 0)
+        reclocked.set_frequency(1300.0)
+        fresh = DramDevice(DramConfig().with_frequency(1300.0))
+        assert burst_ps(reclocked, 10**6) == burst_ps(fresh, 0) > at_1866
+
     def test_peak_bandwidth_positive(self, device):
         assert device.peak_bandwidth_bytes_per_s() == pytest.approx(2 * 8 * 1866e6)
 

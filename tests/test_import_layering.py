@@ -7,7 +7,9 @@ nor numpy.  Package ``__init__``s resolve their public names on first use
 this process has long since imported everything:
 
 * the light entry points leave the simulator and numpy out of
-  ``sys.modules``;
+  ``sys.modules``, and the store, the service and the CLI's parser leave
+  out the scenario spec and registry, the simulation config and the
+  scenario and campaign catalogs;
 * every public name of a lazy package still resolves, by attribute, by
   ``from package import *`` and in ``dir()``;
 * the registries that import side effects fill list their built-ins on the
@@ -71,6 +73,22 @@ def _fresh(code: str, *args: str) -> str:
     return completed.stdout
 
 
+#: The scenario layer's spec, registry and config, which validating or
+#: serving a recorded manifest never needs.
+SCENARIO_LAYERS = ("repro.scenario.spec", "repro.scenario.registry", "repro.sim.config")
+
+#: The campaign and scenario catalogs, which only the handlers that load a
+#: campaign or a scenario need.
+CATALOGS = ("repro.campaign.catalog", "repro.campaign.spec", "repro.scenario.catalog")
+
+
+def _loaded_after(code: str):
+    """The modules a fresh interpreter holds after running ``code``."""
+    return json.loads(
+        _fresh(f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+    )
+
+
 def _heavy(modules):
     """numpy and the simulator modules among ``modules``."""
     return [
@@ -101,10 +119,20 @@ class TestLightEntryPoints:
         ],
     )
     def test_loads_neither_the_simulator_nor_numpy(self, code):
-        loaded = json.loads(
-            _fresh(f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
-        )
-        assert _heavy(loaded) == []
+        assert _heavy(_loaded_after(code)) == []
+
+    @pytest.mark.parametrize(
+        "code, absent",
+        [
+            ("import repro.serve", SCENARIO_LAYERS),
+            ("import repro.store", SCENARIO_LAYERS),
+            ("import repro.cli; repro.cli.build_parser()", SCENARIO_LAYERS + CATALOGS),
+        ],
+        ids=["serve", "store", "cli-parser"],
+    )
+    def test_loads_no_scenario_or_campaign_layer(self, code, absent):
+        loaded = set(_loaded_after(code))
+        assert [name for name in absent if name in loaded] == []
 
 
 PUBLIC_NAMES_PROBE = """

@@ -2,16 +2,20 @@
 windows and store states.
 
 The golden rows pin whole runs, but they only reach the store states those
-runs happen to build: the controller's stores stay sorted, and no row-aware
-store ever degrades to unsorted.  Here every built-in selector is driven
-through generated candidate sets of 1–300 transactions (priorities 0–7,
-every queue class, 1–12 DMAs, realtime-behind flags, bank/row pairs against
-an open-row table), pushed into a :class:`ColumnarStore` in age order or in
-generation order (which degrades the store to unsorted).  Picks alternate
-with removals and occasional late pushes, so compaction fires mid-sequence.
-At every pick the selector must choose the transaction a second instance of
-its policy picks through its own ``select()`` over the live candidates, with
-or without an aging cutoff, and both must count the same aged services.
+runs happen to build: the controller's stores only ever append.  Here every
+built-in selector is driven through generated candidate sets of 1–300
+transactions (priorities 0–7, every queue class, 1–12 DMAs, realtime-behind
+flags, bank/row pairs against an open-row table), pushed into a
+:class:`ColumnarStore` in age order or in generation order, where an
+arrival older than the newest candidate is inserted in its place.  Picks
+alternate with removals and occasional late pushes, so compaction fires
+mid-sequence.  At every pick the selector must choose the transaction a
+second instance of its policy picks through its own ``select()`` over the
+live candidates, with or without an aging cutoff, and both must count the
+same aged services.  After every push, pick and removal (compaction
+included) the store must be in age order: keys strictly increase from
+``head`` on and ``head`` is the oldest live candidate.  Each policy's trials
+must between them make out-of-order pushes, so the insertion path runs.
 
 Hypothesis draws the shape of a trial and a seed; the transactions come
 from ``random.Random(seed)`` one after another, so shrinking ``count`` cuts
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import lt
 from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
@@ -132,10 +137,20 @@ def _transaction(spec: Spec, enqueued_ps: int) -> Transaction:
     return txn
 
 
-@pytest.mark.parametrize("policy_name", SELECTOR_POLICIES)
-@settings(max_examples=100, deadline=None)
-@given(trial=trials())
-def test_selector_picks_what_its_policy_picks(policy_name, trial):
+def _assert_age_order(store: ColumnarStore) -> None:
+    """Keys strictly increase from ``head`` on (dead entries included, which
+    the insertion's bisection relies on), nothing before ``head`` is live,
+    and ``head`` is live whenever anything is: the oldest live candidate."""
+    head = store.head
+    assert True not in store.alive[:head]
+    keys = store.skey[head:]
+    assert all(map(lt, keys, keys[1:]))
+    if store.live:
+        assert store.alive[head]
+
+
+def _run_trial(policy_name: str, trial: Trial) -> int:
+    """Drive one trial; returns how many pushes were inserted out of order."""
     open_rows = list(trial.open_rows)
     aging = AgingTracker(trial.threshold_ps, 1) if trial.with_aging else None
     reference_aging = AgingTracker(trial.threshold_ps, 1) if trial.with_aging else None
@@ -146,15 +161,20 @@ def test_selector_picks_what_its_policy_picks(policy_name, trial):
         open_rows=[open_rows],
     )
     reference = make_policy(policy_name)
-    store = ColumnarStore.for_selector(selector, {}, sorted_mode=True, track_rows=True)
+    store = ColumnarStore.for_selector(selector, {}, track_rows=True)
     bank_row: Dict[int, Tuple[int, int]] = {}
     live: List[Transaction] = []
+    inserted = 0
 
     def push(spec: Spec, enqueued_ps: int) -> None:
+        nonlocal inserted
         txn = _transaction(spec, enqueued_ps)
         bank_row[txn.uid] = (spec.bank, spec.row)
-        store.push(txn, spec.bank, spec.row)
+        size = store.size
+        if store.push(txn, spec.bank, spec.row) != size:
+            inserted += 1
         live.append(txn)
+        _assert_age_order(store)
 
     def is_row_hit(txn) -> bool:
         bank, row = bank_row[txn.uid]
@@ -182,7 +202,9 @@ def test_selector_picks_what_its_policy_picks(policy_name, trial):
             f"pick {picks} at {now_ps} ps: selector chose uid "
             f"{store.objs[index].uid}, policy chose uid {expected.uid}"
         )
+        _assert_age_order(store)
         store.remove_index(index)
+        _assert_age_order(store)
         live.remove(expected)
         assert store.live == len(live)
         # The controller latches the issued row into its open-row mirror.
@@ -198,3 +220,19 @@ def test_selector_picks_what_its_policy_picks(policy_name, trial):
         now_ps += trial.steps[picks % len(trial.steps)]
     if trial.with_aging:
         assert aging.aged_served == reference_aging.aged_served
+    return inserted
+
+
+@pytest.mark.parametrize("policy_name", SELECTOR_POLICIES)
+def test_selector_picks_what_its_policy_picks(policy_name):
+    inserted = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(trial=trials())
+    def check(trial):
+        inserted.append(_run_trial(policy_name, trial))
+
+    check()
+    # Generation-order trials push older arrivals behind younger ones; if
+    # none did, the insertion path went untested.
+    assert sum(inserted) > 0
