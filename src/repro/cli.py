@@ -65,7 +65,6 @@ from repro.campaign import (
     render_markdown_table,
     summarize_checks,
 )
-from repro.dvfs.governor import available_governors, make_governor
 from repro.obs import TraceSession, summarize_events
 from repro.runner import ResultCache
 from repro.scenario import ScenarioError, load_plugins
@@ -549,7 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
     dvfs = subparsers.add_parser("dvfs", help="run with a DVFS governor in the loop")
     _add_common_run_arguments(dvfs)
     dvfs.add_argument("--policy", default=None, help="scheduling policy (default: the scenario's)")
-    dvfs.add_argument("--governor", default="priority_pressure", choices=sorted(available_governors()))
+    dvfs.add_argument(
+        "--governor",
+        default="priority_pressure",
+        help="DVFS governor (see `repro governors`; default: priority_pressure)",
+    )
     dvfs.add_argument(
         "--interval-us", type=float, default=100.0, help="governor decision interval (microseconds)"
     )
@@ -1189,6 +1192,8 @@ def _cmd_policies() -> int:
 
 
 def _cmd_governors() -> int:
+    from repro.dvfs.governor import available_governors
+
     print("Registered DVFS governors:")
     for name, governor_cls in sorted(available_governors().items()):
         doc = (governor_cls.__doc__ or "").strip().splitlines()[0]
@@ -1449,11 +1454,15 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 def _cmd_dvfs(args: argparse.Namespace) -> int:
     from repro.dvfs.experiment import run_with_governor
+    from repro.dvfs.governor import make_governor
 
     _check_policy(args.policy)
+    try:
+        governor = make_governor(args.governor)
+    except ValueError as exc:  # an unknown name; the message lists the known ones
+        raise ScenarioError(str(exc)) from None
     scenario = _resolved_scenario(args)
     duration_ps = int(args.duration_ms * MS)
-    governor = make_governor(args.governor)
     result = run_with_governor(
         governor,
         scenario=scenario,

@@ -8,12 +8,18 @@ the row-hit / row-miss / row-closed case instead of being replayed command by
 command, which preserves the bandwidth and latency effects the paper's
 experiments measure (row-buffer locality, bank parallelism, finite bus
 bandwidth) at a cost proportional to the number of transactions.
+
+There is one way into a device: :meth:`AddressMapper.locate` maps an address
+to ``(channel, bank_slot, row, column)`` once, and
+:meth:`DramDevice.service` and :meth:`DramDevice.is_row_hit` take the first
+three.  The command-level backend in :mod:`repro.dram.cmdsim` is a
+:class:`DramDevice` subclass with the same call.
 """
 
-from repro.dram.address import AddressMapper, DecodedAddress
+from repro.dram.address import AddressMapper
 from repro.dram.bank import Bank, RowBufferState
 from repro.dram.channel import Channel
-from repro.dram.device import DramDevice, ServiceResult
+from repro.dram.device import DramDevice
 from repro.dram.rank import Rank
 from repro.dram.timing import DramTimingPs
 
@@ -21,10 +27,8 @@ __all__ = [
     "AddressMapper",
     "Bank",
     "Channel",
-    "DecodedAddress",
     "DramDevice",
     "DramTimingPs",
     "Rank",
     "RowBufferState",
-    "ServiceResult",
 ]

@@ -10,26 +10,9 @@ optimisation of the paper relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.sim.config import DramConfig
-
-
-@dataclass(frozen=True)
-class DecodedAddress:
-    """A physical address resolved to its DRAM coordinates."""
-
-    channel: int
-    rank: int
-    bank: int
-    row: int
-    column: int
-
-    @property
-    def bank_key(self) -> tuple:
-        """(rank, bank) pair identifying a bank within its channel."""
-        return (self.rank, self.bank)
 
 
 class AddressMapper:
@@ -67,8 +50,11 @@ class AddressMapper:
     def locate(self, address: int) -> Tuple[int, int, int, int]:
         """Map a byte address to ``(channel, bank_slot, row, column)`` integers.
 
-        The one implementation of the mapping.  ``bank_slot`` is the bank's
-        flat index within its channel, ``rank * banks_per_rank + bank``.
+        The only address mapping: both memory controllers call it once per
+        transaction, at enqueue, and hand the channel, bank slot and row to
+        :meth:`~repro.dram.device.DramDevice.service` as they are.
+        ``bank_slot`` is the bank's flat index within its channel,
+        ``rank * banks_per_rank + bank``.
         Addresses beyond the configured capacity wrap around, which keeps
         synthetic traffic generators simple without affecting contention
         behaviour.
@@ -85,11 +71,3 @@ class AddressMapper:
         row_block, column = divmod(channel_block * interleave + offset, row_size)
         row_group, bank_slot = divmod(row_block, banks)
         return channel, bank_slot, row_group % self._rows_per_bank, column
-
-    def decode(self, address: int) -> DecodedAddress:
-        """Decode a byte address into DRAM coordinates (see :meth:`locate`)."""
-        channel, bank_slot, row, column = self.locate(address)
-        rank, bank = divmod(bank_slot, self.config.banks_per_rank)
-        return DecodedAddress(
-            channel=channel, rank=rank, bank=bank, row=row, column=column
-        )

@@ -2,23 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.dram.address import DecodedAddress
 from repro.dram.bank import Bank, RowBufferState
 from repro.dram.rank import Rank
 from repro.dram.timing import DramTimingPs
 from repro.sim.config import DramConfig
-
-
-@dataclass(frozen=True)
-class ChannelServiceResult:
-    """Outcome of serving one transaction on a channel."""
-
-    data_start_ps: int
-    completion_ps: int
-    state: RowBufferState
 
 
 class Channel:
@@ -29,11 +18,9 @@ class Channel:
     activation) happens in parallel with other banks' bursts, which is how
     bank-level parallelism shows up in aggregate bandwidth.
 
-    Banks are addressed by ``(rank, bank)`` in :attr:`banks` and by flat
-    bank slot (``rank * banks_per_rank + bank``, the address map's own bank
-    index) in :attr:`bank_slots`, with :attr:`rank_slots` giving each slot's
-    rank; both views hold the same :class:`Bank` and :class:`Rank` objects.
-    The timing rules live in :meth:`service_prepared`, which takes a slot.
+    Banks are addressed by flat bank slot (``rank * banks_per_rank + bank``,
+    the address map's own bank index): :attr:`bank_slots` holds each slot's
+    :class:`Bank` and :attr:`rank_slots` the :class:`Rank` it belongs to.
     """
 
     def __init__(self, index: int, config: DramConfig, timing: DramTimingPs) -> None:
@@ -41,17 +28,12 @@ class Channel:
         self.config = config
         self.timing = timing
         self.bus_free_at_ps = 0
-        self.banks: Dict[Tuple[int, int], Bank] = {}
-        self.ranks: Dict[int, Rank] = {}
         self.bank_slots: List[Bank] = []
         self.rank_slots: List[Rank] = []
         for rank_index in range(config.ranks_per_channel):
-            rank = self.ranks[rank_index] = Rank(rank_index)
+            rank = Rank(rank_index)
             for bank_index in range(config.banks_per_rank):
-                bank = self.banks[(rank_index, bank_index)] = Bank(
-                    rank=rank_index, index=bank_index
-                )
-                self.bank_slots.append(bank)
+                self.bank_slots.append(Bank(rank=rank_index, index=bank_index))
                 self.rank_slots.append(rank)
         #: Burst time per transfer size at the current timing.
         self._burst_ps: Dict[int, int] = {}
@@ -63,40 +45,7 @@ class Channel:
         self.timing = timing
         self._burst_ps.clear()
 
-    def is_row_hit(self, decoded: DecodedAddress) -> bool:
-        """Would an access to this address hit the currently open row?"""
-        bank = self.banks[decoded.bank_key]
-        return bank.classify(decoded.row) is RowBufferState.HIT
-
-    def row_buffer_hit_rate(self) -> float:
-        """Aggregate row-buffer hit rate over all banks of the channel."""
-        hits = sum(bank.hits for bank in self.banks.values())
-        total = sum(bank.total_accesses for bank in self.banks.values())
-        return hits / total if total else 0.0
-
     def service(
-        self, decoded: DecodedAddress, size_bytes: int, is_write: bool, now_ps: int
-    ) -> ChannelServiceResult:
-        """Serve one transaction and return its timing.
-
-        The caller (the memory controller) is responsible for only issuing one
-        transaction at a time per channel scheduling slot; the channel itself
-        enforces bus and bank availability.
-        """
-        if size_bytes <= 0:
-            raise ValueError(f"transfer size must be positive, got {size_bytes}")
-        data_start_ps, completion_ps, state = self.service_prepared(
-            decoded.rank * self.config.banks_per_rank + decoded.bank,
-            decoded.row,
-            size_bytes,
-            is_write,
-            now_ps,
-        )
-        return ChannelServiceResult(
-            data_start_ps=data_start_ps, completion_ps=completion_ps, state=state
-        )
-
-    def service_prepared(
         self,
         bank_slot: int,
         row: int,
@@ -104,14 +53,13 @@ class Channel:
         is_write: bool,
         now_ps: int,
     ) -> Tuple[int, int, RowBufferState]:
-        """The service-time computation on a bank slot and row.
+        """Serve one transaction on a bank slot and row; return its timing.
 
-        Single source of truth for channel timing: :meth:`service` delegates
-        here, and the batched memory controller calls it directly with the
-        coordinates the address map gave it once at enqueue, skipping the
-        per-issue address decode and the result-object allocation.  The
-        burst time is computed, and the size checked, once per transfer size
-        and timing.  Returns ``(data_start_ps, completion_ps, state)``.
+        The caller (the memory controller) is responsible for only issuing
+        one transaction at a time per channel scheduling slot; the channel
+        itself enforces bus and bank availability.  The burst time is
+        computed, and the size checked, once per transfer size and timing.
+        Returns ``(data_start_ps, completion_ps, state)``.
         """
         burst_ps = self._burst_ps.get(size_bytes)
         if burst_ps is None:
@@ -148,7 +96,3 @@ class Channel:
         self.bytes_served += size_bytes
         self.busy_time_ps += burst_ps
         return data_start_ps, completion_ps, state
-
-    def next_free_ps(self) -> int:
-        """Earliest time the data bus becomes available again."""
-        return self.bus_free_at_ps

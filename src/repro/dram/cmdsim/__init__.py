@@ -10,11 +10,12 @@ checked against the LPDDR4 timing constraints (tRP, tRCD, CL, tRTP, tWR,
 tWTR, tRRD, tFAW), and periodic refresh (tREFI/tRFC) steals time exactly as
 it does on real devices.
 
-:class:`CommandLevelDram` is interface-compatible with
-:class:`~repro.dram.device.DramDevice`, so the memory controller and the
-system builder can swap backends with the ``dram_model`` argument.  The
-cross-check benchmark verifies that both backends agree on bandwidth ordering
-and row-hit behaviour.
+:class:`CommandLevelDram` is a :class:`~repro.dram.device.DramDevice`
+subclass whose channels are :class:`CommandChannel` objects: the same
+``service(channel, bank_slot, row, ...)`` call, counters and re-clocking, so
+the memory controller and the system builder swap backends with the
+``dram_model`` argument alone.  The cross-check benchmark verifies that both
+backends agree on bandwidth ordering and row-hit behaviour.
 """
 
 from repro.dram.cmdsim.commands import Command, CommandType

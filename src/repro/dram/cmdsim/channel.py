@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.dram.address import DecodedAddress
 from repro.dram.bank import RowBufferState
-from repro.dram.channel import ChannelServiceResult
 from repro.dram.cmdsim.bank_fsm import BankFsm
 from repro.dram.cmdsim.commands import Command, CommandType
 from repro.dram.cmdsim.refresh import RefreshParams, RefreshScheduler
@@ -25,7 +23,13 @@ from repro.sim.config import DramConfig
 
 
 class CommandChannel:
-    """One DRAM channel scheduled at command granularity."""
+    """One DRAM channel scheduled at command granularity.
+
+    Banks are addressed by flat bank slot, as in
+    :class:`~repro.dram.channel.Channel`: :attr:`bank_slots` holds each
+    slot's :class:`BankFsm` and :attr:`rank_slots` the :class:`Rank` it
+    belongs to.
+    """
 
     def __init__(
         self,
@@ -41,12 +45,13 @@ class CommandChannel:
         self.keep_command_log = keep_command_log
         self.bus_free_at_ps = 0
         self.last_write_data_end_ps = 0
-        self.banks: Dict[Tuple[int, int], BankFsm] = {}
-        self.ranks: Dict[int, Rank] = {}
-        for rank in range(config.ranks_per_channel):
-            self.ranks[rank] = Rank(rank)
-            for bank in range(config.banks_per_rank):
-                self.banks[(rank, bank)] = BankFsm(rank=rank, index=bank)
+        self.bank_slots: List[BankFsm] = []
+        self.rank_slots: List[Rank] = []
+        for rank_index in range(config.ranks_per_channel):
+            rank = Rank(rank_index)
+            for bank_index in range(config.banks_per_rank):
+                self.bank_slots.append(BankFsm(rank=rank_index, index=bank_index))
+                self.rank_slots.append(rank)
         self.refresh = RefreshScheduler(config.ranks_per_channel, refresh)
         self.command_counts: Dict[CommandType, int] = {kind: 0 for kind in CommandType}
         self.command_log: List[Command] = []
@@ -60,14 +65,6 @@ class CommandChannel:
         """Switch the channel to a new resolved timing (DVFS)."""
         self.timing = timing
 
-    def is_row_hit(self, decoded: DecodedAddress) -> bool:
-        return self.banks[decoded.bank_key].classify(decoded.row) is RowBufferState.HIT
-
-    def row_buffer_hit_rate(self) -> float:
-        hits = sum(fsm.bank.hits for fsm in self.banks.values())
-        total = sum(fsm.bank.total_accesses for fsm in self.banks.values())
-        return hits / total if total else 0.0
-
     def _record(self, command: Command) -> None:
         self.command_counts[command.kind] += 1
         if self.keep_command_log:
@@ -77,9 +74,9 @@ class CommandChannel:
         """Run an all-bank refresh if one is due; returns the blocking end time."""
         if not self.refresh.due(rank_index, now_ps):
             return now_ps
-        rank_banks = [
-            fsm for (rank, _bank), fsm in self.banks.items() if rank == rank_index
-        ]
+        banks_per_rank = self.config.banks_per_rank
+        first_slot = rank_index * banks_per_rank
+        rank_banks = self.bank_slots[first_slot : first_slot + banks_per_rank]
         # Every bank must be precharge-able before the refresh may start.
         start_ps = now_ps
         for fsm in rank_banks:
@@ -102,15 +99,24 @@ class CommandChannel:
     # Transaction service
     # ------------------------------------------------------------------ #
     def service(
-        self, decoded: DecodedAddress, size_bytes: int, is_write: bool, now_ps: int
-    ) -> ChannelServiceResult:
-        """Expand one transaction into commands and return its data timing."""
+        self,
+        bank_slot: int,
+        row: int,
+        size_bytes: int,
+        is_write: bool,
+        now_ps: int,
+    ) -> Tuple[int, int, RowBufferState]:
+        """Expand one transaction into commands and return its data timing.
+
+        Same call and result as :meth:`~repro.dram.channel.Channel.service`:
+        ``(data_start_ps, completion_ps, state)``.
+        """
         if size_bytes <= 0:
             raise ValueError(f"transfer size must be positive, got {size_bytes}")
-        fsm = self.banks[decoded.bank_key]
-        rank = self.ranks[decoded.rank]
-        earliest_ps = self._maybe_refresh(decoded.rank, now_ps)
-        state = fsm.classify(decoded.row)
+        fsm = self.bank_slots[bank_slot]
+        rank = self.rank_slots[bank_slot]
+        earliest_ps = self._maybe_refresh(rank.index, now_ps)
+        state = fsm.classify(row)
 
         if state is RowBufferState.MISS:
             pre_at = fsm.earliest_precharge_ps(earliest_ps)
@@ -119,8 +125,8 @@ class CommandChannel:
                 Command(
                     kind=CommandType.PRECHARGE,
                     channel=self.index,
-                    rank=decoded.rank,
-                    bank=decoded.bank,
+                    rank=rank.index,
+                    bank=fsm.bank.index,
                     issue_ps=pre_at,
                 )
             )
@@ -130,16 +136,16 @@ class CommandChannel:
             act_at = rank.earliest_activation_ps(
                 fsm.earliest_activate_ps(earliest_ps), self.timing
             )
-            fsm.apply_activate(decoded.row, act_at, self.timing)
+            fsm.apply_activate(row, act_at, self.timing)
             rank.record_activation(act_at)
             self._record(
                 Command(
                     kind=CommandType.ACTIVATE,
                     channel=self.index,
-                    rank=decoded.rank,
-                    bank=decoded.bank,
+                    rank=rank.index,
+                    bank=fsm.bank.index,
                     issue_ps=act_at,
-                    row=decoded.row,
+                    row=row,
                 )
             )
             earliest_ps = act_at
@@ -165,23 +171,17 @@ class CommandChannel:
             Command(
                 kind=kind,
                 channel=self.index,
-                rank=decoded.rank,
-                bank=decoded.bank,
+                rank=rank.index,
+                bank=fsm.bank.index,
                 issue_ps=column_at,
-                row=decoded.row,
+                row=row,
                 data_start_ps=data_start_ps,
                 data_end_ps=completion_ps,
             )
         )
 
-        fsm.record_statistics(decoded.row, state, completion_ps)
+        fsm.record_statistics(row, state, completion_ps)
         self.bus_free_at_ps = completion_ps
         self.bytes_served += size_bytes
         self.busy_time_ps += burst_ps
-        return ChannelServiceResult(
-            data_start_ps=data_start_ps, completion_ps=completion_ps, state=state
-        )
-
-    def next_free_ps(self) -> int:
-        """Earliest time the data bus becomes available again."""
-        return self.bus_free_at_ps
+        return data_start_ps, completion_ps, state

@@ -1,26 +1,25 @@
-"""The command-level DRAM device: a drop-in alternative to ``DramDevice``."""
+"""The command-level DRAM device: a ``DramDevice`` with command-level channels."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.bank import RowBufferState
 from repro.dram.cmdsim.channel import CommandChannel
 from repro.dram.cmdsim.commands import CommandType
 from repro.dram.cmdsim.refresh import RefreshParams
-from repro.dram.device import ServiceResult
-from repro.dram.timing import DramTimingPs
+from repro.dram.device import DramDevice
 from repro.sim.config import DramConfig
 
 
-class CommandLevelDram:
+class CommandLevelDram(DramDevice):
     """A multi-channel LPDDR4 device simulated at command granularity.
 
-    Interface-compatible with :class:`~repro.dram.device.DramDevice`: the
-    memory controller, the power model and the experiment runner work with
-    either backend unchanged.
+    A :class:`~repro.dram.device.DramDevice` subclass whose channels are
+    :class:`CommandChannel` objects.  The coordinate call, the counters, bus
+    scaling, re-clocking and bandwidth accounting are the base class's, so
+    the memory controller, the power model and the experiment runner work
+    with either backend unchanged; this class adds only the command
+    statistics.
     """
 
     def __init__(
@@ -30,107 +29,19 @@ class CommandLevelDram:
         refresh: Optional[RefreshParams] = None,
         keep_command_log: bool = False,
     ) -> None:
-        if not 0 < sim_scale <= 1.0:
-            raise ValueError("sim_scale must be in (0, 1]")
-        self.config = config
-        self.sim_scale = sim_scale
-        self.mapper = AddressMapper(config)
-        self.timing = DramTimingPs.from_config(config.timing, config.io_freq_mhz)
         self.refresh_params = refresh or RefreshParams()
-        self.channels: List[CommandChannel] = [
-            CommandChannel(
-                index,
-                self._scaled_config(),
-                self.timing,
-                refresh=self.refresh_params,
-                keep_command_log=keep_command_log,
-            )
-            for index in range(config.channels)
-        ]
-        self.total_bytes = 0
-        self.read_bytes = 0
-        self.write_bytes = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_closed = 0
+        self.keep_command_log = keep_command_log
+        super().__init__(config, sim_scale)
 
-    def _scaled_config(self) -> DramConfig:
-        """Bus-width scaling, identical in meaning to the transaction-level model."""
-        if self.sim_scale == 1.0:
-            return self.config
-        scaled_bus = max(1, int(round(self.config.bus_bytes_per_cycle * self.sim_scale)))
-        return replace(self.config, bus_bytes_per_cycle=scaled_bus)
-
-    # ------------------------------------------------------------------ #
-    # DramDevice-compatible interface
-    # ------------------------------------------------------------------ #
-    def set_frequency(self, io_freq_mhz: float) -> None:
-        """Re-clock the device (DVFS), keeping bank state intact."""
-        if io_freq_mhz <= 0:
-            raise ValueError("DRAM frequency must be positive")
-        self.config = self.config.with_frequency(io_freq_mhz)
-        self.timing = DramTimingPs.from_config(self.config.timing, io_freq_mhz)
-        for channel in self.channels:
-            channel.set_timing(self.timing)
-
-    def decode(self, address: int) -> DecodedAddress:
-        return self.mapper.decode(address)
-
-    def is_row_hit(self, address: int) -> bool:
-        decoded = self.mapper.decode(address)
-        return self.channels[decoded.channel].is_row_hit(decoded)
-
-    def channel_of(self, address: int) -> int:
-        return self.mapper.decode(address).channel
-
-    def next_free_ps(self, channel: int) -> int:
-        return self.channels[channel].next_free_ps()
-
-    def service(
-        self, address: int, size_bytes: int, is_write: bool, now_ps: int
-    ) -> ServiceResult:
-        """Serve one transaction through the command-level channel."""
-        decoded = self.mapper.decode(address)
-        channel = self.channels[decoded.channel]
-        result = channel.service(decoded, size_bytes, is_write, now_ps)
-        self.total_bytes += size_bytes
-        if is_write:
-            self.write_bytes += size_bytes
-        else:
-            self.read_bytes += size_bytes
-        if result.state is RowBufferState.HIT:
-            self.row_hits += 1
-        elif result.state is RowBufferState.MISS:
-            self.row_misses += 1
-        else:
-            self.row_closed += 1
-        return ServiceResult(
-            data_start_ps=result.data_start_ps,
-            completion_ps=result.completion_ps,
-            row_hit=result.state is RowBufferState.HIT,
-            channel=decoded.channel,
+    def _new_channel(self, index: int, config: DramConfig) -> CommandChannel:
+        return CommandChannel(
+            index,
+            config,
+            self.timing,
+            refresh=self.refresh_params,
+            keep_command_log=self.keep_command_log,
         )
 
-    @property
-    def total_accesses(self) -> int:
-        return self.row_hits + self.row_misses + self.row_closed
-
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.total_accesses
-        return self.row_hits / total if total else 0.0
-
-    def average_bandwidth_bytes_per_s(self, elapsed_ps: int) -> float:
-        if elapsed_ps <= 0:
-            raise ValueError("elapsed_ps must be positive")
-        return self.total_bytes / (elapsed_ps / 1e12)
-
-    def peak_bandwidth_bytes_per_s(self) -> float:
-        return self.config.peak_bandwidth_bytes_per_s() * self.sim_scale
-
-    # ------------------------------------------------------------------ #
-    # Command-level statistics
-    # ------------------------------------------------------------------ #
     def command_counts(self) -> Dict[CommandType, int]:
         """Total commands issued, aggregated over all channels."""
         totals: Dict[CommandType, int] = {kind: 0 for kind in CommandType}

@@ -2,28 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Tuple
 
-from repro.dram.address import AddressMapper, DecodedAddress
+from repro.dram.address import AddressMapper
 from repro.dram.bank import RowBufferState
 from repro.dram.channel import Channel
 from repro.dram.timing import DramTimingPs
 from repro.sim.config import DramConfig
 
 
-@dataclass(frozen=True)
-class ServiceResult:
-    """Timing of a serviced transaction as seen by the memory controller."""
-
-    data_start_ps: int
-    completion_ps: int
-    row_hit: bool
-    channel: int
-
-
 class DramDevice:
-    """A multi-channel LPDDR4 device at transaction granularity."""
+    """A multi-channel LPDDR4 device at transaction granularity.
+
+    Transactions reach the device by coordinates, not addresses: the memory
+    controller maps each address once (:meth:`AddressMapper.locate` on
+    :attr:`mapper`) and passes the channel, bank slot and row to
+    :meth:`service` and :meth:`is_row_hit`.  The command-level backend
+    (:class:`~repro.dram.cmdsim.device.CommandLevelDram`) is a subclass that
+    builds command-level channels through :meth:`_new_channel`; everything
+    else here serves both backends.
+    """
 
     def __init__(self, config: DramConfig, sim_scale: float = 1.0) -> None:
         if not 0 < sim_scale <= 1.0:
@@ -32,9 +31,9 @@ class DramDevice:
         self.sim_scale = sim_scale
         self.mapper = AddressMapper(config)
         self.timing = DramTimingPs.from_config(config.timing, config.io_freq_mhz)
+        scaled = self._scaled_config()
         self.channels: List[Channel] = [
-            Channel(index, self._scaled_config(), self.timing)
-            for index in range(config.channels)
+            self._new_channel(index, scaled) for index in range(config.channels)
         ]
         self.total_bytes = 0
         self.read_bytes = 0
@@ -42,6 +41,10 @@ class DramDevice:
         self.row_hits = 0
         self.row_misses = 0
         self.row_closed = 0
+
+    def _new_channel(self, index: int, config: DramConfig) -> Channel:
+        """Build channel ``index`` with the bus-scaled ``config``."""
+        return Channel(index, config, self.timing)
 
     def _scaled_config(self) -> DramConfig:
         """Config whose bus width is scaled down by ``sim_scale``.
@@ -65,64 +68,27 @@ class DramDevice:
         for channel in self.channels:
             channel.set_timing(self.timing)
 
-    def decode(self, address: int) -> DecodedAddress:
-        return self.mapper.decode(address)
-
-    def is_row_hit(self, address: int) -> bool:
-        """Would a transaction to this address hit an open row right now?"""
-        decoded = self.mapper.decode(address)
-        return self.channels[decoded.channel].is_row_hit(decoded)
-
-    def channel_of(self, address: int) -> int:
-        return self.mapper.decode(address).channel
-
-    def next_free_ps(self, channel: int) -> int:
-        return self.channels[channel].next_free_ps()
+    def is_row_hit(self, channel: int, bank_slot: int, row: int) -> bool:
+        """Would a transaction to this row hit its bank's open row right now?"""
+        return self.channels[channel].bank_slots[bank_slot].open_row == row
 
     def service(
-        self, address: int, size_bytes: int, is_write: bool, now_ps: int
-    ) -> ServiceResult:
-        """Serve one transaction and update bandwidth / row-buffer statistics."""
-        decoded = self.mapper.decode(address)
-        channel = self.channels[decoded.channel]
-        result = channel.service(decoded, size_bytes, is_write, now_ps)
-        self.total_bytes += size_bytes
-        if is_write:
-            self.write_bytes += size_bytes
-        else:
-            self.read_bytes += size_bytes
-        if result.state is RowBufferState.HIT:
-            self.row_hits += 1
-        elif result.state is RowBufferState.MISS:
-            self.row_misses += 1
-        else:
-            self.row_closed += 1
-        return ServiceResult(
-            data_start_ps=result.data_start_ps,
-            completion_ps=result.completion_ps,
-            row_hit=result.state is RowBufferState.HIT,
-            channel=decoded.channel,
-        )
-
-    def service_prepared(
         self,
-        channel_index: int,
+        channel: int,
         bank_slot: int,
         row: int,
         size_bytes: int,
         is_write: bool,
         now_ps: int,
-    ) -> Tuple[int, bool]:
-        """Fast path of :meth:`service` for the batched controller.
+    ) -> Tuple[int, int, bool]:
+        """Serve one transaction and update bandwidth / row-buffer statistics.
 
-        The batched memory controller maps each address once at enqueue
-        (:meth:`AddressMapper.locate`) and keeps the channel, bank slot
-        (``rank * banks_per_rank + bank``) and row in its columnar store, so
-        per issue it skips the mapper, the :class:`DecodedAddress` and the
-        :class:`ServiceResult` allocation.  Statistics update exactly as in
-        :meth:`service`; returns ``(completion_ps, row_hit)``.
+        ``channel``, ``bank_slot`` (``rank * banks_per_rank + bank``) and
+        ``row`` are the first three coordinates :meth:`AddressMapper.locate`
+        gives for the transaction's address.  Returns ``(data_start_ps,
+        completion_ps, row_hit)``.
         """
-        _, completion_ps, state = self.channels[channel_index].service_prepared(
+        data_start_ps, completion_ps, state = self.channels[channel].service(
             bank_slot, row, size_bytes, is_write, now_ps
         )
         self.total_bytes += size_bytes
@@ -132,12 +98,12 @@ class DramDevice:
             self.read_bytes += size_bytes
         if state is RowBufferState.HIT:
             self.row_hits += 1
-            return completion_ps, True
+            return data_start_ps, completion_ps, True
         if state is RowBufferState.MISS:
             self.row_misses += 1
         else:
             self.row_closed += 1
-        return completion_ps, False
+        return data_start_ps, completion_ps, False
 
     @property
     def total_accesses(self) -> int:

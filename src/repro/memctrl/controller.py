@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.dram.channel import Channel
 from repro.dram.device import DramDevice
 from repro.memctrl.aging import AgingTracker
 from repro.memctrl.columnar import ColumnarStore, make_selector
@@ -26,6 +27,10 @@ class MemoryController:
     Completions are delivered to per-DMA handlers registered by the system
     builder, which is how read data and write acknowledgements find their way
     back to the cores' performance meters.
+
+    Each address is mapped once, at enqueue, to ``(channel, bank slot,
+    row)`` (:meth:`~repro.dram.address.AddressMapper.locate`); the channel
+    filter, the row-hit probes and the issue read those coordinates.
 
     This queue-based controller is the one the builder uses for the
     command-level DRAM model and for bounded scheduler windows; every other
@@ -72,7 +77,9 @@ class MemoryController:
             self.config.aging_threshold_cycles, dram.timing.clock_period_ps
         )
         self._channel_busy: List[bool] = [False] * dram.config.channels
-        self._channel_of: Dict[int, int] = {}
+        self._locate = dram.mapper.locate
+        #: ``(channel, bank_slot, row)`` of each pending transaction, by uid.
+        self._coordinates: Dict[int, Tuple[int, int, int]] = {}
         self._completion_handlers: Dict[str, CompletionHandler] = {}
         self._global_handlers: List[CompletionHandler] = []
         self._space_listeners: List[Callable[[], None]] = []
@@ -118,8 +125,8 @@ class MemoryController:
         queue = self.queues[transaction.queue_class]
         queue.push(transaction, now)
         self._pending_count += 1
-        channel = self.dram.channel_of(transaction.address)
-        self._channel_of[transaction.uid] = channel
+        channel, bank_slot, row, _ = self._locate(transaction.address)
+        self._coordinates[transaction.uid] = (channel, bank_slot, row)
         if self._unbounded_window:
             self._pending_by_channel[channel][transaction.queue_class][
                 transaction.uid
@@ -141,15 +148,16 @@ class MemoryController:
                 if bucket:
                     candidates.extend(bucket.values())
             return candidates
+        coordinates = self._coordinates
         candidates = []
         for queue in self.queues.values():
             for transaction in queue.visible():
-                if self._channel_of[transaction.uid] == channel:
+                if coordinates[transaction.uid][0] == channel:
                     candidates.append(transaction)
         return candidates
 
     def _is_row_hit(self, transaction: Transaction) -> bool:
-        return self.dram.is_row_hit(transaction.address)
+        return self.dram.is_row_hit(*self._coordinates[transaction.uid])
 
     def _try_schedule(self, channel: int) -> None:
         if self._channel_busy[channel]:
@@ -173,17 +181,17 @@ class MemoryController:
     def _issue(self, transaction: Transaction, channel: int) -> None:
         now = self.engine.now_ps
         transaction.issued_ps = now
-        result = self.dram.service(
-            transaction.address, transaction.size_bytes, transaction.is_write, now
+        _, bank_slot, row = self._coordinates.pop(transaction.uid)
+        _, completion_ps, row_hit = self.dram.service(
+            channel, bank_slot, row, transaction.size_bytes, transaction.is_write, now
         )
-        transaction.row_hit = result.row_hit
-        transaction.completed_ps = result.completion_ps
+        transaction.row_hit = row_hit
+        transaction.completed_ps = completion_ps
         self._channel_busy[channel] = True
-        self.engine.schedule_at(result.completion_ps, self._on_complete, transaction, channel)
+        self.engine.schedule_at(completion_ps, self._on_complete, transaction, channel)
 
     def _on_complete(self, transaction: Transaction, channel: int) -> None:
         self._channel_busy[channel] = False
-        self._channel_of.pop(transaction.uid, None)
         self.served_transactions += 1
         self.served_bytes += transaction.size_bytes
         self.per_source_bytes[transaction.source] = (
@@ -222,18 +230,20 @@ class BatchedMemoryController(MemoryController):
     ``tests/test_sim_golden.py`` checks by swapping that controller in — but
     the per-channel candidate sets live in
     :class:`~repro.memctrl.columnar.ColumnarStore` columns so scheduling
-    decisions are selector reductions, and each address is mapped exactly
-    once at enqueue, to integers (the queue-based path decodes at enqueue,
-    per row-hit probe and again at issue).  Row-buffer-aware policies read a
-    per-channel open-row mirror instead of probing the banks per candidate;
-    the mirror is valid because the transaction-level :class:`Bank` latches
-    the accessed row on every access and nothing else closes rows (the
-    builder never pairs this controller with the command-level DRAM backend,
-    whose refresh logic does precharge banks).
+    decisions are selector reductions.  Both controllers map each address
+    once, at enqueue, and pass the DRAM device the same ``(channel, bank
+    slot, row)`` coordinates; here they live in the store's columns.
+    Row-buffer-aware policies read a per-channel open-row mirror instead of
+    probing the banks per candidate; the mirror is valid because the
+    transaction-level :class:`~repro.dram.bank.Bank` latches the accessed
+    row on every access and nothing else closes rows, so this controller
+    refuses the command-level DRAM backend, whose refresh logic does
+    precharge banks.
 
     Policies without a selector (ATLAS, TCM, SMS, EDF, user-registered
     ones) receive a candidate list rebuilt in exactly the order the
-    queue-based controller would produce.
+    queue-based controller would produce; a row-hit probe on that path maps
+    the candidate's address again, since the stores index by position.
     """
 
     def __init__(
@@ -249,7 +259,7 @@ class BatchedMemoryController(MemoryController):
                 "BatchedMemoryController requires the unbounded scheduler window; "
                 "use the queue-based MemoryController for bounded-window configs"
             )
-        if not hasattr(dram, "service_prepared"):
+        if not all(isinstance(channel, Channel) for channel in dram.channels):
             raise ValueError(
                 "BatchedMemoryController requires the transaction-level DRAM device"
             )
@@ -273,7 +283,6 @@ class BatchedMemoryController(MemoryController):
             ColumnarStore.for_selector(self._selector, self._codebook, track_rows=True)
             for _ in range(channels)
         ]
-        self._locate = dram.mapper.locate
         # Per-class occupancy counters replace the TransactionQueue
         # bookkeeping: the columnar stores already hold the pending
         # transactions, so the queues would only duplicate membership for
@@ -289,7 +298,7 @@ class BatchedMemoryController(MemoryController):
         The address is mapped once, to ``(channel, bank slot, row)``
         integers (:meth:`~repro.dram.address.AddressMapper.locate`); the
         store keeps the slot and row, and issue hands them to
-        :meth:`~repro.dram.device.DramDevice.service_prepared` as they are.
+        :meth:`~repro.dram.device.DramDevice.service` as they are.
         """
         now = self.engine._now_ps
         # Inlined TransactionQueue.push stamping (see queue.py): whoever sets
@@ -308,7 +317,7 @@ class BatchedMemoryController(MemoryController):
             # the mapped coordinates used directly.
             if serve_direct(store, transaction, now, channel, bank_slot, row):
                 transaction.issued_ps = now
-                completion_ps, row_hit = self.dram.service_prepared(
+                _, completion_ps, row_hit = self.dram.service(
                     channel,
                     bank_slot,
                     row,
@@ -329,6 +338,10 @@ class BatchedMemoryController(MemoryController):
         store.push(transaction, bank_slot, row)
         if not self._channel_busy[channel]:
             self._schedule_from(channel)
+
+    def _is_row_hit(self, transaction: Transaction) -> bool:
+        channel, bank_slot, row, _ = self._locate(transaction.address)
+        return self.dram.is_row_hit(channel, bank_slot, row)
 
     def _try_schedule(self, channel: int) -> None:
         if not self._channel_busy[channel]:
@@ -360,7 +373,7 @@ class BatchedMemoryController(MemoryController):
         self._pending_count -= 1
 
         chosen.issued_ps = now
-        completion_ps, row_hit = self.dram.service_prepared(
+        _, completion_ps, row_hit = self.dram.service(
             channel, bank_slot, row, chosen.size_bytes, chosen.is_write, now
         )
         chosen.row_hit = row_hit

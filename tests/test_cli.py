@@ -84,6 +84,13 @@ class TestInformationalCommands:
         for name in ("performance", "powersave", "priority_pressure"):
             assert name in output
 
+    def test_dvfs_rejects_an_unknown_governor(self, capsys):
+        assert main(["dvfs", "case_b", "--governor", "nosuch"]) == 2
+        error = capsys.readouterr().err
+        assert "unknown governor 'nosuch'" in error
+        for name in ("conservative", "ondemand", "performance", "powersave", "priority_pressure"):
+            assert name in error
+
     def test_settings_prints_tables(self, capsys):
         assert main(["settings", "case_b"]) == 0
         output = capsys.readouterr().out

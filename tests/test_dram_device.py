@@ -15,6 +15,17 @@ def device() -> DramDevice:
     return DramDevice(DramConfig())
 
 
+def _serve(device, address, size_bytes, is_write, now_ps):
+    """Map ``address`` and serve it: ``(data_start_ps, completion_ps, row_hit)``."""
+    channel, bank_slot, row, _ = device.mapper.locate(address)
+    return device.service(channel, bank_slot, row, size_bytes, is_write, now_ps)
+
+
+def _is_row_hit(device, address):
+    channel, bank_slot, row, _ = device.mapper.locate(address)
+    return device.is_row_hit(channel, bank_slot, row)
+
+
 class TestTimingPs:
     def test_resolution_at_1866(self):
         timing = DramTimingPs.from_config(DramTimingConfig(), 1866.0)
@@ -42,43 +53,39 @@ class TestTimingPs:
 
 class TestDramDevice:
     def test_row_hit_is_faster_than_miss(self, device):
-        first = device.service(address=0, size_bytes=1024, is_write=False, now_ps=0)
-        hit = device.service(
-            address=1024, size_bytes=1024, is_write=False, now_ps=first.completion_ps
+        _, first_done, _ = _serve(device, 0, 1024, is_write=False, now_ps=0)
+        _, hit_done, hit = _serve(device, 1024, 1024, is_write=False, now_ps=first_done)
+        assert hit is True
+        _, miss_done, miss_hit = _serve(
+            device, 1 << 26, 1024, is_write=False, now_ps=hit_done
         )
-        assert hit.row_hit is True
-        miss = device.service(
-            address=1 << 26, size_bytes=1024, is_write=False, now_ps=hit.completion_ps
-        )
-        hit_latency = hit.completion_ps - first.completion_ps
-        miss_latency = miss.completion_ps - hit.completion_ps
-        assert not miss.row_hit or miss_latency >= hit_latency
+        hit_latency = hit_done - first_done
+        miss_latency = miss_done - hit_done
+        assert not miss_hit or miss_latency >= hit_latency
         assert device.total_accesses == 3
 
     def test_sequential_stream_mostly_hits(self, device):
         now = 0
         for index in range(64):
-            result = device.service(index * 1024, 1024, is_write=False, now_ps=now)
-            now = result.completion_ps
+            _, now, _ = _serve(device, index * 1024, 1024, is_write=False, now_ps=now)
         assert device.row_hit_rate > 0.6
 
     def test_random_far_apart_accesses_mostly_miss(self, device):
         now = 0
         stride = 16 * 1024 * 1024 + 8192
         for index in range(32):
-            result = device.service(index * stride, 2048, is_write=False, now_ps=now)
-            now = result.completion_ps
+            _, now, _ = _serve(device, index * stride, 2048, is_write=False, now_ps=now)
         assert device.row_hit_rate < 0.2
 
     def test_is_row_hit_reflects_bank_state(self, device):
-        assert device.is_row_hit(0) is False
-        device.service(0, 1024, is_write=False, now_ps=0)
-        assert device.is_row_hit(1024) is True
-        assert device.is_row_hit(1 << 26) is False
+        assert _is_row_hit(device, 0) is False
+        _serve(device, 0, 1024, is_write=False, now_ps=0)
+        assert _is_row_hit(device, 1024) is True
+        assert _is_row_hit(device, 1 << 26) is False
 
     def test_bandwidth_accounting(self, device):
-        result = device.service(0, 4096, is_write=False, now_ps=0)
-        bandwidth = device.average_bandwidth_bytes_per_s(result.completion_ps)
+        _, completion_ps, _ = _serve(device, 0, 4096, is_write=False, now_ps=0)
+        bandwidth = device.average_bandwidth_bytes_per_s(completion_ps)
         assert bandwidth > 0
         assert device.total_bytes == 4096
 
@@ -86,22 +93,18 @@ class TestDramDevice:
         fast = DramDevice(DramConfig())
         slow = DramDevice(DramConfig())
         slow.set_frequency(1300.0)
-        fast_result = fast.service(0, 2048, is_write=False, now_ps=0)
-        slow_result = slow.service(0, 2048, is_write=False, now_ps=0)
-        assert slow_result.completion_ps > fast_result.completion_ps
+        _, fast_done, _ = _serve(fast, 0, 2048, is_write=False, now_ps=0)
+        _, slow_done, _ = _serve(slow, 0, 2048, is_write=False, now_ps=0)
+        assert slow_done > fast_done
 
-    @pytest.mark.parametrize("path", ["service", "slot"])
-    def test_set_frequency_after_service_rebursts(self, path):
+    def test_set_frequency_after_service_rebursts(self):
         # Re-clocking after an access must not reuse that access's burst
         # time: the next access of the same size bursts exactly as on a
         # device built at the new frequency.
         def burst_ps(device, now_ps):
             channel = device.channels[0]
             busy_before = channel.busy_time_ps
-            if path == "service":
-                device.service(0, 2048, is_write=False, now_ps=now_ps)
-            else:
-                device.service_prepared(0, 0, 0, 2048, False, now_ps)
+            device.service(0, 0, 0, 2048, False, now_ps)
             return channel.busy_time_ps - busy_before
 
         reclocked = DramDevice(DramConfig())
@@ -120,10 +123,12 @@ class TestDramDevice:
     def test_completion_never_precedes_issue(self, device):
         now = 0
         for index in range(32):
-            result = device.service(index * 4096, 2048, is_write=index % 2 == 0, now_ps=now)
-            assert result.completion_ps > now
-            assert result.data_start_ps <= result.completion_ps
-            now = result.completion_ps
+            data_start_ps, completion_ps, _ = _serve(
+                device, index * 4096, 2048, is_write=index % 2 == 0, now_ps=now
+            )
+            assert completion_ps > now
+            assert data_start_ps <= completion_ps
+            now = completion_ps
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -136,9 +141,12 @@ class TestDramDevice:
         now = 0
         windows = {channel: [] for channel in range(device.config.channels)}
         for address in addresses:
-            result = device.service(address, 1024, is_write=False, now_ps=now)
-            windows[result.channel].append((result.data_start_ps, result.completion_ps))
-            now = max(now, result.completion_ps)
+            channel, bank_slot, row, _ = device.mapper.locate(address)
+            data_start_ps, completion_ps, _ = device.service(
+                channel, bank_slot, row, 1024, is_write=False, now_ps=now
+            )
+            windows[channel].append((data_start_ps, completion_ps))
+            now = max(now, completion_ps)
         for channel_windows in windows.values():
             for (s1, e1), (s2, e2) in zip(channel_windows, channel_windows[1:]):
                 assert s2 >= e1, "data bursts on one channel must not overlap"

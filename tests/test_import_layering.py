@@ -126,7 +126,10 @@ class TestLightEntryPoints:
         [
             ("import repro.serve", SCENARIO_LAYERS),
             ("import repro.store", SCENARIO_LAYERS),
-            ("import repro.cli; repro.cli.build_parser()", SCENARIO_LAYERS + CATALOGS),
+            (
+                "import repro.cli; repro.cli.build_parser()",
+                SCENARIO_LAYERS + CATALOGS + ("repro.dvfs.governor",),
+            ),
         ],
         ids=["serve", "store", "cli-parser"],
     )

@@ -6,12 +6,16 @@ from typing import List
 
 import pytest
 
+from repro.dram.address import AddressMapper
+from repro.dram.cmdsim import CommandLevelDram
 from repro.dram.device import DramDevice
-from repro.memctrl.controller import MemoryController
+from repro.memctrl.controller import BatchedMemoryController, MemoryController
 from repro.memctrl.policies import make_policy
 from repro.memctrl.transaction import QueueClass, Transaction
+from repro.sim.clock import MS
 from repro.sim.config import DramConfig, MemoryControllerConfig
 from repro.sim.engine import Engine
+from repro.system.builder import build_system
 
 
 def make_txn(dma: str, address: int, priority: int = 0, size: int = 1024) -> Transaction:
@@ -129,3 +133,49 @@ class TestMemoryController:
         controller.enqueue(make_txn("a.read", address=0))
         occupancy = controller.queue_occupancy()
         assert set(occupancy) == {"cpu", "gpu", "dsp", "media", "system"}
+
+
+class TestAddressMapping:
+    def test_queue_based_controller_locates_each_transaction_once(self, monkeypatch):
+        # The channel filter, the row-hit probes (priority_rowbuffer probes
+        # every candidate) and the issue all read the coordinates mapped at
+        # enqueue.
+        calls = {"locate": 0, "enqueue": 0}
+        locate = AddressMapper.locate
+        enqueue = MemoryController.enqueue
+
+        def counting_locate(mapper, address):
+            calls["locate"] += 1
+            return locate(mapper, address)
+
+        def counting_enqueue(controller, transaction):
+            calls["enqueue"] += 1
+            enqueue(controller, transaction)
+
+        monkeypatch.setattr(AddressMapper, "locate", counting_locate)
+        monkeypatch.setattr(MemoryController, "enqueue", counting_enqueue)
+        system = build_system(
+            scenario="case_b",
+            policy="priority_rowbuffer",
+            traffic_scale=0.2,
+            dram_model="command",
+        )
+        assert type(system.controller) is MemoryController
+        system.run(duration_ps=MS // 4)
+        assert system.controller.served_transactions > 0
+        assert calls["locate"] == calls["enqueue"]
+
+
+class TestColumnarControllerGuards:
+    def test_refuses_the_command_level_device(self):
+        with pytest.raises(ValueError, match="transaction-level DRAM device"):
+            BatchedMemoryController(
+                Engine(), CommandLevelDram(DramConfig()), make_policy("fcfs")
+            )
+
+    def test_refuses_a_bounded_scheduler_window(self):
+        config = MemoryControllerConfig(scheduler_window_entries=16)
+        with pytest.raises(ValueError, match="unbounded scheduler window"):
+            BatchedMemoryController(
+                Engine(), DramDevice(DramConfig()), make_policy("fcfs"), config
+            )

@@ -17,8 +17,10 @@ class TestPowerWithCommandBackend:
         device = CommandLevelDram(DramConfig(), refresh=RefreshParams(enabled=False))
         now = 0
         for index in range(48):
-            result = device.service(index * 4096, 256, is_write=index % 4 == 0, now_ps=now)
-            now = result.completion_ps
+            channel, bank_slot, row, _ = device.mapper.locate(index * 4096)
+            _, now, _ = device.service(
+                channel, bank_slot, row, 256, is_write=index % 4 == 0, now_ps=now
+            )
         return device
 
     def test_energy_breakdown_from_command_backend(self):

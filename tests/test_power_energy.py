@@ -25,8 +25,10 @@ def _device_with_traffic(accesses: int, size_bytes: int = 256, stride: int = 64)
     now = 0
     address = 0
     for index in range(accesses):
-        result = device.service(address, size_bytes, is_write=index % 2 == 0, now_ps=now)
-        now = result.completion_ps
+        channel, bank_slot, row, _ = device.mapper.locate(address)
+        _, now, _ = device.service(
+            channel, bank_slot, row, size_bytes, is_write=index % 2 == 0, now_ps=now
+        )
         address += stride * size_bytes
     return device
 
