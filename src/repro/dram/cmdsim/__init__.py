@@ -18,7 +18,7 @@ the memory controller and the system builder swap backends with the
 backends agree on bandwidth ordering and row-hit behaviour.
 """
 
-from repro.dram.cmdsim.commands import Command, CommandType
+from repro.dram.cmdsim.commands import CommandType
 from repro.dram.cmdsim.bank_fsm import BankFsm, TimingViolation
 from repro.dram.cmdsim.refresh import RefreshParams, RefreshScheduler
 from repro.dram.cmdsim.channel import CommandChannel
@@ -26,7 +26,6 @@ from repro.dram.cmdsim.device import CommandLevelDram
 
 __all__ = [
     "BankFsm",
-    "Command",
     "CommandChannel",
     "CommandLevelDram",
     "CommandType",

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dram.bank import RowBufferState
 from repro.dram.cmdsim.bank_fsm import BankFsm
-from repro.dram.cmdsim.commands import Command, CommandType
+from repro.dram.cmdsim.commands import CommandType
 from repro.dram.cmdsim.refresh import RefreshParams, RefreshScheduler
 from repro.dram.rank import Rank
 from repro.dram.timing import DramTimingPs
@@ -37,12 +37,10 @@ class CommandChannel:
         config: DramConfig,
         timing: DramTimingPs,
         refresh: Optional[RefreshParams] = None,
-        keep_command_log: bool = False,
     ) -> None:
         self.index = index
         self.config = config
         self.timing = timing
-        self.keep_command_log = keep_command_log
         self.bus_free_at_ps = 0
         self.last_write_data_end_ps = 0
         self.bank_slots: List[BankFsm] = []
@@ -54,7 +52,6 @@ class CommandChannel:
                 self.rank_slots.append(rank)
         self.refresh = RefreshScheduler(config.ranks_per_channel, refresh)
         self.command_counts: Dict[CommandType, int] = {kind: 0 for kind in CommandType}
-        self.command_log: List[Command] = []
         self.bytes_served = 0
         self.busy_time_ps = 0
 
@@ -64,11 +61,6 @@ class CommandChannel:
     def set_timing(self, timing: DramTimingPs) -> None:
         """Switch the channel to a new resolved timing (DVFS)."""
         self.timing = timing
-
-    def _record(self, command: Command) -> None:
-        self.command_counts[command.kind] += 1
-        if self.keep_command_log:
-            self.command_log.append(command)
 
     def _maybe_refresh(self, rank_index: int, now_ps: int) -> int:
         """Run an all-bank refresh if one is due; returns the blocking end time."""
@@ -84,15 +76,7 @@ class CommandChannel:
         end_ps = self.refresh.perform(rank_index, start_ps)
         for fsm in rank_banks:
             fsm.force_precharge_for_refresh(end_ps)
-        self._record(
-            Command(
-                kind=CommandType.REFRESH,
-                channel=self.index,
-                rank=rank_index,
-                bank=0,
-                issue_ps=start_ps,
-            )
-        )
+        self.command_counts[CommandType.REFRESH] += 1
         return end_ps
 
     # ------------------------------------------------------------------ #
@@ -121,15 +105,7 @@ class CommandChannel:
         if state is RowBufferState.MISS:
             pre_at = fsm.earliest_precharge_ps(earliest_ps)
             fsm.apply_precharge(pre_at, self.timing)
-            self._record(
-                Command(
-                    kind=CommandType.PRECHARGE,
-                    channel=self.index,
-                    rank=rank.index,
-                    bank=fsm.bank.index,
-                    issue_ps=pre_at,
-                )
-            )
+            self.command_counts[CommandType.PRECHARGE] += 1
             earliest_ps = pre_at
 
         if state is not RowBufferState.HIT:
@@ -138,16 +114,7 @@ class CommandChannel:
             )
             fsm.apply_activate(row, act_at, self.timing)
             rank.record_activation(act_at)
-            self._record(
-                Command(
-                    kind=CommandType.ACTIVATE,
-                    channel=self.index,
-                    rank=rank.index,
-                    bank=fsm.bank.index,
-                    issue_ps=act_at,
-                    row=row,
-                )
-            )
+            self.command_counts[CommandType.ACTIVATE] += 1
             earliest_ps = act_at
 
         column_at = fsm.earliest_column_ps(earliest_ps)
@@ -167,18 +134,7 @@ class CommandChannel:
         else:
             fsm.apply_read(column_at, self.timing)
             kind = CommandType.READ
-        self._record(
-            Command(
-                kind=kind,
-                channel=self.index,
-                rank=rank.index,
-                bank=fsm.bank.index,
-                issue_ps=column_at,
-                row=row,
-                data_start_ps=data_start_ps,
-                data_end_ps=completion_ps,
-            )
-        )
+        self.command_counts[kind] += 1
 
         fsm.record_statistics(row, state, completion_ps)
         self.bus_free_at_ps = completion_ps

@@ -1,8 +1,7 @@
-"""DRAM command types and the command record used by the command-level model."""
+"""The DRAM command types the command-level model issues and counts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -14,39 +13,3 @@ class CommandType(Enum):
     READ = "RD"
     WRITE = "WR"
     REFRESH = "REF"
-
-
-@dataclass(frozen=True)
-class Command:
-    """One issued DRAM command.
-
-    ``issue_ps`` is the time the command hits the command bus; ``row`` is only
-    meaningful for activations and ``data_start_ps``/``data_end_ps`` only for
-    column commands (reads and writes).
-    """
-
-    kind: CommandType
-    channel: int
-    rank: int
-    bank: int
-    issue_ps: int
-    row: int = -1
-    data_start_ps: int = -1
-    data_end_ps: int = -1
-
-    def __post_init__(self) -> None:
-        if self.issue_ps < 0:
-            raise ValueError("issue_ps must be non-negative")
-        if self.channel < 0 or self.rank < 0 or self.bank < 0:
-            raise ValueError("channel, rank and bank must be non-negative")
-
-    @property
-    def is_column(self) -> bool:
-        """Whether this command transfers data on the bus."""
-        return self.kind in (CommandType.READ, CommandType.WRITE)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = f"ch{self.channel}/r{self.rank}/b{self.bank}"
-        if self.kind is CommandType.ACTIVATE:
-            return f"Command({self.kind.value} {where} row={self.row} @{self.issue_ps})"
-        return f"Command({self.kind.value} {where} @{self.issue_ps})"

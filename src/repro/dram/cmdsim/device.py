@@ -27,20 +27,12 @@ class CommandLevelDram(DramDevice):
         config: DramConfig,
         sim_scale: float = 1.0,
         refresh: Optional[RefreshParams] = None,
-        keep_command_log: bool = False,
     ) -> None:
         self.refresh_params = refresh or RefreshParams()
-        self.keep_command_log = keep_command_log
         super().__init__(config, sim_scale)
 
     def _new_channel(self, index: int, config: DramConfig) -> CommandChannel:
-        return CommandChannel(
-            index,
-            config,
-            self.timing,
-            refresh=self.refresh_params,
-            keep_command_log=self.keep_command_log,
-        )
+        return CommandChannel(index, config, self.timing, refresh=self.refresh_params)
 
     def command_counts(self) -> Dict[CommandType, int]:
         """Total commands issued, aggregated over all channels."""

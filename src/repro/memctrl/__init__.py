@@ -19,7 +19,6 @@ from repro.memctrl.policies import (
     RoundRobinPolicy,
     make_policy,
 )
-from repro.memctrl.queue import TransactionQueue
 from repro.memctrl.scheduler import SchedulingContext, SchedulingPolicy
 from repro.memctrl.transaction import QueueClass, Transaction
 
@@ -36,6 +35,5 @@ __all__ = [
     "SchedulingContext",
     "SchedulingPolicy",
     "Transaction",
-    "TransactionQueue",
     "make_policy",
 ]

@@ -312,9 +312,10 @@ class ColumnarStore:
 
     def fallback_candidates_by_class(self) -> List[Transaction]:
         """Live candidates grouped by queue class in enum order, FIFO within a
-        class — exactly :class:`~repro.memctrl.controller.MemoryController`'s
-        ``_candidates_for_channel`` order, so a policy without a selector
-        sees an identical list."""
+        class — exactly the order in which
+        :class:`~repro.memctrl.controller.MemoryController` reads a channel's
+        candidate index, so a policy without a selector sees an identical
+        list."""
         groups: List[List[Transaction]] = [[] for _ in range(_NUM_CLASSES)]
         alive = self.alive
         cls = self.cls

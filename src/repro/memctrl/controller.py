@@ -1,14 +1,16 @@
-"""The memory-controller front-end driving the DRAM device."""
+"""The memory-controller front-ends driving the DRAM device."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import abc
+import math
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.dram.channel import Channel
 from repro.dram.device import DramDevice
 from repro.memctrl.aging import AgingTracker
 from repro.memctrl.columnar import ColumnarStore, make_selector
-from repro.memctrl.queue import TransactionQueue
 from repro.memctrl.scheduler import SchedulingContext, SchedulingPolicy
 from repro.memctrl.transaction import QueueClass, Transaction
 from repro.sim.config import MemoryControllerConfig
@@ -18,23 +20,22 @@ from repro.sim.stats import RunningMean
 CompletionHandler = Callable[[Transaction], None]
 
 
-class MemoryController:
-    """Queues transactions per class and issues them to DRAM channels.
+class MemoryControllerBase(abc.ABC):
+    """What both controllers share: registration, back-pressure, per-class
+    occupancy and the completion path.
 
-    Each DRAM channel is scheduled independently: whenever a channel's data
-    bus becomes free the controller asks its scheduling policy to choose among
-    the visible transactions destined to that channel and issues the winner.
-    Completions are delivered to per-DMA handlers registered by the system
-    builder, which is how read data and write acknowledgements find their way
-    back to the cores' performance meters.
+    Each DRAM channel is scheduled independently.  A channel schedules when a
+    transaction arrives for it while it is idle, and when its own
+    transaction completes: the controller asks its scheduling policy to
+    choose among the visible transactions destined to that channel and
+    issues the winner.  Completions are delivered to per-DMA handlers
+    registered by the system builder, which is how read data and write
+    acknowledgements find their way back to the cores' performance meters.
 
-    Each address is mapped once, at enqueue, to ``(channel, bank slot,
-    row)`` (:meth:`~repro.dram.address.AddressMapper.locate`); the channel
-    filter, the row-hit probes and the issue read those coordinates.
-
-    This queue-based controller is the one the builder uses for the
-    command-level DRAM model and for bounded scheduler windows; every other
-    configuration runs on :class:`BatchedMemoryController`.
+    A controller defines how it holds its candidates: ``enqueue`` accepts
+    an arrival and schedules its channel if that is idle, and
+    ``_schedule_from`` picks, dequeues and issues the next transaction for
+    an idle channel.
     """
 
     def __init__(
@@ -48,38 +49,17 @@ class MemoryController:
         self.dram = dram
         self.policy = policy
         self.config = config or MemoryControllerConfig()
-        # The scheduler window bounds how many pending transactions per queue
-        # the policy may reorder among.  By default it is effectively
-        # unbounded: the controller is work-conserving over everything the
-        # DMAs' outstanding-request windows allow in flight, which stands in
-        # for the credit-based flow control a real front-end uses to keep its
-        # 42 entries fed with the most urgent traffic.
-        window = self.config.scheduler_window_entries or 1_000_000
-        self.queues: Dict[QueueClass, TransactionQueue] = {
-            queue_class: TransactionQueue(queue_class.value, window)
-            for queue_class in QueueClass
-        }
-        # Incrementally maintained per-channel candidate index: for each
-        # channel, an insertion-ordered map per queue class.  With the default
-        # (unbounded) scheduler window this lets _candidates_for_channel hand
-        # the policy its candidate list without rescanning every queue on
-        # every scheduling decision; a bounded window falls back to the
-        # windowed scan.
-        self._pending_by_channel: List[Dict[QueueClass, Dict[int, Transaction]]] = [
-            {queue_class: {} for queue_class in QueueClass}
-            for _ in range(dram.config.channels)
-        ]
-        self._unbounded_window = self.config.scheduler_window_entries is None
         # Incrementally maintained count of queued transactions; has_space()
         # runs on every NoC forward attempt, so it must not sum queue lengths.
         self._pending_count = 0
+        self._class_occupancy: Dict[QueueClass, int] = {
+            queue_class: 0 for queue_class in QueueClass
+        }
         self.aging = AgingTracker(
             self.config.aging_threshold_cycles, dram.timing.clock_period_ps
         )
         self._channel_busy: List[bool] = [False] * dram.config.channels
         self._locate = dram.mapper.locate
-        #: ``(channel, bank_slot, row)`` of each pending transaction, by uid.
-        self._coordinates: Dict[int, Tuple[int, int, int]] = {}
         self._completion_handlers: Dict[str, CompletionHandler] = {}
         self._global_handlers: List[CompletionHandler] = []
         self._space_listeners: List[Callable[[], None]] = []
@@ -119,96 +99,45 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Transaction flow
     # ------------------------------------------------------------------ #
+    @abc.abstractmethod
     def enqueue(self, transaction: Transaction) -> None:
-        """Accept a transaction from the NoC into its class queue."""
-        now = self.engine.now_ps
-        queue = self.queues[transaction.queue_class]
-        queue.push(transaction, now)
-        self._pending_count += 1
-        channel, bank_slot, row, _ = self._locate(transaction.address)
-        self._coordinates[transaction.uid] = (channel, bank_slot, row)
-        if self._unbounded_window:
-            self._pending_by_channel[channel][transaction.queue_class][
-                transaction.uid
-            ] = transaction
-        self._try_schedule(channel)
+        """Accept a transaction from the NoC; schedule its channel if idle."""
 
     def pending_transactions(self) -> int:
         """Total transactions waiting in all class queues."""
         return self._pending_count
 
-    def _candidates_for_channel(self, channel: int) -> List[Transaction]:
-        if self._unbounded_window:
-            # Fast path: the per-channel index already holds exactly the
-            # pending transactions of this channel, in the same order the
-            # windowed scan would produce (queue-class order, FIFO within a
-            # class).
-            candidates: List[Transaction] = []
-            for bucket in self._pending_by_channel[channel].values():
-                if bucket:
-                    candidates.extend(bucket.values())
-            return candidates
-        coordinates = self._coordinates
-        candidates = []
-        for queue in self.queues.values():
-            for transaction in queue.visible():
-                if coordinates[transaction.uid][0] == channel:
-                    candidates.append(transaction)
-        return candidates
-
-    def _is_row_hit(self, transaction: Transaction) -> bool:
-        return self.dram.is_row_hit(*self._coordinates[transaction.uid])
-
-    def _try_schedule(self, channel: int) -> None:
-        if self._channel_busy[channel]:
-            return
-        candidates = self._candidates_for_channel(channel)
-        if not candidates:
-            return
-        context = SchedulingContext(
-            now_ps=self.engine.now_ps,
-            is_row_hit=self._is_row_hit,
-            aging=self.aging,
-            row_buffer_delta=self.config.row_buffer_delta,
-        )
-        chosen = self.policy.select(candidates, context)
-        self.queues[chosen.queue_class].remove(chosen)
-        if self._unbounded_window:
-            self._pending_by_channel[channel][chosen.queue_class].pop(chosen.uid)
-        self._pending_count -= 1
-        self._issue(chosen, channel)
-
-    def _issue(self, transaction: Transaction, channel: int) -> None:
-        now = self.engine.now_ps
-        transaction.issued_ps = now
-        _, bank_slot, row = self._coordinates.pop(transaction.uid)
-        _, completion_ps, row_hit = self.dram.service(
-            channel, bank_slot, row, transaction.size_bytes, transaction.is_write, now
-        )
-        transaction.row_hit = row_hit
-        transaction.completed_ps = completion_ps
-        self._channel_busy[channel] = True
-        self.engine.schedule_at(completion_ps, self._on_complete, transaction, channel)
+    @abc.abstractmethod
+    def _schedule_from(self, channel: int) -> None:
+        """Pick, dequeue and issue the next transaction for an idle channel."""
 
     def _on_complete(self, transaction: Transaction, channel: int) -> None:
         self._channel_busy[channel] = False
+        size = transaction.size_bytes
+        source = transaction.source
         self.served_transactions += 1
-        self.served_bytes += transaction.size_bytes
-        self.per_source_bytes[transaction.source] = (
-            self.per_source_bytes.get(transaction.source, 0) + transaction.size_bytes
-        )
-        self.per_source_served[transaction.source] = (
-            self.per_source_served.get(transaction.source, 0) + 1
-        )
-        if transaction.latency_ps is not None:
-            self.latency_stats.add(transaction.latency_ps)
+        self.served_bytes += size
+        per_bytes = self.per_source_bytes
+        per_bytes[source] = per_bytes.get(source, 0) + size
+        per_served = self.per_source_served
+        per_served[source] = per_served.get(source, 0) + 1
+        # completed_ps is always stamped at issue; RunningMean.add is inlined
+        # (one call per completion on the hottest chain).
+        latency = transaction.completed_ps - transaction.created_ps
+        stats = self.latency_stats
+        stats.count += 1
+        stats.total += latency
+        if stats.minimum is None or latency < stats.minimum:
+            stats.minimum = latency
+        if stats.maximum is None or latency > stats.maximum:
+            stats.maximum = latency
 
         handler = self._completion_handlers.get(transaction.dma)
         if handler is not None:
             handler(transaction)
         for listener in self._global_handlers:
             listener(transaction)
-        self._try_schedule(channel)
+        self._schedule_from(channel)
         for space_listener in self._space_listeners:
             space_listener()
 
@@ -219,10 +148,128 @@ class MemoryController:
         return self.latency_stats.mean
 
     def queue_occupancy(self) -> Dict[str, int]:
-        return {queue.name: len(queue) for queue in self.queues.values()}
+        """Pending transactions per queue class, held-back ones included."""
+        return {
+            queue_class.value: count
+            for queue_class, count in self._class_occupancy.items()
+        }
 
 
-class BatchedMemoryController(MemoryController):
+class MemoryController(MemoryControllerBase):
+    """The queue-based controller: a candidate index per channel and class.
+
+    The scheduler window (``scheduler_window_entries``, W) bounds how many
+    pending transactions per queue class the policy may reorder among.  Per
+    channel, an insertion-ordered dict per :class:`QueueClass` holds the
+    transactions the scheduler may see; per class, one FIFO holds the
+    arrivals beyond the window.  An arrival joins its channel's index while
+    its class holds fewer than W pending transactions and waits in the FIFO
+    otherwise; each issue moves the oldest waiting transaction of the issued
+    class into its own channel's index.  Every waiting transaction of a
+    class arrived after every visible one, so a channel's candidates are the
+    first W pending transactions of each class, in queue-class order and
+    FIFO within a class, restricted to the channel.  A promotion schedules
+    no channel: the promoted transaction's channel picks it up at its next
+    arrival or completion.
+
+    Each address is mapped once, at enqueue, to ``(channel, bank slot,
+    row)`` (:meth:`~repro.dram.address.AddressMapper.locate`); the index,
+    the row-hit probes and the issue read those coordinates.
+
+    This is the controller the builder uses for the command-level DRAM
+    model and for bounded scheduler windows; every other configuration runs
+    on :class:`BatchedMemoryController`.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        dram: DramDevice,
+        policy: SchedulingPolicy,
+        config: Optional[MemoryControllerConfig] = None,
+    ) -> None:
+        super().__init__(engine, dram, policy, config)
+        # By default the window is unbounded and the FIFOs stay empty: the
+        # controller is work-conserving over everything the DMAs'
+        # outstanding-request windows allow in flight, which stands in for
+        # the credit-based flow control a real front-end uses to keep its 42
+        # entries fed with the most urgent traffic.
+        window = self.config.scheduler_window_entries
+        self._window = math.inf if window is None else window
+        self._visible: List[Dict[QueueClass, Dict[int, Transaction]]] = [
+            {queue_class: {} for queue_class in QueueClass}
+            for _ in range(dram.config.channels)
+        ]
+        self._waiting: Dict[QueueClass, Deque[Transaction]] = {
+            queue_class: deque() for queue_class in QueueClass
+        }
+        #: ``(channel, bank_slot, row)`` of each pending transaction, by uid.
+        self._coordinates: Dict[int, Tuple[int, int, int]] = {}
+
+    def enqueue(self, transaction: Transaction) -> None:
+        """Accept a transaction from the NoC into its channel's index, or
+        into its class's FIFO when the class already fills the window."""
+        now = self.engine._now_ps
+        # Whoever sets enqueued_ps sets the age key too (see Transaction).
+        transaction.enqueued_ps = now
+        transaction.sort_key = (now, transaction.uid)
+        queue_class = transaction.queue_class
+        channel, bank_slot, row, _ = self._locate(transaction.address)
+        self._coordinates[transaction.uid] = (channel, bank_slot, row)
+        if self._class_occupancy[queue_class] < self._window:
+            self._visible[channel][queue_class][transaction.uid] = transaction
+        else:
+            self._waiting[queue_class].append(transaction)
+        self._class_occupancy[queue_class] += 1
+        self._pending_count += 1
+        if not self._channel_busy[channel]:
+            self._schedule_from(channel)
+
+    def _is_row_hit(self, transaction: Transaction) -> bool:
+        return self.dram.is_row_hit(*self._coordinates[transaction.uid])
+
+    def _schedule_from(self, channel: int) -> None:
+        """Pick, dequeue and issue the next transaction for an idle channel."""
+        visible = self._visible[channel]
+        candidates: List[Transaction] = []
+        for bucket in visible.values():
+            if bucket:
+                candidates.extend(bucket.values())
+        if not candidates:
+            return
+        now = self.engine._now_ps
+        context = SchedulingContext(
+            now_ps=now,
+            is_row_hit=self._is_row_hit,
+            aging=self.aging,
+            row_buffer_delta=self.config.row_buffer_delta,
+        )
+        chosen = self.policy.select(candidates, context)
+        queue_class = chosen.queue_class
+        del visible[queue_class][chosen.uid]
+        self._class_occupancy[queue_class] -= 1
+        self._pending_count -= 1
+        coordinates = self._coordinates
+        waiting = self._waiting[queue_class]
+        if waiting:
+            # The class's oldest held-back arrival enters the window on its
+            # own channel; that channel is not scheduled here.
+            promoted = waiting.popleft()
+            promoted_channel = coordinates[promoted.uid][0]
+            self._visible[promoted_channel][queue_class][promoted.uid] = promoted
+
+        _, bank_slot, row = coordinates.pop(chosen.uid)
+        chosen.issued_ps = now
+        _, completion_ps, row_hit = self.dram.service(
+            channel, bank_slot, row, chosen.size_bytes, chosen.is_write, now
+        )
+        chosen.row_hit = row_hit
+        chosen.completed_ps = completion_ps
+        self._channel_busy[channel] = True
+        self.engine.schedule_call(completion_ps, self._on_complete, (chosen, channel))
+
+
+class BatchedMemoryController(MemoryControllerBase):
     """The columnar controller: columnar candidate stores per channel.
 
     Behaviour is bit-identical to the queue-based :class:`MemoryController`
@@ -254,7 +301,7 @@ class BatchedMemoryController(MemoryController):
         config: Optional[MemoryControllerConfig] = None,
     ) -> None:
         super().__init__(engine, dram, policy, config)
-        if not self._unbounded_window:
+        if self.config.scheduler_window_entries is not None:
             raise ValueError(
                 "BatchedMemoryController requires the unbounded scheduler window; "
                 "use the queue-based MemoryController for bounded-window configs"
@@ -283,13 +330,6 @@ class BatchedMemoryController(MemoryController):
             ColumnarStore.for_selector(self._selector, self._codebook, track_rows=True)
             for _ in range(channels)
         ]
-        # Per-class occupancy counters replace the TransactionQueue
-        # bookkeeping: the columnar stores already hold the pending
-        # transactions, so the queues would only duplicate membership for
-        # the occupancy report.
-        self._class_occupancy: Dict[QueueClass, int] = {
-            queue_class: 0 for queue_class in QueueClass
-        }
         self._serve_direct = getattr(self._selector, "serve_direct", None)
 
     def enqueue(self, transaction: Transaction) -> None:
@@ -301,8 +341,7 @@ class BatchedMemoryController(MemoryController):
         :meth:`~repro.dram.device.DramDevice.service` as they are.
         """
         now = self.engine._now_ps
-        # Inlined TransactionQueue.push stamping (see queue.py): whoever sets
-        # enqueued_ps sets the age key too.
+        # Whoever sets enqueued_ps sets the age key too (see Transaction).
         transaction.enqueued_ps = now
         transaction.sort_key = (now, transaction.uid)
         channel, bank_slot, row, _ = self._locate(transaction.address)
@@ -343,10 +382,6 @@ class BatchedMemoryController(MemoryController):
         channel, bank_slot, row, _ = self._locate(transaction.address)
         return self.dram.is_row_hit(channel, bank_slot, row)
 
-    def _try_schedule(self, channel: int) -> None:
-        if not self._channel_busy[channel]:
-            self._schedule_from(channel)
-
     def _schedule_from(self, channel: int) -> None:
         """Pick, dequeue and issue the next transaction for an idle channel."""
         store = self._stores[channel]
@@ -382,39 +417,3 @@ class BatchedMemoryController(MemoryController):
         self._channel_busy[channel] = True
         # Completions are never cancelled; skip the Event handle.
         self.engine.schedule_call(completion_ps, self._on_complete, (chosen, channel))
-
-    def _on_complete(self, transaction: Transaction, channel: int) -> None:
-        self._channel_busy[channel] = False
-        size = transaction.size_bytes
-        source = transaction.source
-        self.served_transactions += 1
-        self.served_bytes += size
-        per_bytes = self.per_source_bytes
-        per_bytes[source] = per_bytes.get(source, 0) + size
-        per_served = self.per_source_served
-        per_served[source] = per_served.get(source, 0) + 1
-        # completed_ps is always stamped at issue on this path; RunningMean.add
-        # is inlined (one call per completion on the hottest chain).
-        latency = transaction.completed_ps - transaction.created_ps
-        stats = self.latency_stats
-        stats.count += 1
-        stats.total += latency
-        if stats.minimum is None or latency < stats.minimum:
-            stats.minimum = latency
-        if stats.maximum is None or latency > stats.maximum:
-            stats.maximum = latency
-
-        handler = self._completion_handlers.get(transaction.dma)
-        if handler is not None:
-            handler(transaction)
-        for listener in self._global_handlers:
-            listener(transaction)
-        self._schedule_from(channel)
-        for space_listener in self._space_listeners:
-            space_listener()
-
-    def queue_occupancy(self) -> Dict[str, int]:
-        return {
-            queue_class.value: count
-            for queue_class, count in self._class_occupancy.items()
-        }

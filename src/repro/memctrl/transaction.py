@@ -38,13 +38,13 @@ class Transaction:
     carries a unique ``uid``.
 
     ``sort_key`` is the age-ordering key the schedulers read:
-    ``(created_ps, uid)`` until the transaction enters a controller queue,
+    ``(created_ps, uid)`` until a memory controller accepts the transaction,
     ``(enqueued_ps, uid)`` after.  Caching it lets hot-path ``min()`` and
     ``sort()`` calls read an attribute instead of building tuples per
     comparison.  Nothing refreshes it behind the caller's back: code that
-    assigns ``enqueued_ps`` assigns ``sort_key`` too, as
-    :meth:`~repro.memctrl.queue.TransactionQueue.push` and
-    :meth:`~repro.memctrl.controller.BatchedMemoryController.enqueue` do.
+    assigns ``enqueued_ps`` assigns ``sort_key`` too, as both controllers'
+    ``enqueue`` (:meth:`~repro.memctrl.controller.MemoryController.enqueue`,
+    :meth:`~repro.memctrl.controller.BatchedMemoryController.enqueue`) do.
     """
 
     __slots__ = (

@@ -12,7 +12,11 @@ from repro.cores import create_core
 from repro.cores.base import Core, Dma
 from repro.dram.cmdsim.device import CommandLevelDram
 from repro.dram.device import DramDevice
-from repro.memctrl.controller import BatchedMemoryController, MemoryController
+from repro.memctrl.controller import (
+    BatchedMemoryController,
+    MemoryController,
+    MemoryControllerBase,
+)
 from repro.memctrl.policies import make_policy
 from repro.noc.network import Network
 from repro.scenario import ADDRESS_STREAMS, TRAFFIC_MODELS, Scenario, resolve_scenario
@@ -35,7 +39,7 @@ class System:
     policy_name: str
     adaptation_enabled: bool
     dram: DramDevice
-    controller: MemoryController
+    controller: MemoryControllerBase
     network: Network
     framework: SaraFramework
     scenario: Optional[Scenario] = None

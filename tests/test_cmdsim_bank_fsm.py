@@ -1,4 +1,4 @@
-"""Tests for the command-level bank FSM, refresh scheduler and command records."""
+"""Tests for the command-level bank FSM and refresh scheduler."""
 
 from __future__ import annotations
 
@@ -6,25 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.bank import RowBufferState
-from repro.dram.cmdsim import BankFsm, Command, CommandType, RefreshParams, RefreshScheduler, TimingViolation
+from repro.dram.cmdsim import BankFsm, RefreshParams, RefreshScheduler, TimingViolation
 from repro.dram.timing import DramTimingPs
 from repro.sim.config import DramTimingConfig
 
 TIMING = DramTimingPs.from_config(DramTimingConfig(), 1866.0)
-
-
-class TestCommand:
-    def test_rejects_negative_coordinates(self):
-        with pytest.raises(ValueError):
-            Command(CommandType.READ, channel=-1, rank=0, bank=0, issue_ps=0)
-        with pytest.raises(ValueError):
-            Command(CommandType.READ, channel=0, rank=0, bank=0, issue_ps=-5)
-
-    def test_column_classification(self):
-        read = Command(CommandType.READ, 0, 0, 0, issue_ps=10)
-        act = Command(CommandType.ACTIVATE, 0, 0, 0, issue_ps=10, row=3)
-        assert read.is_column
-        assert not act.is_column
 
 
 class TestBankFsm:

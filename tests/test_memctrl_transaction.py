@@ -1,12 +1,18 @@
-"""Unit tests for transactions and transaction queues."""
+"""Unit tests for transactions and the controller's per-class queues."""
 
 from __future__ import annotations
 
+from typing import List, Optional
+
 import pytest
 
-from repro.memctrl.queue import TransactionQueue
+from repro.dram.device import DramDevice
+from repro.memctrl.controller import MemoryController
+from repro.memctrl.scheduler import SchedulingContext, SchedulingPolicy
 from repro.memctrl.transaction import QueueClass, Transaction
 from repro.sim.clock import MS
+from repro.sim.config import DramConfig, MemoryControllerConfig
+from repro.sim.engine import Engine
 from repro.system.builder import build_system
 
 
@@ -56,46 +62,71 @@ class TestTransaction:
         assert {qc.value for qc in QueueClass} == {"cpu", "gpu", "dsp", "media", "system"}
 
 
+class PickingPolicy(SchedulingPolicy):
+    """Records every candidate list it is handed; issues ``pick`` when it is
+    among them and the oldest candidate otherwise."""
+
+    name = "picking"
+
+    def __init__(self, pick: Optional[Transaction] = None) -> None:
+        self.pick = pick
+        self.handed: List[List[Transaction]] = []
+
+    def select(
+        self, candidates: List[Transaction], context: SchedulingContext
+    ) -> Transaction:
+        self.handed.append(list(candidates))
+        return self.pick if self.pick in candidates else candidates[0]
+
+
+def queue_setup(policy: SchedulingPolicy, window: Optional[int] = None):
+    """A queue-based controller whose one channel is busy serving a blocker,
+    so the transactions enqueued next all wait in the media queue."""
+    engine = Engine()
+    config = MemoryControllerConfig(scheduler_window_entries=window)
+    controller = MemoryController(
+        engine, DramDevice(DramConfig(channels=1)), policy, config
+    )
+    controller.enqueue(make_txn(queue_class=QueueClass.MEDIA))
+    assert controller.pending_transactions() == 0
+    return engine, controller
+
+
 class TestTransactionQueue:
     def test_push_and_visible_order(self):
-        queue = TransactionQueue("media", visible_entries=2)
-        txns = [make_txn() for _ in range(4)]
-        for index, txn in enumerate(txns):
-            queue.push(txn, now_ps=index * 10)
-        assert len(queue) == 4
-        assert queue.visible() == txns[:2]
-        assert queue.peak_occupancy == 4
-        assert queue.total_enqueued == 4
-
-    def test_push_records_enqueue_time(self):
-        queue = TransactionQueue("media", visible_entries=8)
-        txn = make_txn()
-        queue.push(txn, now_ps=777)
-        assert txn.enqueued_ps == 777
-        assert txn.sort_key == (777, txn.uid)
+        policy = PickingPolicy()
+        engine, controller = queue_setup(policy, window=2)
+        txns = [make_txn(queue_class=QueueClass.MEDIA) for _ in range(4)]
+        for txn in txns:
+            controller.enqueue(txn)
+        assert controller.pending_transactions() == 4
+        assert controller.queue_occupancy()["media"] == 4
+        engine.run()
+        # The blocker's completion hands the policy the oldest two; each
+        # issue then lets the next held-back arrival into the window.
+        assert policy.handed[1:] == [txns[:2], txns[1:3], txns[2:], txns[3:]]
+        assert controller.served_transactions == 5
 
     def test_remove_middle_entry(self):
-        queue = TransactionQueue("media", visible_entries=8)
-        txns = [make_txn() for _ in range(3)]
+        policy = PickingPolicy()
+        engine, controller = queue_setup(policy)
+        txns = [make_txn(queue_class=QueueClass.MEDIA) for _ in range(3)]
+        policy.pick = txns[1]
         for txn in txns:
-            queue.push(txn, now_ps=0)
-        queue.remove(txns[1])
-        assert list(queue) == [txns[0], txns[2]]
-
-    def test_remove_unknown_raises(self):
-        queue = TransactionQueue("media", visible_entries=8)
-        with pytest.raises(KeyError):
-            queue.remove(make_txn())
+            controller.enqueue(txn)
+        engine.run()
+        assert policy.handed[1:] == [txns, [txns[0], txns[2]], [txns[2]]]
+        assert controller.pending_transactions() == 0
 
     def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            TransactionQueue("media", visible_entries=0)
-
-    def test_is_empty(self):
-        queue = TransactionQueue("media", visible_entries=4)
-        assert queue.is_empty
-        queue.push(make_txn(), now_ps=0)
-        assert not queue.is_empty
+        for window in (0, -1):
+            with pytest.raises(ValueError):
+                MemoryController(
+                    Engine(),
+                    DramDevice(DramConfig()),
+                    PickingPolicy(),
+                    MemoryControllerConfig(scheduler_window_entries=window),
+                )
 
 
 class TestSimulatorTransactions:
