@@ -56,9 +56,10 @@ _RESULT_CACHE: Dict[str, ExperimentResult] = {}
 _SESSION_STATS = {"runs": 0, "memory_hits": 0, "disk_hits": 0, "executed": 0}
 
 # One warm worker pool for the whole pytest session: the first cold sweep
-# pays the spawn cost (workers import the simulator stack in their
-# initializer), every later figure module reuses the same workers.  The pool
-# starts lazily inside run_sweep, so a fully cached session never spawns.
+# pays the start-up cost (the session imports the simulator stack and forks
+# the workers, which inherit it), every later figure module reuses the same
+# workers.  The pool starts lazily inside run_sweep, so a fully cached
+# session never starts a worker.
 _POOL: Optional[WorkerPool] = WorkerPool(BENCH_JOBS) if BENCH_JOBS > 1 else None
 if _POOL is not None:
     atexit.register(_POOL.close)

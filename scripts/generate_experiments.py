@@ -9,8 +9,8 @@ by figure through the shared campaign report layer.  Only the extensions
 that are not sweep-shaped (energy breakdown, DVFS governors) keep bespoke
 code below.
 
-``--jobs`` fans the whole campaign across worker processes (one spawn cost
-total) and ``--cache-dir`` makes repeated invocations skip every
+``--jobs`` fans the whole campaign across worker processes (one start-up
+cost total) and ``--cache-dir`` makes repeated invocations skip every
 already-computed point; scheduler statistics are printed as HTML comments
 so they do not disturb the markdown output.
 
@@ -82,7 +82,7 @@ def main() -> None:
         f"{'campaign defaults' if args.duration_ms is None else f'{args.duration_ms} ms'} -->\n"
     )
     # One pool for the whole campaign: the scheduler flattens every sub-grid
-    # into a single sweep, so the spawn cost is paid exactly once.  When a
+    # into a single sweep, so the pool starts exactly once.  When a
     # store is given, the scheduler's hook records the run's manifest and
     # rendered artifacts, so later `repro campaign report` invocations (and
     # the CI artifact upload) are pure reads.

@@ -1,4 +1,4 @@
-"""The campaign scheduler: every sub-grid through one pool, one spawn cost.
+"""The campaign scheduler: every sub-grid through one pool, one start-up cost.
 
 Running a campaign sub-grid by sub-grid wastes the two resources the warm
 worker pool exists to save: each sweep would pay its own scheduling
@@ -322,7 +322,7 @@ class CampaignScheduler:
 
         ``pool``/``jobs``/``cache``/``cache_dir``/``progress``/``executor``/
         ``failure_policy`` have :func:`~repro.runner.run_sweep` semantics;
-        the whole campaign is one sweep, so a cold pool spawns exactly once
+        the whole campaign is one sweep, so a cold pool starts exactly once
         and ``pool_startup_s`` appears once in the campaign totals (and
         never in the per-sub-grid stats, which only carry work attributable
         to their own points).

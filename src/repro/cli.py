@@ -572,7 +572,7 @@ def _sweep_pool(args: argparse.Namespace):
 
     One CLI invocation may fan several sweeps through the orchestrator (and
     future campaign-style commands will chain them); creating the pool here,
-    once, means every sweep of the invocation shares a single spawn cost.
+    once, means every sweep of the invocation shares a single start-up cost.
     """
     if args.jobs == 1:
         yield None
@@ -853,7 +853,7 @@ def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
     # An explicit executor owns its own parallelism — don't also pay for a
     # warm pool the sweep would ignore.
     pool_context = _sweep_pool(args) if executor is None else nullcontext(None)
-    # The trace session must exist before any worker spawns (workers pick
+    # The trace session must exist before any worker starts (workers pick
     # the journal directory up from the environment) and is closed on every
     # exit path; on success the scheduler finalized it into the store first.
     trace_session = TraceSession() if args.trace else None

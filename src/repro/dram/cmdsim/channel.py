@@ -52,6 +52,8 @@ class CommandChannel:
                 self.rank_slots.append(rank)
         self.refresh = RefreshScheduler(config.ranks_per_channel, refresh)
         self.command_counts: Dict[CommandType, int] = {kind: 0 for kind in CommandType}
+        #: Burst time per transfer size at the current timing.
+        self._burst_ps: Dict[int, int] = {}
         self.bytes_served = 0
         self.busy_time_ps = 0
 
@@ -61,6 +63,7 @@ class CommandChannel:
     def set_timing(self, timing: DramTimingPs) -> None:
         """Switch the channel to a new resolved timing (DVFS)."""
         self.timing = timing
+        self._burst_ps.clear()
 
     def _maybe_refresh(self, rank_index: int, now_ps: int) -> int:
         """Run an all-bank refresh if one is due; returns the blocking end time."""
@@ -93,10 +96,13 @@ class CommandChannel:
         """Expand one transaction into commands and return its data timing.
 
         Same call and result as :meth:`~repro.dram.channel.Channel.service`:
-        ``(data_start_ps, completion_ps, state)``.
+        ``(data_start_ps, completion_ps, state)``.  The burst time is
+        computed, and the size checked, once per transfer size and timing.
         """
-        if size_bytes <= 0:
-            raise ValueError(f"transfer size must be positive, got {size_bytes}")
+        burst_ps = self._burst_ps.get(size_bytes)
+        if burst_ps is None:
+            burst_ps = self.timing.burst_ps(size_bytes, self.config.bus_bytes_per_cycle)
+            self._burst_ps[size_bytes] = burst_ps
         fsm = self.bank_slots[bank_slot]
         rank = self.rank_slots[bank_slot]
         earliest_ps = self._maybe_refresh(rank.index, now_ps)
@@ -122,7 +128,6 @@ class CommandChannel:
             # Write-to-read turnaround on the shared bus/rank.
             column_at = max(column_at, self.last_write_data_end_ps + self.timing.t_wtr_ps)
 
-        burst_ps = self.timing.burst_ps(size_bytes, self.config.bus_bytes_per_cycle)
         data_ready_ps = column_at + self.timing.cl_ps
         data_start_ps = max(data_ready_ps, self.bus_free_at_ps)
         completion_ps = data_start_ps + burst_ps

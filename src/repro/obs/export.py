@@ -17,7 +17,7 @@ traced process.  This module is the read side the campaign driver runs
   joined from the scheduler's ``campaign.point`` metadata instants;
 * :class:`TraceSession` — the driver-side lifecycle: own a journal
   directory, install the driver tracer, export :data:`TRACE_ENV_VAR` so
-  spawned workers journal too, and on :meth:`finalize` store both
+  pool workers journal too, and on :meth:`finalize` store both
   artifacts and hand back the ``stats`` payload the manifest references
   them from.  Trace artifacts live only in the manifest's free-form
   ``stats`` field — never in reports — so a traced run's outputs stay
@@ -238,7 +238,7 @@ class TraceSession:
     """Driver-side trace lifecycle for one ``campaign run --trace``.
 
     Creating the session installs the driver tracer and exports
-    :data:`TRACE_ENV_VAR` so every worker spawned afterwards journals into
+    :data:`TRACE_ENV_VAR` so every worker started afterwards journals into
     the same directory.  :meth:`finalize` — called by the scheduler after
     the sweep but *before* the final manifest record, so the record itself
     is not in its own trace — merges the journals, stores the two trace

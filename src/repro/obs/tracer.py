@@ -18,13 +18,16 @@ Design constraints, in order:
   fingerprints; journals live outside the results store until the driver
   explicitly records the merged trace as store artifacts referenced only
   from the manifest's free-form ``stats`` field.
-* **Cross-process by environment.**  Worker processes are ``spawn``-started
-  and cannot inherit the parent's tracer object, so the driver exports
+* **Cross-process by environment.**  Pool workers are forked from the
+  driver, and a forked child drops the tracer it inherited without
+  flushing it (an :func:`os.register_at_fork` hook), so the driver's
+  buffered spans are written once, by the driver.  The driver exports
   :data:`TRACE_ENV_VAR` (the journal directory) and workers call
-  :func:`install_from_env` at startup.  Durations are monotonic
-  (``perf_counter_ns``) per process; each journal carries one wall-clock
-  anchor so the merge step can place processes on a shared timeline — the
-  anchor stays inside trace artifacts and never reaches any fingerprint.
+  :func:`install_from_env` at startup to journal on their own.  Durations
+  are monotonic (``perf_counter_ns``) per process; each journal carries one
+  wall-clock anchor so the merge step can place processes on a shared
+  timeline — the anchor stays inside trace artifacts and never reaches any
+  fingerprint.
 """
 
 from __future__ import annotations
@@ -252,10 +255,24 @@ def uninstall_tracer() -> None:
         _TRACER = None
 
 
+def _drop_inherited_tracer() -> None:
+    """In a forked child: forget the parent's tracer without flushing it.
+
+    Its buffer holds spans the parent recorded and will flush itself, and
+    its lock may have been held by another parent thread at the fork.
+    """
+    global _TRACER
+    _TRACER = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_inherited_tracer)
+
+
 def install_from_env(role: str) -> Optional[Tracer]:
     """Worker-process activation: install a tracer when the driver traces.
 
-    Spawned workers call this once at startup with their role name
+    Pool workers call this once at startup with their role name
     (``pool-worker``); when :data:`TRACE_ENV_VAR` is unset — every
     untraced run — this is a single environment lookup.
     """

@@ -10,7 +10,7 @@ turns those compositions into declarative :class:`RunSpec` grids that
   (``--cache-dir``), keyed by a stable hash of the fully resolved,
   serialized scenario, and
 * import each spec's plugin modules inside every worker, so runtime
-  registrations (policies, workloads, scenarios) survive ``spawn``.
+  registrations (policies, workloads, scenarios) reach every worker.
 
 The sequential path stays byte-identical: a parallel sweep produces exactly
 the same :class:`~repro.system.experiment.ExperimentResult` values as running

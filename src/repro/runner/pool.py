@@ -1,31 +1,34 @@
-"""The warm worker pool: persistent spawn workers and batched dispatch plans.
+"""The warm worker pool: persistent forked workers and batched dispatch plans.
 
-Every ``run_sweep`` call used to build a fresh ``spawn`` pool, so a campaign
-of several sweeps (the CLI's ``grid`` command, the benchmark harness, a
-notebook iterating on a figure) paid interpreter start-up plus the full
-``repro`` import once per sweep *per worker*.  :class:`WorkerPool` makes the
-pool a first-class, reusable object: start it once (lazily, on first use),
-hand it to as many ``run_sweep`` calls as you like, and the spawn cost is
-paid exactly once: each worker starts an interpreter and imports the
-simulator stack, 0.31–0.34 s for one worker and 0.79–0.83 s for four on a
-2-CPU host (Python 3.11, bytecode cached; see
-``docs/running_experiments.md``).  The pool is a context manager, so the
-common shape is::
+Every ``run_sweep`` call used to build a fresh pool, so a campaign of
+several sweeps (the CLI's ``grid`` command, the benchmark harness, a
+notebook iterating on a figure) paid worker start-up once per sweep *per
+worker*.  :class:`WorkerPool` makes the pool a first-class, reusable
+object: start it once (lazily, on first use) and hand it to as many
+``run_sweep`` calls as you like.  The common shape is::
 
     with WorkerPool(jobs=4) as pool:
         a, _ = run_sweep(grid_a, pool=pool)
-        b, _ = run_sweep(grid_b, pool=pool)   # no second spawn
+        b, _ = run_sweep(grid_b, pool=pool)   # no second start-up
 
-Workers import the whole simulator stack and every declared plugin module in
-their initializer, so per-spec work inside a worker is just "resolve, build,
-simulate" — no import-system round trips on the hot path.
+Workers are ``fork`` children of the driver (POSIX only).
+:meth:`WorkerPool.start` imports the simulator stack in the driver once,
+before the first fork, so every worker and every respawned replacement
+inherits it; a worker then imports only its declared plugin modules, and
+per-spec work inside it is just "resolve, build, simulate".  Starting two
+workers from a driver that already holds the stack takes milliseconds (see
+``docs/running_experiments.md``).  Two things a fresh interpreter would
+have given for free are kept by hand: each worker closes the parent-side
+pipe ends it inherited, its own and its siblings', so a driver killed with
+SIGKILL still ends its workers by EOF; and a forked child drops the
+driver's tracer without flushing it (:mod:`repro.obs.tracer`).
 
 The pool used to delegate to ``multiprocessing.Pool``, which has a
 well-known failure mode: a worker killed mid-task (OOM killer, ``kill -9``)
 leaves the caller waiting forever, because the shared result queue cannot
 say *whose* result will never arrive.  This implementation manages explicit
-``spawn`` :class:`~multiprocessing.Process` workers, each with its own
-duplex :func:`~multiprocessing.Pipe`: the parent always knows exactly which
+:class:`~multiprocessing.Process` workers, each with its own duplex
+:func:`~multiprocessing.Pipe`: the parent always knows exactly which
 task each worker holds, a dead worker surfaces as EOF on *its own* pipe the
 moment it dies, and the pool respawns it and keeps serving.  A worker that
 dies before it finishes start-up fails :meth:`WorkerPool.start` at once
@@ -110,34 +113,30 @@ def _send_envelope(conn: Any, task_id: int, status: str, value: Any) -> None:
     conn.send((task_id, status, payload, digest))
 
 
-def _worker_main(conn: Any, plugin_modules: Tuple[str, ...], ready: Any) -> None:
+def _worker_main(
+    conn: Any, inherited: Sequence[Any], plugin_modules: Tuple[str, ...], ready: Any
+) -> None:
     """Worker process body: one-time setup, then a task-at-a-time loop.
 
-    The setup imports everything a task runs, so the import cost lands in
-    pool start-up (measured as ``SweepStats.pool_startup_s``) instead of
-    silently inflating the first batch.  Package ``__init__``s import
-    nothing until a name is used, so the list is explicit:
-    ``repro.runner.sweep`` brings the executor, the system builder, the
-    engine and every substrate; ``repro.scenario.builders`` and
-    ``repro.scenario.workloads`` register the built-in traffic models,
-    address streams and workloads, which their registries would otherwise
-    import during the first task.  Nothing a worker never runs is imported:
-    not the campaign layer, the store, the service, the CLI, DVFS or the
-    power model.  Plugin imports run once per process instead of once per
-    spec.  A failed import is deliberately swallowed: it is not cached in
-    ``sys.modules``, so it retries when the first task runs and the real
-    error surfaces as an ordinary task failure with the actionable
-    message.  Releasing the semaphore signals :meth:`WorkerPool.start`;
-    workers respawned mid-campaign get ``ready=None`` (the start-up
-    semaphore may already be gone by the time the child unpickles it).
+    The worker is forked from the driver, so it starts holding everything
+    the driver imported, :meth:`WorkerPool.start`'s simulator stack
+    included.  First it closes ``inherited``, the parent-side ends of its
+    own pipe and of its siblings': while any copy of a parent end stays
+    open, a worker whose driver was killed would wait in ``recv()``
+    forever instead of reading EOF.  Then it imports its plugin modules,
+    once per process instead of once per spec, so that their cost lands in
+    pool start-up (measured as ``SweepStats.pool_startup_s``).  A failed
+    import is deliberately swallowed: it is not cached in ``sys.modules``,
+    so it retries when the first task runs and the real error surfaces as
+    an ordinary task failure with the actionable message.  Releasing the
+    semaphore signals :meth:`WorkerPool.start`; respawned workers get
+    ``ready=None``, because nobody waits for them.
     """
+    for end in inherited:
+        end.close()
     obs.install_from_env("pool-worker")
     try:
         with obs.span("worker.start", plugins=len(plugin_modules)):
-            import repro.runner.sweep  # noqa: F401
-            import repro.scenario.builders  # noqa: F401
-            import repro.scenario.workloads  # noqa: F401
-
             load_plugins(plugin_modules)
     except Exception:
         pass
@@ -216,7 +215,7 @@ class _Assigned:
 
 
 class _Worker:
-    """One spawned worker process and the parent's end of its pipe."""
+    """One forked worker process and the parent's end of its pipe."""
 
     __slots__ = ("process", "conn", "assigned")
 
@@ -397,10 +396,10 @@ class TaskSession:
 
 
 class WorkerPool:
-    """A persistent ``spawn`` worker pool, reusable across sweeps.
+    """A persistent pool of forked workers, reusable across sweeps.
 
     The pool starts lazily: constructing one is free, and the first
-    ``run_sweep`` (or an explicit :meth:`start`) pays the spawn cost.
+    ``run_sweep`` (or an explicit :meth:`start`) pays the start-up cost.
     ``plugin_modules`` are imported once per worker at start-up; sweeps whose
     specs declare *additional* plugin modules still work — workers import
     those on first use through the idempotent-fast
@@ -412,12 +411,12 @@ class WorkerPool:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.plugin_modules = tuple(dict.fromkeys(plugin_modules))
-        self._context = multiprocessing.get_context("spawn")
+        self._context = multiprocessing.get_context("fork")
         self._workers: List[_Worker] = []
         self._next_epoch = 0
         #: Wall-clock cost of the most recent :meth:`start`.
         self.startup_s = 0.0
-        #: How many times this pool has actually spawned workers.
+        #: How many times this pool has actually started its workers.
         self.starts = 0
         #: Workers respawned after dying or being killed for a timeout.
         self.respawns = 0
@@ -426,21 +425,23 @@ class WorkerPool:
     def started(self) -> bool:
         return bool(self._workers)
 
-    def _spawn_one(self, ready: Any) -> _Worker:
+    def _fork_one(self, ready: Any) -> None:
+        """Fork one worker and add it to :attr:`_workers`."""
         parent_conn, child_conn = self._context.Pipe(duplex=True)
+        inherited = [worker.conn for worker in self._workers] + [parent_conn]
         process = self._context.Process(
             target=_worker_main,
-            args=(child_conn, self.plugin_modules, ready),
+            args=(child_conn, inherited, self.plugin_modules, ready),
             daemon=True,
         )
         process.start()
         # Close our copy of the child's end: the child's death must read as
         # EOF on the parent end, which it cannot while we hold this open.
         child_conn.close()
-        return _Worker(process, parent_conn)
+        self._workers.append(_Worker(process, parent_conn))
 
     def start(self) -> float:
-        """Spawn the workers if needed; returns the start-up cost just paid.
+        """Start the workers if needed; returns the start-up cost just paid.
 
         Returns ``0.0`` when the pool is already warm — callers can therefore
         unconditionally add the return value to their ``pool_startup_s``.
@@ -449,15 +450,25 @@ class WorkerPool:
             return 0.0
         with obs.span("pool.start", jobs=self.jobs) as pool_span:
             began = time.perf_counter()
+            # What every task runs, imported here once so that each worker
+            # and each respawn inherits it: the executor, the system
+            # builder, the engine and every substrate, and the built-in
+            # traffic models, address streams and workloads, which their
+            # registries would otherwise import during the first task.
+            import repro.runner.sweep  # noqa: F401
+            import repro.scenario.builders  # noqa: F401
+            import repro.scenario.workloads  # noqa: F401
+
             # Readiness handshake: every worker releases once from its body
             # and the parent acquires jobs times, so start() returns only
-            # when all workers have imported the simulator stack and the
-            # spawn cost is fully attributed here instead of bleeding into
-            # the first dispatched batch.  (A semaphore, not a barrier:
-            # release never blocks, so a worker respawned later cannot stall
-            # on a handshake nobody else is attending.)
+            # when all workers have loaded their plugins and the start-up
+            # cost is fully attributed here instead of bleeding into the
+            # first dispatched batch.  (A semaphore, not a barrier: release
+            # never blocks, so a worker respawned later cannot stall on a
+            # handshake nobody else is attending.)
             ready = self._context.Semaphore(0)
-            self._workers = [self._spawn_one(ready) for _ in range(self.jobs)]
+            for _ in range(self.jobs):
+                self._fork_one(ready)
             self._await_ready(ready)
             self.startup_s = time.perf_counter() - began
             self.starts += 1
@@ -468,11 +479,10 @@ class WorkerPool:
         """Wait until every worker has reported ready, or one has died.
 
         The wait runs in :data:`POLL_S` slices with a look at the workers
-        in between, so a worker that exits before it reports ready (a spawn
-        child that cannot re-import ``__main__``, a plugin that kills the
-        interpreter) fails the start at once instead of at the deadline.  A
-        release still wakes the wait immediately: a healthy start is no
-        slower.
+        in between, so a worker that exits before it reports ready (a plugin
+        that kills the interpreter) fails the start at once instead of at
+        the deadline.  A release still wakes the wait immediately: a healthy
+        start is no slower.
         """
         deadline = time.monotonic() + STARTUP_TIMEOUT_S
         waiting = self.jobs
@@ -504,14 +514,13 @@ class WorkerPool:
     def _respawn(self, worker: _Worker) -> None:
         """Replace a retired worker so pool capacity never decays.
 
-        The replacement gets no readiness semaphore (nobody would wait on
-        it, and the parent would drop — and thereby unlink — it before the
-        child could unpickle it); it starts serving once its import
-        finishes.
+        The replacement is forked from the driver as it is now and gets no
+        readiness semaphore, because nobody waits on it; it starts serving
+        once its plugins are loaded.
         """
         self.respawns += 1
         obs.instant("pool.respawn", respawns=self.respawns)
-        self._workers.append(self._spawn_one(None))
+        self._fork_one(None)
 
     def session(self) -> TaskSession:
         """Open a task session — the executor layer's submission interface."""

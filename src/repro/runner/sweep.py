@@ -2,10 +2,9 @@
 
 A sweep is a list of :class:`RunSpec` points.  :func:`run_sweep` resolves
 each point against the result cache, fans the remaining cold points out
-across ``jobs`` worker processes (``spawn`` start method, so workers never
-inherit mutable interpreter state and behave identically on every platform)
-and returns results in spec order together with a :class:`SweepStats`
-summary.
+across ``jobs`` worker processes (forked from the driver, so they start
+holding its imports; POSIX only) and returns results in spec order together
+with a :class:`SweepStats` summary.
 
 Every spec references a :class:`~repro.scenario.Scenario` — by catalog name,
 file path or as an object — and its cache key is the SHA-256 of the fully
@@ -27,12 +26,13 @@ attributable to the phase that caused it.
 
 Custom policies, workloads and traffic models registered at runtime survive
 parallel sweeps through the plugin hook: ``RunSpec.plugin_modules`` names the
-modules whose import performs the registrations, and every spawn worker
-imports them once, in its initializer.
+modules whose import performs the registrations, and every worker imports
+them once, at start-up, unless it inherited them from the driver.
 
 Determinism: a run's randomness is derived entirely from its scenario's
 seed, and each worker builds its simulation from scratch from the pickled
-spec, so a parallel sweep — batched or not, warm pool or cold — is
+spec, so whatever else a worker inherited from the driver at fork time, a
+parallel sweep — batched or not, warm pool or cold — is
 bit-identical to running the same specs sequentially in one process
 (``tests/test_runner_sweep.py`` asserts this).
 """
@@ -227,7 +227,7 @@ class SweepStats:
     * ``index_lookup_s`` — store point-index probes (memo-key hashing,
       shard reads, recorded-result decoding) when a store memo was handed
       in; ``reused_points`` counts the specs those probes satisfied.
-    * ``pool_startup_s`` — spawn cost paid by *this* sweep.  Zero when a
+    * ``pool_startup_s`` — pool start-up cost paid by *this* sweep.  Zero when a
       warm :class:`~repro.runner.pool.WorkerPool` was handed in, which is
       the whole point of keeping one.
 
@@ -349,7 +349,7 @@ def run_sweep(
         The grid points, in the order results should be returned.
     jobs:
         Worker processes for the cold points.  ``1`` (the default) runs
-        everything in-process; higher values spawn an ephemeral
+        everything in-process; higher values start an ephemeral
         :class:`WorkerPool` for this call.  Ignored when ``pool`` is given.
     cache / cache_dir:
         An existing :class:`ResultCache`, or a directory path to open one in.
@@ -358,7 +358,7 @@ def run_sweep(
         A caller-owned :class:`WorkerPool` to execute on.  The pool is
         started if needed (only that start-up lands in ``pool_startup_s``)
         and is *not* closed afterwards — that is what lets one warm pool
-        serve a whole campaign of sweeps for a single spawn cost.
+        serve a whole campaign of sweeps for a single start-up cost.
     progress:
         Optional ``callback(done, cold_total)`` invoked in the parent as
         executed specs stream back, interleaved with execution.

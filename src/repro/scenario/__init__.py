@@ -7,7 +7,7 @@ as plain, versioned, JSON/TOML-serializable data.  The bundled catalog
 (``repro scenarios list``) carries the paper's two camcorder cases plus new
 workload families; :func:`register_scenario` and the plugin hook
 (:func:`load_plugins`, ``--plugin-module``) extend every registry at runtime,
-including inside spawn sweep workers.
+including inside sweep workers.
 """
 
 from repro._lazy import lazy_exports

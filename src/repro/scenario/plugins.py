@@ -1,12 +1,15 @@
-"""Plugin import hook: make runtime registrations survive spawn workers.
+"""Plugin import hook: make runtime registrations reach every sweep worker.
 
 Registries (scheduling policies, workloads, traffic models, address streams,
 scenarios) live in process memory, so anything registered at runtime used to
-vanish inside ``spawn`` sweep workers — the ROADMAP's ``jobs=1`` caveat for
-custom policies.  The fix is declarative too: a run spec carries the *names*
-of the modules whose import performs the registrations, and every worker
-imports them before executing its spec.  The CLI's ``--plugin-module`` and
-:attr:`repro.runner.RunSpec.plugin_modules` both route through here.
+vanish inside sweep workers, which then started as fresh interpreters — the
+ROADMAP's ``jobs=1`` caveat for custom policies.  The fix is declarative: a
+run spec carries the *names* of the modules whose import performs the
+registrations, and every worker imports them before executing its spec.
+Workers are now forked from the driver, but the contract stands: a
+registration a worker needs comes from a declared plugin module.  The CLI's
+``--plugin-module`` and :attr:`repro.runner.RunSpec.plugin_modules` both
+route through here.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ policies keep their existing registry in :mod:`repro.memctrl.policies`.
 Registries are open: plugin modules (imported via ``--plugin-module`` on the
 CLI, or :func:`repro.scenario.load_plugins` from code) register additional
 entries at import time, which is what makes custom workloads and traffic
-models usable from plain scenario files — including inside ``spawn`` sweep
+models usable from plain scenario files — including inside sweep
 workers, which import the same plugin modules before running their specs.
 
 This module is intentionally import-light (no other ``repro`` imports) so

@@ -3,8 +3,9 @@
 Importing this module registers a custom scheduling policy, a custom
 workload kind and a custom scenario — exactly what a downstream user's
 ``--plugin-module`` would do.  Sweep workers import it by name (it lives on
-``sys.path`` via pytest's rootdir handling), which is what makes the
-registrations visible under ``spawn`` multiprocessing.
+``sys.path`` via pytest's rootdir handling) unless they inherited it from the
+driver they were forked from, which is what makes the registrations visible
+in every worker.
 """
 
 from __future__ import annotations

@@ -114,6 +114,22 @@ class TestCommandLevelDram:
         _, slow_done = _drive(slow, accesses=16, stride_rows=True)[-1]
         assert slow_done > fast_done
 
+    def test_set_frequency_after_service_rebursts(self):
+        # Re-clocking after an access must not reuse that access's burst
+        # time: the next access of the same size bursts exactly as on a
+        # device built at the new frequency.
+        def burst_ps(device, now_ps):
+            channel = device.channels[0]
+            busy_before = channel.busy_time_ps
+            device.service(0, 0, 0, 2048, False, now_ps)
+            return channel.busy_time_ps - busy_before
+
+        reclocked = CommandLevelDram(DramConfig())
+        at_1866 = burst_ps(reclocked, 0)
+        reclocked.set_frequency(1300.0)
+        fresh = CommandLevelDram(DramConfig().with_frequency(1300.0))
+        assert burst_ps(reclocked, 10**6) == burst_ps(fresh, 0) > at_1866
+
     def test_bandwidth_accounting(self):
         device = CommandLevelDram(DramConfig())
         _drive(device, accesses=10, stride_rows=False, size_bytes=512)

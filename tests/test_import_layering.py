@@ -14,10 +14,10 @@ this process has long since imported everything:
   ``from package import *`` and in ``dir()``;
 * the registries that import side effects fill list their built-ins on the
   first lookup, with the same keys and unknown-name errors as ever;
-* a pool worker still imports the whole simulator before it reports ready.
+* a pool worker holds the whole simulator, and not the service, before
+  its first task.
 
-Nothing from ``repro`` is imported at module level: a pool worker imports
-this module to run :func:`_loaded_modules`.
+Nothing from ``repro`` is imported at module level.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ def _heavy(modules):
         if name == "numpy"
         or any(name == root or name.startswith(root + ".") for root in SIMULATOR)
     ]
-
-
-def _loaded_modules(_argument):
-    """Pool task: the worker's ``sys.modules`` when it runs the task."""
-    return sorted(sys.modules)
 
 
 class TestLightEntryPoints:
@@ -270,15 +265,26 @@ class TestRegistries:
 
 class TestPoolWorker:
     def test_worker_imports_the_simulator_before_its_first_task(self):
-        from repro.runner import WorkerPool
-
-        with WorkerPool(1) as pool:
-            startup_s = pool.start()
-            session = pool.session()
-            session.submit(_loaded_modules, None)
-            (outcome,) = list(session.outcomes())
-        assert outcome.error is None
+        # A forked worker holds whatever its driver held, so the driver is a
+        # fresh interpreter that never imported the service: the simulator
+        # stack the worker sees is what WorkerPool.start() imported.
+        out = _fresh(
+            "import json, os, sys\n"
+            "from repro.runner import WorkerPool\n"
+            "def loaded(_):\n"
+            "    return os.getpid(), sorted(sys.modules)\n"
+            "with WorkerPool(1) as pool:\n"
+            "    startup_s = pool.start()\n"
+            "    session = pool.session()\n"
+            "    session.submit(loaded, None)\n"
+            "    (outcome,) = list(session.outcomes())\n"
+            "assert outcome.error is None, outcome.error\n"
+            "pid, modules = outcome.value\n"
+            "print(json.dumps([pid != os.getpid(), startup_s, modules]))\n"
+        )
+        in_worker, startup_s, modules = json.loads(out)
+        assert in_worker
         assert startup_s > 0.0
-        loaded = set(outcome.value)
+        loaded = set(modules)
         assert {"repro.system.builder", "repro.sim.engine", "numpy"} <= loaded
         assert "repro.serve" not in loaded

@@ -134,6 +134,21 @@ class TestTracedArtifacts:
         assert len(trace_info["processes"]) >= 2
         assert trace_info["spans"] > 0
 
+    def test_driver_spans_are_recorded_once(self, pair):
+        # A forked worker drops the driver's tracer without flushing it, so
+        # no worker writes the driver's buffered spans a second time.
+        _, _, (on_store, _) = pair
+        store, manifest = _sole_manifest(on_store)
+        doc = json.loads(
+            store.read_artifact(
+                ArtifactRef.from_dict(manifest.stats["trace"]["trace_json"], "trace_json")
+            )
+        )
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        (plan,) = [e for e in spans if e["name"] == "campaign.plan"]
+        probes = [e for e in spans if e["name"] == "campaign.memo_probe"]
+        assert len(probes) == plan["args"]["points"] > 0
+
     def test_trace_command_renders_the_summary(self, pair):
         _, _, (on_store, _) = pair
         _, manifest = _sole_manifest(on_store)

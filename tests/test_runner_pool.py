@@ -1,14 +1,22 @@
 """Tests for the warm worker pool: batch planning, reuse, parity, phases.
 
-The ISSUE acceptance criterion for the warm-pool engine lives here: a warm
-pool must produce results bit-identical to a cold ephemeral pool and to
+The acceptance criterion for the warm-pool engine lives here: a warm pool
+must produce results bit-identical to a cold ephemeral pool and to
 ``jobs=1`` sequential execution (traces included), and reusing the pool
-across sweeps must not pay the spawn cost twice.
+across sweeps must not pay the start-up cost twice.  Workers are forked
+from the driver, so the last tests check what a fresh interpreter per
+worker gave for free: a driver killed with SIGKILL takes its workers down.
+They also check what forking fixes: a driver read from stdin can run a pool.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +32,7 @@ from repro.runner import (
 )
 from repro.sim.clock import MS
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 SHORT_PS = 2 * MS // 5
 TRAFFIC = 0.2
 POLICIES = ["fcfs", "round_robin", "frame_rate_qos", "priority_qos"]
@@ -148,8 +157,8 @@ class TestWarmPoolParityAndReuse:
                 == _fingerprints(warm)
             )
 
-            # Reuse: a second sweep on the same pool pays no spawn cost and
-            # spawns no new workers.
+            # Reuse: a second sweep on the same pool pays no start-up cost
+            # and starts no new workers.
             again, again_stats = run_sweep(_specs(seed=7), pool=pool)
             assert again_stats.executed == len(POLICIES)
             assert again_stats.pool_startup_s == 0.0
@@ -202,3 +211,88 @@ class TestSweepPhases:
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(1, 2), (2, 2)]
+
+
+def _children(pid):
+    """The PIDs of ``pid``'s children, from Linux ``/proc``."""
+    children = Path(f"/proc/{pid}/task/{pid}/children").read_text()
+    return [int(child) for child in children.split()]
+
+
+def _running(pid):
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+class TestForkedWorkers:
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+        reason="reads a process's children from Linux /proc",
+    )
+    def test_sigkilled_driver_takes_its_workers_down(self, tmp_path):
+        # A worker reads EOF on its pipe only once no process holds the
+        # parent's end open, so each forked worker closes the copies it
+        # inherited.
+        driver = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "campaign", "run", "paper_figures",
+                "--duration-ms", "0.2", "--traffic-scale", "0.2",
+                "--jobs", "2", "--executor", "pool",
+                "--cache-dir", str(tmp_path / "cache"),
+            ],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 120.0
+            while len(workers) < 2:
+                assert driver.poll() is None, "the campaign ended before its pool was up"
+                assert time.monotonic() < deadline, "the pool never came up"
+                workers = _children(driver.pid)
+                time.sleep(0.01)
+            driver.kill()
+            driver.wait(timeout=30.0)
+            deadline = time.monotonic() + 10.0
+            while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            if driver.poll() is None:
+                driver.kill()
+                driver.wait(timeout=30.0)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_pool_runs_from_a_script_read_on_stdin(self):
+        # A forked worker needs no importable __main__.
+        script = (
+            "from repro.analysis.serialize import experiment_result_to_dict\n"
+            "from repro.runner import RunSpec, run_sweep\n"
+            "specs = [\n"
+            f"    RunSpec(scenario='case_b', policy=policy, duration_ps={SHORT_PS},\n"
+            f"            traffic_scale={TRAFFIC}, label=policy)\n"
+            "    for policy in ('fcfs', 'priority_qos')\n"
+            "]\n"
+            "def dicts(results):\n"
+            "    return [experiment_result_to_dict(r, include_trace=True) for r in results]\n"
+            "sequential, _ = run_sweep(specs, jobs=1)\n"
+            "parallel, stats = run_sweep(specs, jobs=2)\n"
+            "print(stats.executed, stats.pool_startup_s > 0, dicts(parallel) == dicts(sequential))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-"],
+            input=script,
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["2", "True", "True"]

@@ -1,8 +1,10 @@
-"""The plugin hook under multiprocessing: the ISSUE acceptance criterion.
+"""The plugin hook under multiprocessing.
 
 A custom policy registered via a plugin module must run correctly under
-``jobs=4`` spawn workers, producing results identical to ``jobs=1`` — the
-ROADMAP's ``jobs=1`` caveat for runtime registrations is gone.
+``jobs=4`` pool workers, producing results identical to ``jobs=1`` — the
+ROADMAP's ``jobs=1`` caveat for runtime registrations is gone.  Workers are
+forked from the driver and inherit what it registered, but the contract is
+the declared plugin module, which every worker imports if it lacks it.
 """
 
 from __future__ import annotations
