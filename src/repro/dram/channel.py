@@ -21,6 +21,8 @@ class Channel:
     Banks are addressed by flat bank slot (``rank * banks_per_rank + bank``,
     the address map's own bank index): :attr:`bank_slots` holds each slot's
     :class:`Bank` and :attr:`rank_slots` the :class:`Rank` it belongs to.
+    :attr:`open_rows` holds each slot's open row, ``-1`` for a precharged
+    bank; the memory controller's row-aware selectors read it.
     """
 
     def __init__(self, index: int, config: DramConfig, timing: DramTimingPs) -> None:
@@ -35,6 +37,10 @@ class Channel:
             for bank_index in range(config.banks_per_rank):
                 self.bank_slots.append(Bank(rank=rank_index, index=bank_index))
                 self.rank_slots.append(rank)
+        #: Open row per bank slot (-1: precharged), written on every access.
+        #: A plain list, only ever mutated in place: the selectors hold it
+        #: and read a handful of entries per decision.
+        self.open_rows: List[int] = [-1] * len(self.bank_slots)
         #: Burst time per transfer size at the current timing.
         self._burst_ps: Dict[int, int] = {}
         self.bytes_served = 0
@@ -92,6 +98,7 @@ class Channel:
 
         bank_recovery_ps = timing.t_wr_ps if is_write else timing.t_rtp_ps
         bank.record_access(row, state, completion_ps + bank_recovery_ps)
+        self.open_rows[bank_slot] = row
         self.bus_free_at_ps = completion_ps
         self.bytes_served += size_bytes
         self.busy_time_ps += burst_ps

@@ -27,8 +27,9 @@ class CommandChannel:
 
     Banks are addressed by flat bank slot, as in
     :class:`~repro.dram.channel.Channel`: :attr:`bank_slots` holds each
-    slot's :class:`BankFsm` and :attr:`rank_slots` the :class:`Rank` it
-    belongs to.
+    slot's :class:`BankFsm`, :attr:`rank_slots` the :class:`Rank` it
+    belongs to and :attr:`open_rows` its open row (``-1`` for a precharged
+    bank), which a refresh resets for its rank.
     """
 
     def __init__(
@@ -50,6 +51,8 @@ class CommandChannel:
             for bank_index in range(config.banks_per_rank):
                 self.bank_slots.append(BankFsm(rank=rank_index, index=bank_index))
                 self.rank_slots.append(rank)
+        #: Open row per bank slot (-1: precharged), as in ``Channel``.
+        self.open_rows: List[int] = [-1] * len(self.bank_slots)
         self.refresh = RefreshScheduler(config.ranks_per_channel, refresh)
         self.command_counts: Dict[CommandType, int] = {kind: 0 for kind in CommandType}
         #: Burst time per transfer size at the current timing.
@@ -79,6 +82,7 @@ class CommandChannel:
         end_ps = self.refresh.perform(rank_index, start_ps)
         for fsm in rank_banks:
             fsm.force_precharge_for_refresh(end_ps)
+        self.open_rows[first_slot : first_slot + banks_per_rank] = [-1] * banks_per_rank
         self.command_counts[CommandType.REFRESH] += 1
         return end_ps
 
@@ -142,6 +146,7 @@ class CommandChannel:
         self.command_counts[kind] += 1
 
         fsm.record_statistics(row, state, completion_ps)
+        self.open_rows[bank_slot] = row
         self.bus_free_at_ps = completion_ps
         self.bytes_served += size_bytes
         self.busy_time_ps += burst_ps

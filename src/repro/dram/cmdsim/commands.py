@@ -13,3 +13,8 @@ class CommandType(Enum):
     READ = "RD"
     WRITE = "WR"
     REFRESH = "REF"
+
+    # Enum's default __hash__ runs in Python; command kinds key the
+    # per-command ``command_counts`` updates, and identity hashing (members
+    # are singletons) makes those lookups C-level, as for ``QueueClass``.
+    __hash__ = object.__hash__

@@ -311,11 +311,11 @@ class ColumnarStore:
         return [obj for obj in self.objs[self.head :] if obj is not None]
 
     def fallback_candidates_by_class(self) -> List[Transaction]:
-        """Live candidates grouped by queue class in enum order, FIFO within a
-        class — exactly the order in which
-        :class:`~repro.memctrl.controller.MemoryController` reads a channel's
-        candidate index, so a policy without a selector sees an identical
-        list."""
+        """Live candidates grouped by queue class in enum order, oldest first
+        within a class — the order in which the queue-based reference
+        controller (:class:`~repro.memctrl.controller.MemoryController`) reads
+        a channel's candidate index, so a policy without a selector sees the
+        list it would see there."""
         groups: List[List[Transaction]] = [[] for _ in range(_NUM_CLASSES)]
         alive = self.alive
         cls = self.cls
@@ -596,8 +596,9 @@ class FrFcfsSelector:
     ) -> bool:
         """Commit a trivial single-candidate arbitration (empty-store bypass).
 
-        FR-FCFS keeps no per-serve state (row state lives in the open-row
-        mirror, updated by the controller at issue), so nothing to commit.
+        FR-FCFS keeps no per-serve state (row state lives in the DRAM
+        channel's ``open_rows``, written at every access), so nothing to
+        commit.
         """
         return True
 
@@ -606,8 +607,8 @@ class PriorityRowBufferSelector:
     """Policy 2 (QoS-RB): Policy 1 plus row-buffer-hit optimisation.
 
     Requires row state (controller only): the store's ``bank``/``row``
-    columns are compared against the channel's open-row table, which the
-    batched controller mirrors from the DRAM banks.  Both row-hit branches
+    columns are compared against the DRAM channel's own ``open_rows`` list,
+    which the channel writes on every access.  Both row-hit branches
     return without touching the inner round-robin state, exactly like the
     scalar policy's early ``oldest(row_hits)`` returns.
     """
@@ -623,7 +624,7 @@ class PriorityRowBufferSelector:
     ) -> None:
         self.policy = policy
         self.delta = row_buffer_delta
-        #: Per-channel open-row tables, indexed by the store's channel index.
+        #: The DRAM channels' ``open_rows`` lists, indexed by channel.
         self.open_rows = open_rows
         self.inner = PriorityQosSelector(policy._priority_rr, aging)
 

@@ -7,7 +7,6 @@ import math
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.dram.channel import Channel
 from repro.dram.device import DramDevice
 from repro.memctrl.aging import AgingTracker
 from repro.memctrl.columnar import ColumnarStore, make_selector
@@ -21,8 +20,9 @@ CompletionHandler = Callable[[Transaction], None]
 
 
 class MemoryControllerBase(abc.ABC):
-    """What both controllers share: registration, back-pressure, per-class
-    occupancy and the completion path.
+    """What the controller and its queue-based reference share:
+    registration, back-pressure, per-class occupancy and the completion
+    path.
 
     Each DRAM channel is scheduled independently.  A channel schedules when a
     transaction arrives for it while it is idle, and when its own
@@ -55,6 +55,14 @@ class MemoryControllerBase(abc.ABC):
         self._class_occupancy: Dict[QueueClass, int] = {
             queue_class: 0 for queue_class in QueueClass
         }
+        # The scheduler window W: pending transactions per queue class the
+        # policy may reorder among.  By default it is unbounded and nothing
+        # is held back: the controller is work-conserving over everything
+        # the DMAs' outstanding-request windows allow in flight, which stands
+        # in for the credit-based flow control a real front-end uses to keep
+        # its 42 entries fed with the most urgent traffic.
+        window = self.config.scheduler_window_entries
+        self._window = math.inf if window is None else window
         self.aging = AgingTracker(
             self.config.aging_threshold_cycles, dram.timing.clock_period_ps
         )
@@ -176,9 +184,11 @@ class MemoryController(MemoryControllerBase):
     row)`` (:meth:`~repro.dram.address.AddressMapper.locate`); the index,
     the row-hit probes and the issue read those coordinates.
 
-    This is the controller the builder uses for the command-level DRAM
-    model and for bounded scheduler windows; every other configuration runs
-    on :class:`BatchedMemoryController`.
+    The builder runs :class:`BatchedMemoryController`; this controller is
+    its reference, which ``tests/test_sim_golden.py`` swaps in on both DRAM
+    backends and behind a bounded window and requires equal results from.
+    Its row-hit probes read the DRAM banks themselves, not the channels'
+    ``open_rows`` lists that the columnar selectors read.
     """
 
     def __init__(
@@ -189,13 +199,6 @@ class MemoryController(MemoryControllerBase):
         config: Optional[MemoryControllerConfig] = None,
     ) -> None:
         super().__init__(engine, dram, policy, config)
-        # By default the window is unbounded and the FIFOs stay empty: the
-        # controller is work-conserving over everything the DMAs'
-        # outstanding-request windows allow in flight, which stands in for
-        # the credit-based flow control a real front-end uses to keep its 42
-        # entries fed with the most urgent traffic.
-        window = self.config.scheduler_window_entries
-        self._window = math.inf if window is None else window
         self._visible: List[Dict[QueueClass, Dict[int, Transaction]]] = [
             {queue_class: {} for queue_class in QueueClass}
             for _ in range(dram.config.channels)
@@ -272,20 +275,25 @@ class MemoryController(MemoryControllerBase):
 class BatchedMemoryController(MemoryControllerBase):
     """The columnar controller: columnar candidate stores per channel.
 
-    Behaviour is bit-identical to the queue-based :class:`MemoryController`
-    — same counters, completion routing and policy decisions, which
-    ``tests/test_sim_golden.py`` checks by swapping that controller in — but
-    the per-channel candidate sets live in
-    :class:`~repro.memctrl.columnar.ColumnarStore` columns so scheduling
-    decisions are selector reductions.  Both controllers map each address
-    once, at enqueue, and pass the DRAM device the same ``(channel, bank
-    slot, row)`` coordinates; here they live in the store's columns.
-    Row-buffer-aware policies read a per-channel open-row mirror instead of
-    probing the banks per candidate; the mirror is valid because the
-    transaction-level :class:`~repro.dram.bank.Bank` latches the accessed
-    row on every access and nothing else closes rows, so this controller
-    refuses the command-level DRAM backend, whose refresh logic does
-    precharge banks.
+    This is the controller :func:`~repro.system.builder.build_system`
+    builds, on either DRAM backend and for any scheduler window.  The
+    per-channel candidate sets live in
+    :class:`~repro.memctrl.columnar.ColumnarStore` columns, so scheduling
+    decisions are selector reductions.  Each address is mapped once, at
+    enqueue, to ``(channel, bank slot, row)``; the store keeps the slot and
+    row in its columns and issue hands them to the DRAM device as they are.
+    Row-buffer-aware selectors read each DRAM channel's own ``open_rows``
+    list, which the channel writes on every access and a command-level
+    refresh resets.
+
+    The scheduler window (``scheduler_window_entries``, W) is modelled as in
+    :class:`MemoryController`: an arrival whose queue class already holds W
+    pending transactions waits, with its mapped coordinates, in a per-class
+    FIFO, and each issue pushes the oldest waiting arrival of the issued
+    class into its own channel's store without scheduling that channel.
+    Counters, completion routing and policy decisions are bit-identical to
+    that controller's, which ``tests/test_sim_golden.py`` checks by swapping
+    it in.
 
     Policies without a selector (ATLAS, TCM, SMS, EDF, user-registered
     ones) receive a candidate list rebuilt in exactly the order the
@@ -301,43 +309,31 @@ class BatchedMemoryController(MemoryControllerBase):
         config: Optional[MemoryControllerConfig] = None,
     ) -> None:
         super().__init__(engine, dram, policy, config)
-        if self.config.scheduler_window_entries is not None:
-            raise ValueError(
-                "BatchedMemoryController requires the unbounded scheduler window; "
-                "use the queue-based MemoryController for bounded-window configs"
-            )
-        if not all(isinstance(channel, Channel) for channel in dram.channels):
-            raise ValueError(
-                "BatchedMemoryController requires the transaction-level DRAM device"
-            )
-        channels = dram.config.channels
-        bank_count = dram.config.ranks_per_channel * dram.config.banks_per_rank
-        # Per-channel open-row mirror, indexed by flat bank slot
-        # (rank * banks_per_rank + bank); -1 marks a precharged bank.  Plain
-        # lists: the selectors gather a handful of entries per decision, and
-        # Python-int reads keep the small-window loops allocation-free.
-        self._open_rows: List[List[int]] = [
-            [-1] * bank_count for _ in range(channels)
-        ]
+        #: Arrivals beyond the window per class, oldest first, each with its
+        #: ``(channel, bank_slot, row)``; empty while the window is unbounded.
+        self._waiting: Dict[QueueClass, Deque[Tuple[Transaction, int, int, int]]] = {
+            queue_class: deque() for queue_class in QueueClass
+        }
         self._codebook: Dict[str, int] = {}
         self._selector = make_selector(
             policy,
             aging=self.aging,
             row_buffer_delta=self.config.row_buffer_delta,
-            open_rows=self._open_rows,
+            open_rows=[channel.open_rows for channel in dram.channels],
         )
         self._stores = [
             ColumnarStore.for_selector(self._selector, self._codebook, track_rows=True)
-            for _ in range(channels)
+            for _ in range(dram.config.channels)
         ]
         self._serve_direct = getattr(self._selector, "serve_direct", None)
 
     def enqueue(self, transaction: Transaction) -> None:
-        """Accept a transaction from the NoC into its channel's store.
+        """Accept a transaction from the NoC into its channel's store, or
+        into its class's FIFO when the class already fills the window.
 
         The address is mapped once, to ``(channel, bank slot, row)``
         integers (:meth:`~repro.dram.address.AddressMapper.locate`); the
-        store keeps the slot and row, and issue hands them to
+        store (or the FIFO) keeps them, and issue hands the slot and row to
         :meth:`~repro.dram.device.DramDevice.service` as they are.
         """
         now = self.engine._now_ps
@@ -345,36 +341,43 @@ class BatchedMemoryController(MemoryControllerBase):
         transaction.enqueued_ps = now
         transaction.sort_key = (now, transaction.uid)
         channel, bank_slot, row, _ = self._locate(transaction.address)
-        store = self._stores[channel]
-        serve_direct = self._serve_direct
-        if serve_direct is not None and not store.live and not self._channel_busy[channel]:
-            # Empty-idle bypass: an idle channel with an empty store issues
-            # the arriving transaction immediately, so the store round-trip
-            # (and the transient occupancy counts, net zero within this
-            # synchronous call) can be skipped; only the selector's policy
-            # state is committed.  This is _schedule_from's issue tail with
-            # the mapped coordinates used directly.
-            if serve_direct(store, transaction, now, channel, bank_slot, row):
-                transaction.issued_ps = now
-                _, completion_ps, row_hit = self.dram.service(
-                    channel,
-                    bank_slot,
-                    row,
-                    transaction.size_bytes,
-                    transaction.is_write,
-                    now,
-                )
-                transaction.row_hit = row_hit
-                transaction.completed_ps = completion_ps
-                self._open_rows[channel][bank_slot] = row
-                self._channel_busy[channel] = True
-                self.engine.schedule_call(
-                    completion_ps, self._on_complete, (transaction, channel)
-                )
-                return
-        self._class_occupancy[transaction.queue_class] += 1
+        queue_class = transaction.queue_class
+        if self._class_occupancy[queue_class] >= self._window:
+            # Held back beyond the window; its idle channel still schedules
+            # below, among the candidates it already holds.
+            self._waiting[queue_class].append((transaction, channel, bank_slot, row))
+        else:
+            store = self._stores[channel]
+            serve_direct = self._serve_direct
+            if serve_direct is not None and not store.live and not self._channel_busy[channel]:
+                # Empty-idle bypass: an idle channel with an empty store
+                # issues the arriving transaction immediately, so the store
+                # round-trip (and the transient occupancy counts, net zero
+                # within this synchronous call) can be skipped; only the
+                # selector's policy state is committed.  A visible arrival
+                # means its class's FIFO is empty, so there is nothing to
+                # promote either.  This is _schedule_from's issue tail with
+                # the mapped coordinates used directly.
+                if serve_direct(store, transaction, now, channel, bank_slot, row):
+                    transaction.issued_ps = now
+                    _, completion_ps, row_hit = self.dram.service(
+                        channel,
+                        bank_slot,
+                        row,
+                        transaction.size_bytes,
+                        transaction.is_write,
+                        now,
+                    )
+                    transaction.row_hit = row_hit
+                    transaction.completed_ps = completion_ps
+                    self._channel_busy[channel] = True
+                    self.engine.schedule_call(
+                        completion_ps, self._on_complete, (transaction, channel)
+                    )
+                    return
+            store.push(transaction, bank_slot, row)
+        self._class_occupancy[queue_class] += 1
         self._pending_count += 1
-        store.push(transaction, bank_slot, row)
         if not self._channel_busy[channel]:
             self._schedule_from(channel)
 
@@ -404,8 +407,15 @@ class BatchedMemoryController(MemoryControllerBase):
         bank_slot = store.bank[index]
         row = store.row[index]
         store.remove_index(index)
-        self._class_occupancy[chosen.queue_class] -= 1
+        queue_class = chosen.queue_class
+        self._class_occupancy[queue_class] -= 1
         self._pending_count -= 1
+        waiting = self._waiting[queue_class]
+        if waiting:
+            # The class's oldest held-back arrival enters the window on its
+            # own channel; that channel is not scheduled here.
+            promoted, promoted_channel, promoted_slot, promoted_row = waiting.popleft()
+            self._stores[promoted_channel].push(promoted, promoted_slot, promoted_row)
 
         chosen.issued_ps = now
         _, completion_ps, row_hit = self.dram.service(
@@ -413,7 +423,6 @@ class BatchedMemoryController(MemoryControllerBase):
         )
         chosen.row_hit = row_hit
         chosen.completed_ps = completion_ps
-        self._open_rows[channel][bank_slot] = row
         self._channel_busy[channel] = True
         # Completions are never cancelled; skip the Event handle.
         self.engine.schedule_call(completion_ps, self._on_complete, (chosen, channel))

@@ -380,6 +380,8 @@ class PoolExecutor(Executor):
                     [(position, spec)] for position, (_, spec, _) in enumerate(cold)
                 ]
             stats.batches = len(batches)
+            # Simulation seconds per worker slot: the longest chain is the
+            # simulation's critical path.
             chains = [0.0] * max(1, pool.jobs)
             session = pool.session()
             pending = {}
@@ -403,7 +405,7 @@ class PoolExecutor(Executor):
                     for position, result, timings in outcome.value:
                         batch_sim_s += timings.sim_s
                         yield Landed(cold[position], result, timings, task.attempt)
-                    chains[chains.index(min(chains))] += batch_sim_s
+                    chains[outcome.worker] += batch_sim_s
                     continue
                 for event in self._retry_or_quarantine(
                     session, pending, cold, task, outcome.error, policy, stats

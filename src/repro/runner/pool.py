@@ -185,12 +185,15 @@ class TaskOutcome:
     ``error`` is either an :class:`~repro.runner.executor.ExecutionFault`
     (worker death, timeout, corrupt payload — infrastructure) or the
     exception the task function itself raised (re-raised faithfully by
-    strict callers).
+    strict callers).  ``worker`` is the slot (``0 .. jobs - 1``) of the
+    worker that held the task; a respawned worker keeps its predecessor's
+    slot.
     """
 
     task_id: int
     value: Any = None
     error: Optional[Exception] = None
+    worker: int = 0
 
 
 @dataclass
@@ -215,13 +218,14 @@ class _Assigned:
 
 
 class _Worker:
-    """One forked worker process and the parent's end of its pipe."""
+    """One forked worker process, the parent's end of its pipe and its slot."""
 
-    __slots__ = ("process", "conn", "assigned")
+    __slots__ = ("process", "conn", "slot", "assigned")
 
-    def __init__(self, process: Any, conn: Any) -> None:
+    def __init__(self, process: Any, conn: Any, slot: int) -> None:
         self.process = process
         self.conn = conn
+        self.slot = slot
         self.assigned: Optional[_Assigned] = None
 
 
@@ -346,6 +350,7 @@ class TaskSession:
                         error=SpecTimeoutError(
                             assigned.task.describe, assigned.task.timeout_s or 0.0
                         ),
+                        worker=worker.slot,
                     )
 
     def _receive(self, worker: _Worker) -> Optional[TaskOutcome]:
@@ -366,6 +371,7 @@ class TaskSession:
             return TaskOutcome(
                 assigned.task.task_id,
                 error=WorkerDiedError(assigned.task.describe, exitcode),
+                worker=worker.slot,
             )
         worker.assigned = None
         if (
@@ -378,10 +384,12 @@ class TaskSession:
             return None
         task_id = assigned.task.task_id
         describe = assigned.task.describe
+        slot = worker.slot
         if hashlib.sha256(payload).hexdigest() != digest:
             return TaskOutcome(
                 task_id,
                 error=PayloadError(f"result payload failed integrity check: {describe}"),
+                worker=slot,
             )
         try:
             value = pickle.loads(payload)
@@ -389,10 +397,11 @@ class TaskSession:
             return TaskOutcome(
                 task_id,
                 error=PayloadError(f"result payload undecodable: {describe}"),
+                worker=slot,
             )
         if status == "error":
-            return TaskOutcome(task_id, error=value)
-        return TaskOutcome(task_id, value=value)
+            return TaskOutcome(task_id, error=value, worker=slot)
+        return TaskOutcome(task_id, value=value, worker=slot)
 
 
 class WorkerPool:
@@ -425,8 +434,8 @@ class WorkerPool:
     def started(self) -> bool:
         return bool(self._workers)
 
-    def _fork_one(self, ready: Any) -> None:
-        """Fork one worker and add it to :attr:`_workers`."""
+    def _fork_one(self, ready: Any, slot: int) -> None:
+        """Fork the worker for ``slot`` and add it to :attr:`_workers`."""
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         inherited = [worker.conn for worker in self._workers] + [parent_conn]
         process = self._context.Process(
@@ -438,7 +447,7 @@ class WorkerPool:
         # Close our copy of the child's end: the child's death must read as
         # EOF on the parent end, which it cannot while we hold this open.
         child_conn.close()
-        self._workers.append(_Worker(process, parent_conn))
+        self._workers.append(_Worker(process, parent_conn, slot))
 
     def start(self) -> float:
         """Start the workers if needed; returns the start-up cost just paid.
@@ -467,8 +476,8 @@ class WorkerPool:
             # never blocks, so a worker respawned later cannot stall on a
             # handshake nobody else is attending.)
             ready = self._context.Semaphore(0)
-            for _ in range(self.jobs):
-                self._fork_one(ready)
+            for slot in range(self.jobs):
+                self._fork_one(ready, slot)
             self._await_ready(ready)
             self.startup_s = time.perf_counter() - began
             self.starts += 1
@@ -520,7 +529,7 @@ class WorkerPool:
         """
         self.respawns += 1
         obs.instant("pool.respawn", respawns=self.respawns)
-        self._fork_one(None)
+        self._fork_one(None, worker.slot)
 
     def session(self) -> TaskSession:
         """Open a task session — the executor layer's submission interface."""

@@ -12,11 +12,7 @@ from repro.cores import create_core
 from repro.cores.base import Core, Dma
 from repro.dram.cmdsim.device import CommandLevelDram
 from repro.dram.device import DramDevice
-from repro.memctrl.controller import (
-    BatchedMemoryController,
-    MemoryController,
-    MemoryControllerBase,
-)
+from repro.memctrl.controller import BatchedMemoryController, MemoryControllerBase
 from repro.memctrl.policies import make_policy
 from repro.noc.network import Network
 from repro.scenario import ADDRESS_STREAMS, TRAFFIC_MODELS, Scenario, resolve_scenario
@@ -130,16 +126,7 @@ def build_system(
         dram: DramDevice = DramDevice(config.dram, sim_scale=config.sim_scale)
     else:  # "command" — the platform spec already validated the name
         dram = CommandLevelDram(config.dram, sim_scale=config.sim_scale)
-    # The columnar controller needs the transaction-level DRAM backend (its
-    # open-row mirror assumes no refresh precharges) and the unbounded
-    # scheduler window; the command-level model and bounded windows run on
-    # the queue-based controller (see docs/engine.md).
-    use_columnar_controller = (
-        spec.platform.dram_model == "transaction"
-        and config.memory_controller.scheduler_window_entries is None
-    )
-    controller_cls = BatchedMemoryController if use_columnar_controller else MemoryController
-    controller = controller_cls(
+    controller = BatchedMemoryController(
         engine, dram, make_policy(policy), config.memory_controller
     )
     noc_config = NocConfig(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dram.cmdsim import CommandLevelDram, RefreshParams
 from repro.dram.device import DramDevice
 from repro.dram.timing import DramTimingPs
 from repro.sim.config import DramConfig, DramTimingConfig
@@ -150,3 +151,61 @@ class TestDramDevice:
         for channel_windows in windows.values():
             for (s1, e1), (s2, e2) in zip(channel_windows, channel_windows[1:]):
                 assert s2 >= e1, "data bursts on one channel must not overlap"
+
+
+#: A refresh every 2 µs, so generated sequences cross several of them.
+FREQUENT_REFRESH = RefreshParams(t_refi_ns=2000.0, t_rfc_ns=180.0)
+
+#: Both DRAM backends, by test id.
+BACKENDS = {
+    "transaction": lambda: DramDevice(DramConfig()),
+    "command": lambda: CommandLevelDram(DramConfig(), refresh=FREQUENT_REFRESH),
+}
+
+_CONFIG = DramConfig()
+
+#: One access: (channel, bank slot, row, size, is_write, gap before it in ps).
+_ACCESS = st.tuples(
+    st.integers(0, _CONFIG.channels - 1),
+    st.integers(0, _CONFIG.ranks_per_channel * _CONFIG.banks_per_rank - 1),
+    st.integers(0, 3),
+    st.sampled_from((64, 256, 2048)),
+    st.booleans(),
+    st.sampled_from((0, 100_000, 1_000_000, 5_000_000)),
+)
+
+
+def _bank_rows(channel):
+    """Each bank slot's open row as the banks hold it, -1 for a closed bank."""
+    return [-1 if bank.open_row is None else bank.open_row for bank in channel.bank_slots]
+
+
+class TestOpenRows:
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_open_rows_follow_the_banks(self, backend):
+        # The controller's row-aware selectors read each channel's
+        # open_rows; after every access it must equal the banks' own state,
+        # including the banks a command-level refresh precharged.
+        closed_by_refresh = []
+
+        @settings(max_examples=60, deadline=None)
+        @given(accesses=st.lists(_ACCESS, min_size=1, max_size=60))
+        def check(accesses):
+            device = BACKENDS[backend]()
+            accessed = set()
+            now = 0
+            for channel, bank_slot, row, size, is_write, gap in accesses:
+                now += gap
+                device.service(channel, bank_slot, row, size, is_write, now)
+                accessed.add((channel, bank_slot))
+                for index, each in enumerate(device.channels):
+                    assert each.open_rows == _bank_rows(each)
+                    closed_by_refresh.extend(
+                        slot
+                        for slot, open_row in enumerate(each.open_rows)
+                        if open_row == -1 and (index, slot) in accessed
+                    )
+
+        check()
+        # Only a refresh closes a bank that was accessed.
+        assert bool(closed_by_refresh) == (backend == "command")

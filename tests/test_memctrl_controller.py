@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.address import AddressMapper
-from repro.dram.cmdsim import CommandLevelDram
 from repro.dram.device import DramDevice
 from repro.memctrl.controller import BatchedMemoryController, MemoryController
 from repro.memctrl.policies import make_policy
@@ -156,8 +155,8 @@ class RecordingPolicy(SchedulingPolicy):
         return self.picks[-1]
 
 
-class CheckedController(MemoryController):
-    """A queue-based controller that checks every scheduling decision.
+class CheckedDecisions:
+    """Checks every scheduling decision of the controller it is mixed into.
 
     It replays the arrival history beside the controller: ``pending`` holds
     the arrived, unissued transactions in arrival order.  A channel is
@@ -168,7 +167,9 @@ class CheckedController(MemoryController):
     transactions of that class in arrival order, restricted to the channel.
     After every arrival and completion, ``pending_transactions()`` and
     ``queue_occupancy()`` must count every pending transaction, held-back
-    ones included.
+    ones included.  A policy without a selector (:class:`RecordingPolicy`)
+    sees every decision of the columnar controller too, since nothing there
+    bypasses ``select()``.
     """
 
     def __init__(self, engine: Engine, dram: DramDevice, policy, config) -> None:
@@ -219,6 +220,14 @@ class CheckedController(MemoryController):
         assert self.pending_transactions() == len(self.pending)
 
 
+class CheckedQueueController(CheckedDecisions, MemoryController):
+    pass
+
+
+class CheckedColumnarController(CheckedDecisions, BatchedMemoryController):
+    pass
+
+
 @st.composite
 def index_trials(draw):
     """A window (1–8 or unbounded), the queue classes in play, an arrival
@@ -232,13 +241,13 @@ def index_trials(draw):
     return window, classes, count, seed
 
 
-def run_index_trial(window, classes, count, seed) -> int:
+def run_index_trial(checked_cls, window, classes, count, seed) -> int:
     """Drive a checked controller through one trial; returns its promotions."""
     rng = random.Random(seed)
     engine = Engine()
     dram = DramDevice(DramConfig())
     config = MemoryControllerConfig(scheduler_window_entries=window)
-    controller = CheckedController(engine, dram, RecordingPolicy(seed), config)
+    controller = checked_cls(engine, dram, RecordingPolicy(seed), config)
     row_size = dram.config.row_size_bytes
     channels = dram.config.channels
     arrival_ps = 0
@@ -264,13 +273,18 @@ def run_index_trial(window, classes, count, seed) -> int:
 
 
 class TestCandidateIndex:
-    def test_candidates_follow_the_arrival_history(self):
+    @pytest.mark.parametrize(
+        "checked_cls",
+        [CheckedQueueController, CheckedColumnarController],
+        ids=["queue-based", "columnar"],
+    )
+    def test_candidates_follow_the_arrival_history(self, checked_cls):
         promotions = []
 
         @settings(max_examples=100, deadline=None)
         @given(trial=index_trials())
         def check(trial):
-            promotions.append(run_index_trial(*trial))
+            promotions.append(run_index_trial(checked_cls, *trial))
 
         check()
         # Without transactions held back beyond the window and promoted on
@@ -278,16 +292,15 @@ class TestCandidateIndex:
         assert sum(promotions) > 0
 
     @pytest.mark.parametrize(
-        "controller_cls, window",
-        [(MemoryController, 1), (BatchedMemoryController, None)],
+        "controller_cls",
+        [MemoryController, BatchedMemoryController],
         ids=["queue-based", "columnar"],
     )
-    def test_enqueue_stamps_the_age_key(self, controller_cls, window):
-        # Whoever sets enqueued_ps sets sort_key too; on the queue-based
-        # controller the third arrival is held back beyond the window and
-        # is stamped all the same.
+    def test_enqueue_stamps_the_age_key(self, controller_cls):
+        # Whoever sets enqueued_ps sets sort_key too; the third arrival is
+        # held back beyond the window and is stamped all the same.
         engine = Engine()
-        config = MemoryControllerConfig(scheduler_window_entries=window)
+        config = MemoryControllerConfig(scheduler_window_entries=1)
         controller = controller_cls(
             engine, DramDevice(DramConfig()), make_policy("fcfs"), config
         )
@@ -303,7 +316,7 @@ class TestCandidateIndex:
     def test_occupancy_counts_transactions_beyond_the_window(self):
         engine = Engine()
         config = MemoryControllerConfig(scheduler_window_entries=2)
-        controller = MemoryController(
+        controller = BatchedMemoryController(
             engine, DramDevice(DramConfig()), make_policy("fcfs"), config
         )
         for index in range(5):
@@ -321,13 +334,13 @@ class TestCandidateIndex:
 
 
 class TestAddressMapping:
-    def test_queue_based_controller_locates_each_transaction_once(self, monkeypatch):
-        # The channel filter, the row-hit probes (priority_rowbuffer probes
-        # every candidate) and the issue all read the coordinates mapped at
-        # enqueue.
+    def test_controller_locates_each_transaction_once(self, monkeypatch):
+        # The store (or the window's FIFO) keeps the coordinates mapped at
+        # enqueue; the row-aware selector and the issue read them there, on
+        # the command-level model too.
         calls = {"locate": 0, "enqueue": 0}
         locate = AddressMapper.locate
-        enqueue = MemoryController.enqueue
+        enqueue = BatchedMemoryController.enqueue
 
         def counting_locate(mapper, address):
             calls["locate"] += 1
@@ -338,29 +351,14 @@ class TestAddressMapping:
             enqueue(controller, transaction)
 
         monkeypatch.setattr(AddressMapper, "locate", counting_locate)
-        monkeypatch.setattr(MemoryController, "enqueue", counting_enqueue)
+        monkeypatch.setattr(BatchedMemoryController, "enqueue", counting_enqueue)
         system = build_system(
             scenario="case_b",
             policy="priority_rowbuffer",
             traffic_scale=0.2,
             dram_model="command",
         )
-        assert type(system.controller) is MemoryController
+        assert type(system.controller) is BatchedMemoryController
         system.run(duration_ps=MS // 4)
         assert system.controller.served_transactions > 0
         assert calls["locate"] == calls["enqueue"]
-
-
-class TestColumnarControllerGuards:
-    def test_refuses_the_command_level_device(self):
-        with pytest.raises(ValueError, match="transaction-level DRAM device"):
-            BatchedMemoryController(
-                Engine(), CommandLevelDram(DramConfig()), make_policy("fcfs")
-            )
-
-    def test_refuses_a_bounded_scheduler_window(self):
-        config = MemoryControllerConfig(scheduler_window_entries=16)
-        with pytest.raises(ValueError, match="unbounded scheduler window"):
-            BatchedMemoryController(
-                Engine(), DramDevice(DramConfig()), make_policy("fcfs"), config
-            )

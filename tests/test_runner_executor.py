@@ -27,7 +27,10 @@ from repro.runner import (
     run_sweep,
 )
 from repro.runner.faults import ENV_FAULT, ENV_FAULT_DIR, FaultPlan, InjectedFaultError
+from repro.runner.pool import TaskOutcome
+from repro.runner.sweep import SweepStats
 from repro.sim.clock import MS
+from repro.system.experiment import RunTimings
 
 SHORT_PS = 2 * MS // 5
 TRAFFIC = 0.2
@@ -214,3 +217,65 @@ class TestPoolRecovery:
         )
         assert _fingerprints(results) == _fingerprints(baseline)
         assert stats.retries >= 1
+
+
+class _TimedSpec:
+    """A stand-in spec that only carries the simulation time it "took"."""
+
+    def __init__(self, sim_s: float) -> None:
+        self.sim_s = sim_s
+
+    def display_label(self) -> str:
+        return f"{self.sim_s:g}s"
+
+
+class _ScriptedPool:
+    """A two-worker pool whose session lands each submitted batch on a
+    scripted worker slot, in a scripted order, without running anything."""
+
+    jobs = 2
+
+    def __init__(self, landing):
+        #: (task id, worker slot) in landing order.
+        self.landing = landing
+
+    def start(self) -> float:
+        return 0.0
+
+    def session(self):
+        return _ScriptedSession(self.landing)
+
+
+class _ScriptedSession:
+    def __init__(self, landing):
+        self.landing = landing
+        self.batches = []
+
+    def submit(self, function, batch, timeout_s=None, describe=""):
+        self.batches.append(batch)
+        return len(self.batches) - 1
+
+    def outcomes(self):
+        for task_id, worker in self.landing:
+            value = [
+                (position, None, RunTimings(sim_s=spec.sim_s))
+                for position, spec in self.batches[task_id]
+            ]
+            yield TaskOutcome(task_id, value=value, worker=worker)
+
+
+class TestCriticalPath:
+    def test_sim_wall_is_the_longest_worker_chain(self):
+        # Worker 0 runs one 3 s batch; worker 1 runs three 1 s batches.
+        # They land as 1, 1, 3, 1: adding each landed batch to whichever
+        # chain was shortest then would read 4 s, more than either worker.
+        cold = [
+            ([index], _TimedSpec(sim_s), f"k{index}")
+            for index, sim_s in enumerate((3.0, 1.0, 1.0, 1.0))
+        ]
+        landing = [(1, 1), (2, 1), (0, 0), (3, 1)]
+        executor = PoolExecutor(_ScriptedPool(landing), batching=False)
+        stats = SweepStats()
+        landed = list(executor.execute(cold, stats, STRICT_POLICY))
+        assert [event.entry[2] for event in landed] == ["k1", "k2", "k0", "k3"]
+        assert stats.sim_wall_s == 3.0

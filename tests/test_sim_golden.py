@@ -9,22 +9,23 @@ The simulator is pinned two ways:
   policy (full traffic is what fills arbitration windows beyond
   :data:`LARGE_WINDOW` candidates), plus ``case_b`` at full traffic on a
   mesh NoC behind a 16-entry scheduler window for every policy and both
-  DRAM models (the only rows that build a mesh; a bounded window always
-  runs the queue-based controller).  Any change to any NPI sample,
-  priority distribution, counter or average moves a digest.
-* **References.** Two slower code paths already in the simulator are
-  swapped in and must give equal full result dictionaries:
+  DRAM models (the only rows that build a mesh or bound the window).  Every
+  row runs the columnar ``BatchedMemoryController``.  Any change to any NPI
+  sample, priority distribution, counter or average moves a digest.
+* **References.** Two slower code paths are swapped in and must give equal
+  full result dictionaries:
 
   - *selectors vs policies*: ``make_selector`` patched to return ``None``
     in the memory controller and the NoC router, so every decision goes
     through the policy's own ``select()`` — the path ATLAS, TCM, SMS and
     EDF always take;
   - *columnar vs queue-based controller*: the builder's
-    ``BatchedMemoryController`` replaced by ``MemoryController``.
+    ``BatchedMemoryController`` replaced by ``MemoryController``, which
+    keeps its own candidate index and reads row state from the DRAM banks.
 
   Each reference test asserts that the reference was actually built, and
-  on its full-traffic rows that the normal run made decisions among more
-  than :data:`LARGE_WINDOW` candidates.
+  on its full-traffic tree rows that the normal run made decisions among
+  more than :data:`LARGE_WINDOW` candidates.
 
 Regenerate the fixture only when a change is *meant* to move results::
 
@@ -47,7 +48,7 @@ import repro.noc.router as router_module
 import repro.system.builder as builder_module
 from repro.analysis.serialize import experiment_result_to_dict
 from repro.memctrl.columnar import ColumnarStore
-from repro.memctrl.controller import MemoryController
+from repro.memctrl.controller import BatchedMemoryController, MemoryController
 from repro.noc.mesh import MeshTopology
 from repro.scenario import builtin_scenario_paths, resolve_scenario
 from repro.sim.clock import MS
@@ -100,13 +101,20 @@ def golden_rows() -> List[Row]:
 
 
 #: Rows the two references are checked on: every policy at smoke traffic,
-#: and the router-scan policies at full traffic, where windows grow large.
-REFERENCE_ROWS: List[Row] = [
-    ("case_b", policy, "transaction", SMOKE_TRAFFIC, False) for policy in POLICIES
-] + [
-    ("case_a", policy, "transaction", FULL_TRAFFIC, False)
-    for policy in ROUTER_SCAN_POLICIES
-]
+#: the router-scan policies at full traffic, where windows grow large, and
+#: QoS-RB, which reads the open rows a refresh closes, on the command-level
+#: model, at smoke traffic and on a mesh behind a bounded window.
+REFERENCE_ROWS: List[Row] = (
+    [("case_b", policy, "transaction", SMOKE_TRAFFIC, False) for policy in POLICIES]
+    + [
+        ("case_a", policy, "transaction", FULL_TRAFFIC, False)
+        for policy in ROUTER_SCAN_POLICIES
+    ]
+    + [
+        ("case_b", "priority_rowbuffer", "command", SMOKE_TRAFFIC, False),
+        ("case_b", "priority_rowbuffer", "command", FULL_TRAFFIC, True),
+    ]
+)
 
 
 def row_id(row: Row) -> str:
@@ -173,36 +181,52 @@ def test_fixture_covers_every_row():
 def test_digest(row):
     expected = load_fixture()["digests"][row_id(row)]
     system = build(row)
+    assert type(system.controller) is BatchedMemoryController
     if row[4]:
         assert isinstance(system.network.topology, MeshTopology)
-        assert type(system.controller) is MemoryController
     assert digest(result_dict(system)) == expected, (
         f"{row_id(row)} moved; if that is intended, regenerate with: {GENERATOR}"
     )
 
 
 def _normal_run(row: Row, monkeypatch) -> dict:
-    """The default build's result; on full-traffic rows, also require that
-    some decisions chose among more than :data:`LARGE_WINDOW` candidates.
+    """The default build's result, and proof that the row reaches the paths
+    its reference is there for: on full-traffic tree rows, decisions among
+    more than :data:`LARGE_WINDOW` candidates; on mesh rows, arrivals held
+    back beyond the scheduler window; on command-model rows, refreshes.
 
     The router and the columnar controller call ``remove_index`` once per
     store decision, with the chosen candidate still counted live.
     """
     large_windows = []
+    held_back = []
     remove_index = ColumnarStore.remove_index
+    enqueue = BatchedMemoryController.enqueue
 
     def counting_remove_index(store, index):
         if store.live > LARGE_WINDOW:
             large_windows.append(store.live)
         return remove_index(store, index)
 
+    def counting_enqueue(controller, transaction):
+        if controller._class_occupancy[transaction.queue_class] >= controller._window:
+            held_back.append(transaction.uid)
+        return enqueue(controller, transaction)
+
     monkeypatch.setattr(ColumnarStore, "remove_index", counting_remove_index)
-    expected = result_dict(build(row))
+    monkeypatch.setattr(BatchedMemoryController, "enqueue", counting_enqueue)
+    system = build(row)
+    expected = result_dict(system)
     monkeypatch.undo()
-    if row[3] == FULL_TRAFFIC:
+    _, _, dram_model, traffic, mesh = row
+    if mesh:
+        assert held_back, f"{row_id(row)} never held an arrival beyond its window"
+    elif traffic == FULL_TRAFFIC:
         assert large_windows, (
             f"{row_id(row)} never chose among more than {LARGE_WINDOW} candidates"
         )
+    if dram_model == "command":
+        assert system.dram.refreshes_issued() > 0
     return expected
 
 
