@@ -112,14 +112,23 @@ class Histogram:
 
 
 class _Family:
-    """All instruments sharing one metric name (one TYPE/HELP block)."""
+    """All instruments sharing one metric name (one TYPE/HELP block).
 
-    __slots__ = ("kind", "help", "instances")
+    ``series`` holds ``(label pairs, line prefixes, instrument)`` sorted by
+    label pairs, the order the exposition lists them in.  The prefixes are
+    each exposition line up to its value — name, label text and a space —
+    rendered once, when the instrument is created: one per counter or
+    gauge; per histogram one per bucket (``+Inf`` last), then ``_sum`` and
+    ``_count``.
+    """
+
+    __slots__ = ("kind", "help", "instances", "series")
 
     def __init__(self, kind: str, help_text: str) -> None:
         self.kind = kind
         self.help = help_text
         self.instances: Dict[LabelPairs, Any] = {}
+        self.series: List[Tuple[LabelPairs, Tuple[str, ...], Any]] = []
 
 
 def _label_pairs(labels: Mapping[str, Any]) -> LabelPairs:
@@ -138,13 +147,28 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def _series(name: str, pairs: LabelPairs, value: float) -> str:
+def _line_prefix(name: str, pairs: LabelPairs) -> str:
+    """One exposition line up to its value: ``name{k="v",...} ``."""
     if pairs:
         labels = ",".join(
             f'{key}="{_escape_label(text)}"' for key, text in pairs
         )
-        return f"{name}{{{labels}}} {_format_value(value)}"
-    return f"{name} {_format_value(value)}"
+        return f"{name}{{{labels}}} "
+    return f"{name} "
+
+
+def _line_prefixes(kind: str, name: str, pairs: LabelPairs, instrument: Any) -> Tuple[str, ...]:
+    if kind != "histogram":
+        return (_line_prefix(name, pairs),)
+    bounds = (*instrument.buckets, math.inf)
+    return (
+        *(
+            _line_prefix(f"{name}_bucket", pairs + (("le", _format_value(bound)),))
+            for bound in bounds
+        ),
+        _line_prefix(f"{name}_sum", pairs),
+        _line_prefix(f"{name}_count", pairs),
+    )
 
 
 class MetricsRegistry:
@@ -172,6 +196,12 @@ class MetricsRegistry:
         instrument = family.instances.get(pairs)
         if instrument is None:
             instrument = family.instances[pairs] = factory()
+            # Label pairs are unique within a family, so the sort never
+            # compares the prefixes or the instruments.
+            bisect.insort(
+                family.series,
+                (pairs, _line_prefixes(kind, name, pairs, instrument), instrument),
+            )
         return instrument
 
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
@@ -200,8 +230,7 @@ class MetricsRegistry:
         for name in sorted(self._families):
             family = self._families[name]
             series: List[Dict[str, Any]] = []
-            for pairs in sorted(family.instances):
-                instrument = family.instances[pairs]
+            for pairs, _, instrument in family.series:
                 entry: Dict[str, Any] = {"labels": dict(pairs)}
                 if family.kind == "histogram":
                     entry["sum"] = instrument.sum
@@ -225,16 +254,14 @@ class MetricsRegistry:
             if family.help:
                 lines.append(f"# HELP {name} {family.help}")
             lines.append(f"# TYPE {name} {family.kind}")
-            for pairs in sorted(family.instances):
-                instrument = family.instances[pairs]
+            for _, prefixes, instrument in family.series:
                 if family.kind == "histogram":
-                    for bound, cumulative_count in instrument.cumulative():
-                        bucket_pairs = pairs + (("le", _format_value(bound)),)
-                        lines.append(
-                            _series(f"{name}_bucket", bucket_pairs, cumulative_count)
-                        )
-                    lines.append(_series(f"{name}_sum", pairs, instrument.sum))
-                    lines.append(_series(f"{name}_count", pairs, instrument.count))
+                    values = [count for _, count in instrument.cumulative()]
+                    values += (instrument.sum, instrument.count)
+                    lines.extend(
+                        prefix + _format_value(value)
+                        for prefix, value in zip(prefixes, values)
+                    )
                 else:
-                    lines.append(_series(name, pairs, instrument.value))
+                    lines.append(prefixes[0] + _format_value(instrument.value))
         return "\n".join(lines) + "\n"

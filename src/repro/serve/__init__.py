@@ -10,10 +10,13 @@ nothing but 304s.
 
 Layers (each its own module, testable in isolation):
 
-* :mod:`repro.serve.http` — protocol core: parsing, keep-alive,
-  ``Content-Length``/chunked responses, graceful shutdown.
+* :mod:`repro.serve.http` — protocol core: one ``asyncio.Protocol`` per
+  connection that parses each request, calls the app and writes its
+  response within one event-loop callback; keep-alive and pipelining,
+  ``Content-Length``/chunked responses, back-pressure, graceful shutdown.
 * :mod:`repro.serve.app` — routing and HTTP-caching semantics over a
-  :class:`~repro.store.ResultsStore`.
+  :class:`~repro.store.ResultsStore`, as a plain callable (a request never
+  waits on anything but small file reads).
 * :mod:`repro.serve.cache` — the bounded LRU hot-blob cache.
 * :mod:`repro.serve.client` — the typed client, the background server for
   embedding, and the ``repro serve`` foreground entry point.

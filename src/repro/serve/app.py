@@ -39,9 +39,12 @@ change, and the JSON bodies (and ETags) of ``/manifests`` and
 ``/manifests/<fingerprint>`` are rendered again only when the store hands
 back a different :class:`~repro.store.Manifest` object.
 
-Handlers are ``async`` only because the protocol core is; every operation
-here is an in-memory or small-file read — the point of the service is that
-serving recorded results never resolves a scenario or runs the simulator.
+The app is a plain callable: the protocol core calls it on the event loop
+once per request, inside the callback that completed the request, and
+writes what it returns.  Every operation here is an in-memory or
+small-file read — the point of the service is that serving recorded
+results never resolves a scenario or runs the simulator, so there is
+nothing to wait for.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import os
 import time
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.obs import MetricsRegistry, span
+from repro.obs import Counter, Histogram, MetricsRegistry, span
 from repro.serve.cache import DEFAULT_CACHE_BYTES, BlobCache
 from repro.serve.http import Request, Response
 from repro.version import __version__
@@ -133,6 +136,10 @@ class ResultsApp:
         # body, ETag).  "" is the /manifests index, a fingerprint is
         # /manifests/<fingerprint>.
         self._documents: Dict[str, Tuple[Tuple[Manifest, ...], bytes, str]] = {}
+        # The request counter and latency histogram of each (method, route,
+        # status) label set, looked up once; the labels are folded to
+        # bounded sets, so this stays small.
+        self._request_instruments: Dict[Tuple[str, str, int], Tuple[Counter, Histogram]] = {}
 
     def record_request(
         self, method: str, path: str, status: int, elapsed_s: float
@@ -150,21 +157,29 @@ class ResultsApp:
             route = OTHER_LABEL
         if method not in METHOD_LABELS:
             method = OTHER_LABEL
-        self.metrics.counter(
-            "repro_http_requests_total",
-            "HTTP requests served, by method, route and status.",
-            method=method,
-            route=route,
-            status=str(status),
-        ).inc()
-        self.metrics.histogram(
-            "repro_http_request_seconds",
-            "HTTP request handling latency.",
-            method=method,
-            route=route,
-        ).observe(elapsed_s)
+        key = (method, route, status)
+        instruments = self._request_instruments.get(key)
+        if instruments is None:
+            instruments = self._request_instruments[key] = (
+                self.metrics.counter(
+                    "repro_http_requests_total",
+                    "HTTP requests served, by method, route and status.",
+                    method=method,
+                    route=route,
+                    status=str(status),
+                ),
+                self.metrics.histogram(
+                    "repro_http_request_seconds",
+                    "HTTP request handling latency.",
+                    method=method,
+                    route=route,
+                ),
+            )
+        counter, histogram = instruments
+        counter.inc()
+        histogram.observe(elapsed_s)
 
-    async def __call__(self, request: Request) -> Response:
+    def __call__(self, request: Request) -> Response:
         if request.method not in ("GET", "HEAD"):
             return self._error(
                 405, f"method {request.method} not allowed (GET and HEAD only)",

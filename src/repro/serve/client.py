@@ -37,13 +37,17 @@ logger = logging.getLogger("repro.serve")
 
 
 def _observer_for(app: ResultsApp, log: bool) -> RequestObserver:
-    """Metrics + (optionally) structured access logging for one app."""
+    """Metrics + (optionally) structured access logging for one app.
+
+    The access line and its ``extra`` fields are built only when the
+    ``repro.serve`` logger passes INFO.
+    """
 
     def observe(
         peer: str, method: str, path: str, status: int, written: int, elapsed_s: float
     ) -> None:
         app.record_request(method, path, status, elapsed_s)
-        if log:
+        if log and logger.isEnabledFor(logging.INFO):
             logger.info(
                 '%s "%s %s" %d %dB %.1fms',
                 peer,

@@ -109,6 +109,19 @@ def _decode_manifest(raw: bytes) -> Manifest:
     return Manifest.from_dict(json.loads(raw))
 
 
+def _listdir(directory: Path) -> List[str]:
+    """The names in ``directory``; none when it is missing or not a directory."""
+    try:
+        return os.listdir(directory)
+    except OSError:
+        return []
+
+
+def _json_stem(name: str) -> str:
+    """``Path(name).stem`` of a name ending in ``.json``."""
+    return name[: -len(".json")] or name
+
+
 def _tree_bytes(directory: Union[str, Path]) -> int:
     """Bytes of every file under ``directory`` (0 when it is not a directory)."""
     try:
@@ -226,10 +239,13 @@ class ResultsStore:
         """
         if not is_content_digest(digest):
             return None
-        for path in sorted((self.artifact_dir / digest[:2]).glob(f"{digest}.*")):
-            ext = path.name.partition(".")[2]
-            if ext and "." not in ext:
-                return ArtifactRef(digest=digest, ext=ext, size=path.stat().st_size)
+        directory = self.artifact_dir / digest[:2]
+        prefix = f"{digest}."
+        for name in sorted(_listdir(directory)):
+            ext = name[len(prefix) :]
+            if name.startswith(prefix) and ext and "." not in ext:
+                size = os.stat(os.path.join(directory, name)).st_size
+                return ArtifactRef(digest=digest, ext=ext, size=size)
         return None
 
     # ------------------------------------------------------------------ #
@@ -253,18 +269,27 @@ class ResultsStore:
         Unreadable or schema-invalid manifests are misses, not errors: the
         caller's fallback is a live render, which will re-record a good one.
         """
+        return self._read_manifest(self.manifest_path(fingerprint))
+
+    def _read_manifest(self, path: Path) -> Optional[Manifest]:
         try:
-            return self._manifest_files.read(self.manifest_path(fingerprint))
+            return self._manifest_files.read(path)
         except (OSError, ValueError):
             return None
 
     def manifests(self) -> List[Manifest]:
         """Every readable manifest, newest ``created_at`` first."""
-        paths = sorted(self.manifest_dir.glob("*.json")) if self.manifest_dir.is_dir() else []
+        directory = self.manifest_dir
+        # Each listed name's stem, at the path get_manifest reads it from.
+        paths = [
+            directory / f"{_json_stem(name)}.json"
+            for name in sorted(_listdir(directory))
+            if name.endswith(".json")
+        ]
         self._manifest_files.retain(paths)
         loaded = []
         for path in paths:
-            manifest = self.get_manifest(path.stem)
+            manifest = self._read_manifest(path)
             if manifest is not None:
                 loaded.append(manifest)
         loaded.sort(key=lambda m: (m.provenance.created_at, m.fingerprint), reverse=True)
@@ -272,13 +297,10 @@ class ResultsStore:
 
     def find_manifest(self, prefix: str) -> Manifest:
         """Resolve a (possibly abbreviated) fingerprint to its manifest."""
-        matches = []
-        if self.manifest_dir.is_dir():
-            matches = sorted(
-                path.stem
-                for path in self.manifest_dir.glob("*.json")
-                if path.stem.startswith(prefix)
-            )
+        stems = (
+            _json_stem(name) for name in _listdir(self.manifest_dir) if name.endswith(".json")
+        )
+        matches = sorted(stem for stem in stems if stem.startswith(prefix))
         if not matches:
             raise StoreError(f"no manifest matches '{prefix}' in {self.manifest_dir}")
         if len(matches) > 1:

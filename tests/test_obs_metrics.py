@@ -5,8 +5,64 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+
+
+def _reference_render(registry: MetricsRegistry) -> str:
+    """The exposition rendered afresh: every series' label text
+    sorted, escaped and formatted on each call (the renderer before label
+    text was built once per instrument)."""
+
+    def escape(value):
+        return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+    def fmt(value):
+        if value == math.inf:
+            return "+Inf"
+        if isinstance(value, float) and value.is_integer():
+            return str(int(value))
+        return repr(value)
+
+    def series(name, pairs, value):
+        if pairs:
+            labels = ",".join(f'{key}="{escape(text)}"' for key, text in pairs)
+            return f"{name}{{{labels}}} {fmt(value)}"
+        return f"{name} {fmt(value)}"
+
+    lines = []
+    for name in sorted(registry._families):
+        family = registry._families[name]
+        if family.help:
+            lines.append(f"# HELP {name} {family.help}")
+        lines.append(f"# TYPE {name} {family.kind}")
+        for pairs in sorted(family.instances):
+            instrument = family.instances[pairs]
+            if family.kind == "histogram":
+                for bound, cumulative_count in instrument.cumulative():
+                    bucket_pairs = pairs + (("le", fmt(bound)),)
+                    lines.append(series(f"{name}_bucket", bucket_pairs, cumulative_count))
+                lines.append(series(f"{name}_sum", pairs, instrument.sum))
+                lines.append(series(f"{name}_count", pairs, instrument.count))
+            else:
+                lines.append(series(name, pairs, instrument.value))
+    return "\n".join(lines) + "\n"
+
+
+#: Metric names and their kinds (a name keeps one kind).
+_KINDS = {"a_total": "counter", "b": "gauge", "c_seconds": "histogram", "d_total": "counter"}
+_LABEL_TEXT = st.sampled_from(["", "GET", "/x", 'q"uote', "back\\slash", "new\nline", "200"])
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(_KINDS)),
+        st.sampled_from(["", "Help text.", "Other help."]),
+        st.dictionaries(st.sampled_from(["method", "route", "status", "le_x"]), _LABEL_TEXT,
+                        max_size=3),
+        st.one_of(st.integers(0, 5), st.floats(0, 10, allow_nan=False), st.just(0.25)),
+    ),
+    max_size=40,
+)
 
 
 class TestInstruments:
@@ -84,6 +140,22 @@ class TestRegistry:
         assert "repro_lat_seconds_sum 0.05\n" in text
         assert "repro_lat_seconds_count 1\n" in text
         assert text.endswith("\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_OPERATIONS)
+    def test_rendering_matches_the_reference(self, operations):
+        registry = MetricsRegistry()
+        for name, help_text, labels, value in operations:
+            kind = _KINDS[name]
+            if kind == "counter":
+                registry.counter(name, help_text, **labels).inc(value)
+            elif kind == "gauge":
+                registry.gauge(name, help_text, **labels).set(value)
+            else:
+                registry.histogram(
+                    name, help_text, buckets=(0.5, 1.0, 2.5), **labels
+                ).observe(value)
+            assert registry.render_prometheus() == _reference_render(registry)
 
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()

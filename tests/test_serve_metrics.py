@@ -158,6 +158,36 @@ class TestAccessLog:
         series = snapshot["repro_http_requests_total"]["series"]
         assert series[0]["value"] == 1
 
+    def test_observer_builds_no_access_line_below_info(self, tmp_path, monkeypatch):
+        app = ResultsApp(ResultsStore(str(tmp_path)))
+        observe = _observer_for(app, log=True)
+        logger = logging.getLogger("repro.serve")
+        calls = []
+        monkeypatch.setattr(logger, "info", lambda *args, **kwargs: calls.append(args))
+        level = logger.level
+        logger.setLevel(logging.WARNING)
+        try:
+            observe("127.0.0.1", "GET", "/healthz", 200, 42, 0.0031)
+        finally:
+            logger.setLevel(level)
+        assert calls == []
+        assert app.metrics.snapshot()["repro_http_requests_total"]["series"][0]["value"] == 1
+
+    def test_request_instruments_are_looked_up_once_per_label_set(self, tmp_path):
+        app = ResultsApp(ResultsStore(str(tmp_path)))
+        lookups = []
+        counter, histogram = app.metrics.counter, app.metrics.histogram
+        app.metrics.counter = lambda *a, **k: lookups.append(k) or counter(*a, **k)
+        app.metrics.histogram = lambda *a, **k: lookups.append(k) or histogram(*a, **k)
+        for path in ("/healthz", "/healthz/", "/healthz"):
+            app.record_request("GET", path, 200, 0.001)
+        app.record_request("GET", "/healthz", 404, 0.002)
+        assert len(lookups) == 4  # two label sets, two instruments each
+        series = app.metrics.snapshot()["repro_http_requests_total"]["series"]
+        assert [(entry["labels"]["status"], entry["value"]) for entry in series] == [
+            ("200", 3), ("404", 1)
+        ]
+
     def test_serve_package_does_not_configure_handlers(self):
         # Libraries must stay silent: only a NullHandler on import, so
         # embedding applications control their own logging policy.

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from repro.campaign import Campaign, CampaignScheduler, CheckSpec, SubGrid
 from repro.runner import ResultCache
 from repro.store import (
+    AmbiguousFingerprintError,
+    ArtifactRef,
     ResultsStore,
     StoreError,
+    is_content_digest,
     narrative_md,
     replace_section,
 )
@@ -195,6 +199,119 @@ class TestSize:
             empty.rmdir()
         assert store.size_bytes() == expected - len(b"half a manifest")
         assert ResultsStore(store.directory / "missing").size_bytes() == 0
+
+
+def _glob_manifests(store):
+    """``ResultsStore.manifests`` as it listed with ``Path.glob`` (reference)."""
+    directory = store.manifest_dir
+    paths = sorted(directory.glob("*.json")) if directory.is_dir() else []
+    loaded = [m for m in (store.get_manifest(path.stem) for path in paths) if m]
+    loaded.sort(key=lambda m: (m.provenance.created_at, m.fingerprint), reverse=True)
+    return loaded
+
+
+def _glob_find_manifest(store, prefix):
+    """``ResultsStore.find_manifest`` as it listed with ``Path.glob`` (reference)."""
+    matches = []
+    if store.manifest_dir.is_dir():
+        matches = sorted(
+            path.stem
+            for path in store.manifest_dir.glob("*.json")
+            if path.stem.startswith(prefix)
+        )
+    if not matches:
+        raise StoreError(f"no manifest matches '{prefix}' in {store.manifest_dir}")
+    if len(matches) > 1:
+        raise AmbiguousFingerprintError(prefix, matches)
+    manifest = store.get_manifest(matches[0])
+    if manifest is None:
+        raise StoreError(f"manifest {matches[0][:12]}… exists but is unreadable")
+    return manifest
+
+
+def _outcome(find, *args):
+    """What ``find(*args)`` returned or raised, comparably."""
+    try:
+        return find(*args).fingerprint
+    except AmbiguousFingerprintError as exc:
+        return ("ambiguous", tuple(exc.matches))
+    except StoreError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _glob_find_artifact(store, digest):
+    """``ResultsStore.find_artifact`` as it listed with ``Path.glob`` (reference)."""
+    if not is_content_digest(digest):
+        return None
+    for path in sorted((store.artifact_dir / digest[:2]).glob(f"{digest}.*")):
+        ext = path.name.partition(".")[2]
+        if ext and "." not in ext:
+            return ArtifactRef(digest=digest, ext=ext, size=path.stat().st_size)
+    return None
+
+
+class TestListings:
+    """The store's listings match names exactly as ``Path.glob`` did."""
+
+    @pytest.fixture()
+    def odd_store(self, recorded, tmp_path):
+        """A copy of the recorded store with odd names beside the real ones."""
+        source, _, _, _, manifest = recorded
+        store = ResultsStore(tmp_path / "store")
+        shutil.copytree(source.directory, store.directory)
+        raw = store.manifest_path(manifest.fingerprint).read_bytes()
+        for name in (".hidden.json", ".json", "..json", "copy.json", "Upper.JSON",
+                     "x.json.tmp", "notes.txt"):
+            (store.manifest_dir / name).write_bytes(raw)
+        (store.manifest_dir / "dir.json").mkdir()
+        ref = manifest.artifacts["report_md"]
+        bucket = store.artifact_dir / ref.digest[:2]
+        for suffix in (".tar.gz", ".", "-x.md"):
+            (bucket / f"{ref.digest}{suffix}").write_bytes(b"odd")
+        other = "f" * 63 + "0"
+        (store.artifact_dir / "ff").mkdir(exist_ok=True)
+        # The first valid name in sorted order wins: ".bb", after "." and
+        # ".a.b", which are skipped.
+        for suffix in (".zz", ".", ".mm", ".a.b", ".bb", ".yy"):
+            (store.artifact_dir / "ff" / f"{other}{suffix}").write_bytes(b"sized")
+        return store, manifest, ref, other
+
+    def test_manifests_match_the_glob_listing(self, odd_store):
+        store, manifest, _, _ = odd_store
+        listed = store.manifests()
+        assert [m.fingerprint for m in listed] == [
+            m.fingerprint for m in _glob_manifests(store)
+        ]
+        # The real file and its copies under ".hidden.json", "..json" and
+        # "copy.json"; the file named ".json" has the stem ".json", so it is
+        # read as ".json.json", which is missing.
+        assert len(listed) == 4
+
+    def test_find_manifest_matches_the_glob_listing(self, odd_store):
+        store, manifest, _, _ = odd_store
+        outcomes = {}
+        for prefix in ("", ".", ".h", "co", "Up", "dir", "notes",
+                       manifest.fingerprint[:6], "zz"):
+            outcomes[prefix] = _outcome(store.find_manifest, prefix)
+            assert outcomes[prefix] == _outcome(_glob_find_manifest, store, prefix)
+        assert outcomes["co"] == outcomes[manifest.fingerprint[:6]] == manifest.fingerprint
+        assert outcomes["."] == ("ambiguous", (".", ".hidden", ".json"))
+        assert outcomes["dir"][1].endswith("exists but is unreadable")
+        assert outcomes["Up"][1].startswith("no manifest matches")
+
+    def test_find_artifact_matches_the_glob_listing(self, odd_store):
+        store, _, ref, other = odd_store
+        for digest in (ref.digest, other, "0" * 64, "f" * 64, "not-a-digest"):
+            assert store.find_artifact(digest) == _glob_find_artifact(store, digest)
+        assert store.find_artifact(ref.digest) == ref
+        assert store.find_artifact(other) == ArtifactRef(digest=other, ext="bb", size=5)
+
+    def test_a_missing_store_lists_nothing(self, tmp_path):
+        store = ResultsStore(tmp_path / "missing")
+        assert store.manifests() == []
+        with pytest.raises(StoreError):
+            store.find_manifest("")
+        assert store.find_artifact("0" * 64) is None
 
 
 class TestNarrative:
