@@ -1051,9 +1051,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
     # Count manifest *files* (verify examined unreadable ones too, so the
     # total must include them) but artifact references only from readable
     # manifests.
-    manifest_files = (
-        sorted(store.manifest_dir.glob("*.json")) if store.manifest_dir.is_dir() else []
-    )
+    manifest_files = store.manifest_names()
     artifacts = sum(len(manifest.artifact_refs()) for manifest in store.manifests())
     for problem in problems:
         print(f"[FAIL] {problem}")
@@ -1067,11 +1065,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
 def _cmd_store_index(args: argparse.Namespace) -> int:
     store = ResultsStore(args.store_dir)
     points, specs = store.rebuild_index()
-    manifests = (
-        len(sorted(store.manifest_dir.glob("*.json")))
-        if store.manifest_dir.is_dir()
-        else 0
-    )
+    manifests = len(store.manifest_names())
     print(
         f"store index: rebuilt from {manifests} manifest(s) — "
         f"{points} point(s), {specs} spec mapping(s)"

@@ -1,11 +1,14 @@
-"""Memory-controller front-end: transaction queues and scheduling policies.
+"""Memory-controller front-end: the controller and its scheduling policies.
 
-The controller implements the paper's "distributed system response" stage at
-the DRAM boundary: it holds per-class transaction queues (Table 1 lists five
-of them) and arbitrates among pending transactions with a pluggable policy —
-FCFS, round-robin, FR-FCFS, the frame-rate-based QoS baseline, Policy 1
-(priority-based round-robin) and Policy 2 (QoS-RB, priority-based round-robin
-with row-buffer-hit optimisation below the delta threshold).
+:class:`MemoryController` implements the paper's "distributed system
+response" stage at the DRAM boundary, and it is the one controller
+:func:`~repro.system.builder.build_system` builds.  It counts pending
+transactions per queue class (Table 1 lists five of them), keeps each DRAM
+channel's candidates in a columnar store, and arbitrates among them with a
+pluggable policy — FCFS, round-robin, FR-FCFS, the frame-rate-based QoS
+baseline, Policy 1 (priority-based round-robin) and Policy 2 (QoS-RB,
+priority-based round-robin with row-buffer-hit optimisation below the delta
+threshold).
 """
 
 from repro.memctrl.aging import AgingTracker

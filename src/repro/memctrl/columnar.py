@@ -87,7 +87,7 @@ class ColumnarStore:
     The ``track_*`` flags disable columns (and their counters) that the
     owning selector never reads, shrinking the per-push work: a disabled
     column stays an empty list.  ``track_rows`` is owner-driven rather than
-    selector-driven — the batched controller always needs the ``bank``
+    selector-driven — the memory controller always needs the ``bank``
     slot and ``row`` for issuing, NoC routers never do.
     """
 
@@ -312,10 +312,11 @@ class ColumnarStore:
 
     def fallback_candidates_by_class(self) -> List[Transaction]:
         """Live candidates grouped by queue class in enum order, oldest first
-        within a class — the order in which the queue-based reference
-        controller (:class:`~repro.memctrl.controller.MemoryController`) reads
-        a channel's candidate index, so a policy without a selector sees the
-        list it would see there."""
+        within a class: the list
+        :class:`~repro.memctrl.controller.MemoryController` hands a policy
+        without a selector.  The queue-based test reference reads its
+        per-class candidate index in the same order, so such a policy sees
+        the same list under both."""
         groups: List[List[Transaction]] = [[] for _ in range(_NUM_CLASSES)]
         alive = self.alive
         cls = self.cls
@@ -690,7 +691,7 @@ def make_selector(
 ):
     """Build the batched selector for a policy instance, or ``None``.
 
-    ``None`` means "no selector for this policy" — the columnar controller
+    ``None`` means "no selector for this policy" — the memory controller
     and the routers then fall back to handing the policy a candidate list
     (see :meth:`ColumnarStore.fallback_candidates` and
     :meth:`ColumnarStore.fallback_candidates_by_class`), so unknown or

@@ -1,8 +1,7 @@
-"""The memory-controller front-ends driving the DRAM device."""
+"""The memory-controller front-end driving the DRAM device."""
 
 from __future__ import annotations
 
-import abc
 import math
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -19,23 +18,47 @@ from repro.sim.stats import RunningMean
 CompletionHandler = Callable[[Transaction], None]
 
 
-class MemoryControllerBase(abc.ABC):
-    """What the controller and its queue-based reference share:
-    registration, back-pressure, per-class occupancy and the completion
-    path.
+class MemoryController:
+    """The memory controller: a columnar candidate store per DRAM channel.
 
-    Each DRAM channel is scheduled independently.  A channel schedules when a
+    This is the controller :func:`~repro.system.builder.build_system`
+    builds, on either DRAM backend and for any scheduler window.  Each DRAM
+    channel is scheduled independently.  A channel schedules when a
     transaction arrives for it while it is idle, and when its own
-    transaction completes: the controller asks its scheduling policy to
-    choose among the visible transactions destined to that channel and
-    issues the winner.  Completions are delivered to per-DMA handlers
-    registered by the system builder, which is how read data and write
-    acknowledgements find their way back to the cores' performance meters.
+    transaction completes: the controller chooses among the visible
+    transactions destined to that channel and issues the winner.
+    Completions are delivered to per-DMA handlers registered by the system
+    builder, which is how read data and write acknowledgements find their
+    way back to the cores' performance meters.
 
-    A controller defines how it holds its candidates: ``enqueue`` accepts
-    an arrival and schedules its channel if that is idle, and
-    ``_schedule_from`` picks, dequeues and issues the next transaction for
-    an idle channel.
+    The per-channel candidate sets live in
+    :class:`~repro.memctrl.columnar.ColumnarStore` columns, so scheduling
+    decisions are selector reductions.  Each address is mapped once, at
+    enqueue, to ``(channel, bank slot, row)``; the store keeps the slot and
+    row in its columns and issue hands them to the DRAM device as they are.
+    Row-buffer-aware selectors read each DRAM channel's own ``open_rows``
+    list, which the channel writes on every access and a command-level
+    refresh resets.
+
+    The scheduler window (``scheduler_window_entries``, W) bounds how many
+    pending transactions per queue class the policy may reorder among.  An
+    arrival whose queue class already holds W pending transactions waits,
+    with its mapped coordinates, in a per-class FIFO, and each issue pushes
+    the oldest waiting arrival of the issued class into its own channel's
+    store without scheduling that channel.  Every waiting transaction of a
+    class arrived after every visible one, so a channel's candidates are
+    the first W pending transactions of each class, restricted to the
+    channel.
+
+    Policies without a selector (ATLAS, TCM, SMS, EDF, user-registered
+    ones) receive the candidate list grouped by queue class in
+    :class:`QueueClass` order, oldest first within a class; a row-hit probe
+    on that path maps the candidate's address again, since the stores
+    index by position.
+
+    Its queue-based reference, a subclass in ``tests/queue_reference.py``,
+    holds and chooses candidates its own way; ``tests/test_sim_golden.py``
+    swaps it in and requires results equal to this controller's.
     """
 
     def __init__(
@@ -78,6 +101,24 @@ class MemoryControllerBase(abc.ABC):
         self.per_source_bytes: Dict[str, int] = {}
         self.per_source_served: Dict[str, int] = {}
 
+        #: Arrivals beyond the window per class, oldest first, each with its
+        #: ``(channel, bank_slot, row)``; empty while the window is unbounded.
+        self._waiting: Dict[QueueClass, Deque[Tuple[Transaction, int, int, int]]] = {
+            queue_class: deque() for queue_class in QueueClass
+        }
+        self._codebook: Dict[str, int] = {}
+        self._selector = make_selector(
+            policy,
+            aging=self.aging,
+            row_buffer_delta=self.config.row_buffer_delta,
+            open_rows=[channel.open_rows for channel in dram.channels],
+        )
+        self._stores = [
+            ColumnarStore.for_selector(self._selector, self._codebook, track_rows=True)
+            for _ in range(dram.config.channels)
+        ]
+        self._serve_direct = getattr(self._selector, "serve_direct", None)
+
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #
@@ -107,226 +148,6 @@ class MemoryControllerBase(abc.ABC):
     # ------------------------------------------------------------------ #
     # Transaction flow
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def enqueue(self, transaction: Transaction) -> None:
-        """Accept a transaction from the NoC; schedule its channel if idle."""
-
-    def pending_transactions(self) -> int:
-        """Total transactions waiting in all class queues."""
-        return self._pending_count
-
-    @abc.abstractmethod
-    def _schedule_from(self, channel: int) -> None:
-        """Pick, dequeue and issue the next transaction for an idle channel."""
-
-    def _on_complete(self, transaction: Transaction, channel: int) -> None:
-        self._channel_busy[channel] = False
-        size = transaction.size_bytes
-        source = transaction.source
-        self.served_transactions += 1
-        self.served_bytes += size
-        per_bytes = self.per_source_bytes
-        per_bytes[source] = per_bytes.get(source, 0) + size
-        per_served = self.per_source_served
-        per_served[source] = per_served.get(source, 0) + 1
-        # completed_ps is always stamped at issue; RunningMean.add is inlined
-        # (one call per completion on the hottest chain).
-        latency = transaction.completed_ps - transaction.created_ps
-        stats = self.latency_stats
-        stats.count += 1
-        stats.total += latency
-        if stats.minimum is None or latency < stats.minimum:
-            stats.minimum = latency
-        if stats.maximum is None or latency > stats.maximum:
-            stats.maximum = latency
-
-        handler = self._completion_handlers.get(transaction.dma)
-        if handler is not None:
-            handler(transaction)
-        for listener in self._global_handlers:
-            listener(transaction)
-        self._schedule_from(channel)
-        for space_listener in self._space_listeners:
-            space_listener()
-
-    # ------------------------------------------------------------------ #
-    # Reporting helpers
-    # ------------------------------------------------------------------ #
-    def average_latency_ps(self) -> float:
-        return self.latency_stats.mean
-
-    def queue_occupancy(self) -> Dict[str, int]:
-        """Pending transactions per queue class, held-back ones included."""
-        return {
-            queue_class.value: count
-            for queue_class, count in self._class_occupancy.items()
-        }
-
-
-class MemoryController(MemoryControllerBase):
-    """The queue-based controller: a candidate index per channel and class.
-
-    The scheduler window (``scheduler_window_entries``, W) bounds how many
-    pending transactions per queue class the policy may reorder among.  Per
-    channel, an insertion-ordered dict per :class:`QueueClass` holds the
-    transactions the scheduler may see; per class, one FIFO holds the
-    arrivals beyond the window.  An arrival joins its channel's index while
-    its class holds fewer than W pending transactions and waits in the FIFO
-    otherwise; each issue moves the oldest waiting transaction of the issued
-    class into its own channel's index.  Every waiting transaction of a
-    class arrived after every visible one, so a channel's candidates are the
-    first W pending transactions of each class, in queue-class order and
-    FIFO within a class, restricted to the channel.  A promotion schedules
-    no channel: the promoted transaction's channel picks it up at its next
-    arrival or completion.
-
-    Each address is mapped once, at enqueue, to ``(channel, bank slot,
-    row)`` (:meth:`~repro.dram.address.AddressMapper.locate`); the index,
-    the row-hit probes and the issue read those coordinates.
-
-    The builder runs :class:`BatchedMemoryController`; this controller is
-    its reference, which ``tests/test_sim_golden.py`` swaps in on both DRAM
-    backends and behind a bounded window and requires equal results from.
-    Its row-hit probes read the DRAM banks themselves, not the channels'
-    ``open_rows`` lists that the columnar selectors read.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        dram: DramDevice,
-        policy: SchedulingPolicy,
-        config: Optional[MemoryControllerConfig] = None,
-    ) -> None:
-        super().__init__(engine, dram, policy, config)
-        self._visible: List[Dict[QueueClass, Dict[int, Transaction]]] = [
-            {queue_class: {} for queue_class in QueueClass}
-            for _ in range(dram.config.channels)
-        ]
-        self._waiting: Dict[QueueClass, Deque[Transaction]] = {
-            queue_class: deque() for queue_class in QueueClass
-        }
-        #: ``(channel, bank_slot, row)`` of each pending transaction, by uid.
-        self._coordinates: Dict[int, Tuple[int, int, int]] = {}
-
-    def enqueue(self, transaction: Transaction) -> None:
-        """Accept a transaction from the NoC into its channel's index, or
-        into its class's FIFO when the class already fills the window."""
-        now = self.engine._now_ps
-        # Whoever sets enqueued_ps sets the age key too (see Transaction).
-        transaction.enqueued_ps = now
-        transaction.sort_key = (now, transaction.uid)
-        queue_class = transaction.queue_class
-        channel, bank_slot, row, _ = self._locate(transaction.address)
-        self._coordinates[transaction.uid] = (channel, bank_slot, row)
-        if self._class_occupancy[queue_class] < self._window:
-            self._visible[channel][queue_class][transaction.uid] = transaction
-        else:
-            self._waiting[queue_class].append(transaction)
-        self._class_occupancy[queue_class] += 1
-        self._pending_count += 1
-        if not self._channel_busy[channel]:
-            self._schedule_from(channel)
-
-    def _is_row_hit(self, transaction: Transaction) -> bool:
-        return self.dram.is_row_hit(*self._coordinates[transaction.uid])
-
-    def _schedule_from(self, channel: int) -> None:
-        """Pick, dequeue and issue the next transaction for an idle channel."""
-        visible = self._visible[channel]
-        candidates: List[Transaction] = []
-        for bucket in visible.values():
-            if bucket:
-                candidates.extend(bucket.values())
-        if not candidates:
-            return
-        now = self.engine._now_ps
-        context = SchedulingContext(
-            now_ps=now,
-            is_row_hit=self._is_row_hit,
-            aging=self.aging,
-            row_buffer_delta=self.config.row_buffer_delta,
-        )
-        chosen = self.policy.select(candidates, context)
-        queue_class = chosen.queue_class
-        del visible[queue_class][chosen.uid]
-        self._class_occupancy[queue_class] -= 1
-        self._pending_count -= 1
-        coordinates = self._coordinates
-        waiting = self._waiting[queue_class]
-        if waiting:
-            # The class's oldest held-back arrival enters the window on its
-            # own channel; that channel is not scheduled here.
-            promoted = waiting.popleft()
-            promoted_channel = coordinates[promoted.uid][0]
-            self._visible[promoted_channel][queue_class][promoted.uid] = promoted
-
-        _, bank_slot, row = coordinates.pop(chosen.uid)
-        chosen.issued_ps = now
-        _, completion_ps, row_hit = self.dram.service(
-            channel, bank_slot, row, chosen.size_bytes, chosen.is_write, now
-        )
-        chosen.row_hit = row_hit
-        chosen.completed_ps = completion_ps
-        self._channel_busy[channel] = True
-        self.engine.schedule_call(completion_ps, self._on_complete, (chosen, channel))
-
-
-class BatchedMemoryController(MemoryControllerBase):
-    """The columnar controller: columnar candidate stores per channel.
-
-    This is the controller :func:`~repro.system.builder.build_system`
-    builds, on either DRAM backend and for any scheduler window.  The
-    per-channel candidate sets live in
-    :class:`~repro.memctrl.columnar.ColumnarStore` columns, so scheduling
-    decisions are selector reductions.  Each address is mapped once, at
-    enqueue, to ``(channel, bank slot, row)``; the store keeps the slot and
-    row in its columns and issue hands them to the DRAM device as they are.
-    Row-buffer-aware selectors read each DRAM channel's own ``open_rows``
-    list, which the channel writes on every access and a command-level
-    refresh resets.
-
-    The scheduler window (``scheduler_window_entries``, W) is modelled as in
-    :class:`MemoryController`: an arrival whose queue class already holds W
-    pending transactions waits, with its mapped coordinates, in a per-class
-    FIFO, and each issue pushes the oldest waiting arrival of the issued
-    class into its own channel's store without scheduling that channel.
-    Counters, completion routing and policy decisions are bit-identical to
-    that controller's, which ``tests/test_sim_golden.py`` checks by swapping
-    it in.
-
-    Policies without a selector (ATLAS, TCM, SMS, EDF, user-registered
-    ones) receive a candidate list rebuilt in exactly the order the
-    queue-based controller would produce; a row-hit probe on that path maps
-    the candidate's address again, since the stores index by position.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        dram: DramDevice,
-        policy: SchedulingPolicy,
-        config: Optional[MemoryControllerConfig] = None,
-    ) -> None:
-        super().__init__(engine, dram, policy, config)
-        #: Arrivals beyond the window per class, oldest first, each with its
-        #: ``(channel, bank_slot, row)``; empty while the window is unbounded.
-        self._waiting: Dict[QueueClass, Deque[Tuple[Transaction, int, int, int]]] = {
-            queue_class: deque() for queue_class in QueueClass
-        }
-        self._codebook: Dict[str, int] = {}
-        self._selector = make_selector(
-            policy,
-            aging=self.aging,
-            row_buffer_delta=self.config.row_buffer_delta,
-            open_rows=[channel.open_rows for channel in dram.channels],
-        )
-        self._stores = [
-            ColumnarStore.for_selector(self._selector, self._codebook, track_rows=True)
-            for _ in range(dram.config.channels)
-        ]
-        self._serve_direct = getattr(self._selector, "serve_direct", None)
-
     def enqueue(self, transaction: Transaction) -> None:
         """Accept a transaction from the NoC into its channel's store, or
         into its class's FIFO when the class already fills the window.
@@ -381,6 +202,10 @@ class BatchedMemoryController(MemoryControllerBase):
         if not self._channel_busy[channel]:
             self._schedule_from(channel)
 
+    def pending_transactions(self) -> int:
+        """Total transactions waiting in all class queues."""
+        return self._pending_count
+
     def _is_row_hit(self, transaction: Transaction) -> bool:
         channel, bank_slot, row, _ = self._locate(transaction.address)
         return self.dram.is_row_hit(channel, bank_slot, row)
@@ -426,3 +251,46 @@ class BatchedMemoryController(MemoryControllerBase):
         self._channel_busy[channel] = True
         # Completions are never cancelled; skip the Event handle.
         self.engine.schedule_call(completion_ps, self._on_complete, (chosen, channel))
+
+    def _on_complete(self, transaction: Transaction, channel: int) -> None:
+        self._channel_busy[channel] = False
+        size = transaction.size_bytes
+        source = transaction.source
+        self.served_transactions += 1
+        self.served_bytes += size
+        per_bytes = self.per_source_bytes
+        per_bytes[source] = per_bytes.get(source, 0) + size
+        per_served = self.per_source_served
+        per_served[source] = per_served.get(source, 0) + 1
+        # completed_ps is always stamped at issue; RunningMean.add is inlined
+        # (one call per completion on the hottest chain).
+        latency = transaction.completed_ps - transaction.created_ps
+        stats = self.latency_stats
+        stats.count += 1
+        stats.total += latency
+        if stats.minimum is None or latency < stats.minimum:
+            stats.minimum = latency
+        if stats.maximum is None or latency > stats.maximum:
+            stats.maximum = latency
+
+        handler = self._completion_handlers.get(transaction.dma)
+        if handler is not None:
+            handler(transaction)
+        for listener in self._global_handlers:
+            listener(transaction)
+        self._schedule_from(channel)
+        for space_listener in self._space_listeners:
+            space_listener()
+
+    # ------------------------------------------------------------------ #
+    # Reporting helpers
+    # ------------------------------------------------------------------ #
+    def average_latency_ps(self) -> float:
+        return self.latency_stats.mean
+
+    def queue_occupancy(self) -> Dict[str, int]:
+        """Pending transactions per queue class, held-back ones included."""
+        return {
+            queue_class.value: count
+            for queue_class, count in self._class_occupancy.items()
+        }

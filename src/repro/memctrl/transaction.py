@@ -42,9 +42,9 @@ class Transaction:
     ``(enqueued_ps, uid)`` after.  Caching it lets hot-path ``min()`` and
     ``sort()`` calls read an attribute instead of building tuples per
     comparison.  Nothing refreshes it behind the caller's back: code that
-    assigns ``enqueued_ps`` assigns ``sort_key`` too, as the controller's
-    ``enqueue`` (:meth:`~repro.memctrl.controller.BatchedMemoryController.enqueue`)
-    and its queue-based reference's do.
+    assigns ``enqueued_ps`` assigns ``sort_key`` too, as
+    :meth:`~repro.memctrl.controller.MemoryController.enqueue` and its
+    queue-based test reference's ``enqueue`` do.
     """
 
     __slots__ = (

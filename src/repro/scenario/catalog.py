@@ -10,7 +10,7 @@ wherever a scenario name is expected.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.scenario.errors import ScenarioError
 from repro.scenario.spec import Scenario, scenario_from_file
@@ -128,11 +128,3 @@ def describe_scenario(ref: Union[str, Path, Scenario]) -> str:
         f"{scenario.name:<26}workload={workload.kind:<26}"
         f"policy={scenario.policy:<20}{scenario.description}"
     )
-
-
-def find_scenario_name(ref: Union[str, Path, Scenario]) -> Optional[str]:
-    """The catalog name of a reference, if it resolves to a known scenario."""
-    try:
-        return get_scenario(ref).name
-    except (ScenarioError, TypeError):
-        return None

@@ -117,11 +117,6 @@ def _listdir(directory: Path) -> List[str]:
         return []
 
 
-def _json_stem(name: str) -> str:
-    """``Path(name).stem`` of a name ending in ``.json``."""
-    return name[: -len(".json")] or name
-
-
 def _tree_bytes(directory: Union[str, Path]) -> int:
     """Bytes of every file under ``directory`` (0 when it is not a directory)."""
     try:
@@ -277,15 +272,25 @@ class ResultsStore:
         except (OSError, ValueError):
             return None
 
+    def manifest_names(self) -> List[str]:
+        """The manifest files' names, sorted, readable or not.
+
+        A manifest file is named ``<stem>.json`` with a non-empty stem, the
+        fingerprint it is recorded under (:meth:`manifest_path`).  The name
+        ``.json`` has no stem and is no fingerprint's file, so it is not
+        listed.  One ``os.listdir`` and no ``stat``: :meth:`manifests` and
+        :meth:`find_manifest` run on every ``repro serve`` listing request.
+        """
+        return sorted(
+            name
+            for name in _listdir(self.manifest_dir)
+            if name.endswith(".json") and name != ".json"
+        )
+
     def manifests(self) -> List[Manifest]:
         """Every readable manifest, newest ``created_at`` first."""
         directory = self.manifest_dir
-        # Each listed name's stem, at the path get_manifest reads it from.
-        paths = [
-            directory / f"{_json_stem(name)}.json"
-            for name in sorted(_listdir(directory))
-            if name.endswith(".json")
-        ]
+        paths = [directory / name for name in self.manifest_names()]
         self._manifest_files.retain(paths)
         loaded = []
         for path in paths:
@@ -297,10 +302,11 @@ class ResultsStore:
 
     def find_manifest(self, prefix: str) -> Manifest:
         """Resolve a (possibly abbreviated) fingerprint to its manifest."""
-        stems = (
-            _json_stem(name) for name in _listdir(self.manifest_dir) if name.endswith(".json")
-        )
-        matches = sorted(stem for stem in stems if stem.startswith(prefix))
+        matches = [
+            name[: -len(".json")]
+            for name in self.manifest_names()
+            if name.startswith(prefix)
+        ]
         if not matches:
             raise StoreError(f"no manifest matches '{prefix}' in {self.manifest_dir}")
         if len(matches) > 1:
@@ -569,33 +575,32 @@ class ResultsStore:
         # when many manifests share a cache.
         present = set(cache.keys()) if cache is not None else set()
         manifests: List[Manifest] = []
-        if self.manifest_dir.is_dir():
-            for path in sorted(self.manifest_dir.glob("*.json")):
+        for file_name in self.manifest_names():
+            try:
+                manifest = self._manifest_files.read(self.manifest_dir / file_name)
+            except (OSError, ValueError) as exc:
+                problems.append(f"manifest {file_name}: unreadable ({exc})")
+                continue
+            manifests.append(manifest)
+            if f"{manifest.fingerprint}.json" != file_name:
+                problems.append(
+                    f"manifest {file_name}: declares fingerprint "
+                    f"{manifest.fingerprint[:12]}… (file name disagrees)"
+                )
+            short = manifest.fingerprint[:12]
+            for name, ref in manifest.artifact_refs().items():
                 try:
-                    manifest = self._manifest_files.read(path)
-                except (OSError, ValueError) as exc:
-                    problems.append(f"manifest {path.name}: unreadable ({exc})")
-                    continue
-                manifests.append(manifest)
-                if manifest.fingerprint != path.stem:
+                    self.read_artifact(ref)
+                except StoreError as exc:
+                    problems.append(f"manifest {short}… artifact {name}: {exc}")
+            if cache is not None:
+                missing = [key for key in manifest.cache_keys() if key not in present]
+                if missing:
                     problems.append(
-                        f"manifest {path.name}: declares fingerprint "
-                        f"{manifest.fingerprint[:12]}… (file name disagrees)"
+                        f"manifest {short}…: {len(missing)} recorded cache "
+                        f"key(s) missing from {cache.directory} "
+                        f"(first: {missing[0][:12]}…)"
                     )
-                short = manifest.fingerprint[:12]
-                for name, ref in manifest.artifact_refs().items():
-                    try:
-                        self.read_artifact(ref)
-                    except StoreError as exc:
-                        problems.append(f"manifest {short}… artifact {name}: {exc}")
-                if cache is not None:
-                    missing = [key for key in manifest.cache_keys() if key not in present]
-                    if missing:
-                        problems.append(
-                            f"manifest {short}…: {len(missing)} recorded cache "
-                            f"key(s) missing from {cache.directory} "
-                            f"(first: {missing[0][:12]}…)"
-                        )
         problems.extend(self._verify_index(manifests))
         return problems
 

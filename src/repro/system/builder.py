@@ -12,7 +12,7 @@ from repro.cores import create_core
 from repro.cores.base import Core, Dma
 from repro.dram.cmdsim.device import CommandLevelDram
 from repro.dram.device import DramDevice
-from repro.memctrl.controller import BatchedMemoryController, MemoryControllerBase
+from repro.memctrl.controller import MemoryController
 from repro.memctrl.policies import make_policy
 from repro.noc.network import Network
 from repro.scenario import ADDRESS_STREAMS, TRAFFIC_MODELS, Scenario, resolve_scenario
@@ -35,7 +35,7 @@ class System:
     policy_name: str
     adaptation_enabled: bool
     dram: DramDevice
-    controller: MemoryControllerBase
+    controller: MemoryController
     network: Network
     framework: SaraFramework
     scenario: Optional[Scenario] = None
@@ -126,7 +126,7 @@ def build_system(
         dram: DramDevice = DramDevice(config.dram, sim_scale=config.sim_scale)
     else:  # "command" — the platform spec already validated the name
         dram = CommandLevelDram(config.dram, sim_scale=config.sim_scale)
-    controller = BatchedMemoryController(
+    controller = MemoryController(
         engine, dram, make_policy(policy), config.memory_controller
     )
     noc_config = NocConfig(

@@ -8,12 +8,16 @@ from typing import Dict, List, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.memctrl as memctrl_package
+import repro.memctrl.controller as controller_module
+from queue_reference import QueueController
 from repro.dram.address import AddressMapper
 from repro.dram.device import DramDevice
-from repro.memctrl.controller import BatchedMemoryController, MemoryController
+from repro.memctrl.controller import MemoryController
 from repro.memctrl.policies import make_policy
 from repro.memctrl.scheduler import SchedulingContext, SchedulingPolicy
 from repro.memctrl.transaction import QueueClass, Transaction
+from repro.scenario import resolve_scenario
 from repro.sim.clock import MS
 from repro.sim.config import DramConfig, MemoryControllerConfig
 from repro.sim.engine import Engine
@@ -168,8 +172,8 @@ class CheckedDecisions:
     After every arrival and completion, ``pending_transactions()`` and
     ``queue_occupancy()`` must count every pending transaction, held-back
     ones included.  A policy without a selector (:class:`RecordingPolicy`)
-    sees every decision of the columnar controller too, since nothing there
-    bypasses ``select()``.
+    sees every decision of the columnar :class:`MemoryController` too, since
+    nothing there bypasses ``select()``.
     """
 
     def __init__(self, engine: Engine, dram: DramDevice, policy, config) -> None:
@@ -220,11 +224,11 @@ class CheckedDecisions:
         assert self.pending_transactions() == len(self.pending)
 
 
-class CheckedQueueController(CheckedDecisions, MemoryController):
+class CheckedQueueController(CheckedDecisions, QueueController):
     pass
 
 
-class CheckedColumnarController(CheckedDecisions, BatchedMemoryController):
+class CheckedColumnarController(CheckedDecisions, MemoryController):
     pass
 
 
@@ -293,7 +297,7 @@ class TestCandidateIndex:
 
     @pytest.mark.parametrize(
         "controller_cls",
-        [MemoryController, BatchedMemoryController],
+        [QueueController, MemoryController],
         ids=["queue-based", "columnar"],
     )
     def test_enqueue_stamps_the_age_key(self, controller_cls):
@@ -316,7 +320,7 @@ class TestCandidateIndex:
     def test_occupancy_counts_transactions_beyond_the_window(self):
         engine = Engine()
         config = MemoryControllerConfig(scheduler_window_entries=2)
-        controller = BatchedMemoryController(
+        controller = MemoryController(
             engine, DramDevice(DramConfig()), make_policy("fcfs"), config
         )
         for index in range(5):
@@ -340,7 +344,7 @@ class TestAddressMapping:
         # the command-level model too.
         calls = {"locate": 0, "enqueue": 0}
         locate = AddressMapper.locate
-        enqueue = BatchedMemoryController.enqueue
+        enqueue = MemoryController.enqueue
 
         def counting_locate(mapper, address):
             calls["locate"] += 1
@@ -351,14 +355,33 @@ class TestAddressMapping:
             enqueue(controller, transaction)
 
         monkeypatch.setattr(AddressMapper, "locate", counting_locate)
-        monkeypatch.setattr(BatchedMemoryController, "enqueue", counting_enqueue)
+        monkeypatch.setattr(MemoryController, "enqueue", counting_enqueue)
         system = build_system(
             scenario="case_b",
             policy="priority_rowbuffer",
             traffic_scale=0.2,
             dram_model="command",
         )
-        assert type(system.controller) is BatchedMemoryController
+        assert type(system.controller) is MemoryController
         system.run(duration_ps=MS // 4)
         assert system.controller.served_transactions > 0
         assert calls["locate"] == calls["enqueue"]
+
+
+class TestOneController:
+    def test_the_package_exports_the_controller_the_builder_builds(self):
+        system = build_system(resolve_scenario("case_a", traffic_scale=0.1))
+        assert memctrl_package.MemoryController is type(system.controller)
+        assert "MemoryController" in memctrl_package.__all__
+
+    def test_the_controller_module_defines_one_class(self):
+        # No base class, no second controller and no alias of either name:
+        # the only controller name the module binds is the class itself.
+        names = sorted(name for name in vars(controller_module) if "MemoryController" in name)
+        assert names == ["MemoryController", "MemoryControllerConfig"]
+        defined = [
+            value
+            for value in vars(controller_module).values()
+            if isinstance(value, type) and value.__module__ == controller_module.__name__
+        ]
+        assert defined == [MemoryController]

@@ -40,7 +40,7 @@ def make_txn(
         priority=priority,
         realtime_behind=realtime_behind,
     )
-    # Stamped the way BatchedMemoryController.enqueue stamps an arrival.
+    # Stamped the way MemoryController.enqueue stamps an arrival.
     txn.enqueued_ps = enqueued_ps
     txn.sort_key = (enqueued_ps, txn.uid)
     return txn

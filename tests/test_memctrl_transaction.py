@@ -80,8 +80,8 @@ class PickingPolicy(SchedulingPolicy):
 
 
 def queue_setup(policy: SchedulingPolicy, window: Optional[int] = None):
-    """A queue-based controller whose one channel is busy serving a blocker,
-    so the transactions enqueued next all wait in the media queue."""
+    """A controller whose one channel is busy serving a blocker, so the
+    transactions enqueued next all wait in the media queue."""
     engine = Engine()
     config = MemoryControllerConfig(scheduler_window_entries=window)
     controller = MemoryController(

@@ -131,7 +131,7 @@ def _transaction(spec: Spec, enqueued_ps: int) -> Transaction:
     txn = Transaction(
         "core", spec.dma, spec.queue_class, 0, 64, False, spec.priority, spec.behind, 0
     )
-    # Stamped the way BatchedMemoryController.enqueue stamps an arrival.
+    # Stamped the way MemoryController.enqueue stamps an arrival.
     txn.enqueued_ps = enqueued_ps
     txn.sort_key = (enqueued_ps, txn.uid)
     return txn

@@ -10,8 +10,9 @@ The simulator is pinned two ways:
   :data:`LARGE_WINDOW` candidates), plus ``case_b`` at full traffic on a
   mesh NoC behind a 16-entry scheduler window for every policy and both
   DRAM models (the only rows that build a mesh or bound the window).  Every
-  row runs the columnar ``BatchedMemoryController``.  Any change to any NPI
-  sample, priority distribution, counter or average moves a digest.
+  row runs :class:`~repro.memctrl.controller.MemoryController`, the
+  columnar controller.  Any change to any NPI sample, priority distribution,
+  counter or average moves a digest.
 * **References.** Two slower code paths are swapped in and must give equal
   full result dictionaries:
 
@@ -20,8 +21,9 @@ The simulator is pinned two ways:
     through the policy's own ``select()`` — the path ATLAS, TCM, SMS and
     EDF always take;
   - *columnar vs queue-based controller*: the builder's
-    ``BatchedMemoryController`` replaced by ``MemoryController``, which
-    keeps its own candidate index and reads row state from the DRAM banks.
+    ``MemoryController`` replaced by ``QueueController`` from
+    ``tests/queue_reference.py``, which keeps its own candidate index and
+    reads row state from the DRAM banks.
 
   Each reference test asserts that the reference was actually built, and
   on its full-traffic tree rows that the normal run made decisions among
@@ -46,9 +48,10 @@ import pytest
 import repro.memctrl.controller as controller_module
 import repro.noc.router as router_module
 import repro.system.builder as builder_module
+from queue_reference import QueueController
 from repro.analysis.serialize import experiment_result_to_dict
 from repro.memctrl.columnar import ColumnarStore
-from repro.memctrl.controller import BatchedMemoryController, MemoryController
+from repro.memctrl.controller import MemoryController
 from repro.noc.mesh import MeshTopology
 from repro.scenario import builtin_scenario_paths, resolve_scenario
 from repro.sim.clock import MS
@@ -181,7 +184,7 @@ def test_fixture_covers_every_row():
 def test_digest(row):
     expected = load_fixture()["digests"][row_id(row)]
     system = build(row)
-    assert type(system.controller) is BatchedMemoryController
+    assert type(system.controller) is MemoryController
     if row[4]:
         assert isinstance(system.network.topology, MeshTopology)
     assert digest(result_dict(system)) == expected, (
@@ -201,7 +204,7 @@ def _normal_run(row: Row, monkeypatch) -> dict:
     large_windows = []
     held_back = []
     remove_index = ColumnarStore.remove_index
-    enqueue = BatchedMemoryController.enqueue
+    enqueue = MemoryController.enqueue
 
     def counting_remove_index(store, index):
         if store.live > LARGE_WINDOW:
@@ -214,7 +217,7 @@ def _normal_run(row: Row, monkeypatch) -> dict:
         return enqueue(controller, transaction)
 
     monkeypatch.setattr(ColumnarStore, "remove_index", counting_remove_index)
-    monkeypatch.setattr(BatchedMemoryController, "enqueue", counting_enqueue)
+    monkeypatch.setattr(MemoryController, "enqueue", counting_enqueue)
     system = build(row)
     expected = result_dict(system)
     monkeypatch.undo()
@@ -250,9 +253,9 @@ def test_no_selectors(row, monkeypatch):
 def test_queue_controller(row, monkeypatch):
     """The columnar controller vs the queue-based one."""
     expected = _normal_run(row, monkeypatch)
-    monkeypatch.setattr(builder_module, "BatchedMemoryController", MemoryController)
+    monkeypatch.setattr(builder_module, "MemoryController", QueueController)
     system = build(row)
-    assert type(system.controller) is MemoryController
+    assert type(system.controller) is QueueController
     assert result_dict(system) == expected
 
 

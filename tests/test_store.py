@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
+from contextlib import redirect_stdout
 
 import pytest
 
 from repro.campaign import Campaign, CampaignScheduler, CheckSpec, SubGrid
+from repro.cli import main
 from repro.runner import ResultCache
 from repro.store import (
     AmbiguousFingerprintError,
@@ -211,13 +214,14 @@ def _glob_manifests(store):
 
 
 def _glob_find_manifest(store, prefix):
-    """``ResultsStore.find_manifest`` as it listed with ``Path.glob`` (reference)."""
+    """``ResultsStore.find_manifest`` as it listed with ``Path.glob``, less the
+    file named ``.json`` (reference)."""
     matches = []
     if store.manifest_dir.is_dir():
         matches = sorted(
             path.stem
             for path in store.manifest_dir.glob("*.json")
-            if path.stem.startswith(prefix)
+            if path.name != ".json" and path.stem.startswith(prefix)
         )
     if not matches:
         raise StoreError(f"no manifest matches '{prefix}' in {store.manifest_dir}")
@@ -250,8 +254,17 @@ def _glob_find_artifact(store, digest):
     return None
 
 
+def _stdout(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(argv)
+    return out.getvalue()
+
+
 class TestListings:
-    """The store's listings match names exactly as ``Path.glob`` did."""
+    """The store's listings match names as ``Path.glob("*.json")`` did, but
+    none lists a file named ``.json``: it has no stem, so no fingerprint's
+    manifest is stored there (``manifest_path`` never names it)."""
 
     @pytest.fixture()
     def odd_store(self, recorded, tmp_path):
@@ -276,6 +289,16 @@ class TestListings:
             (store.artifact_dir / "ff" / f"{other}{suffix}").write_bytes(b"sized")
         return store, manifest, ref, other
 
+    def test_manifest_names_are_the_glob_listing_without_dot_json(self, odd_store):
+        store, manifest, _, _ = odd_store
+        globbed = sorted(path.name for path in store.manifest_dir.glob("*.json"))
+        assert ".json" in globbed
+        names = store.manifest_names()
+        assert names == [name for name in globbed if name != ".json"]
+        assert sorted(names) == sorted(
+            ["..json", ".hidden.json", "copy.json", "dir.json", f"{manifest.fingerprint}.json"]
+        )
+
     def test_manifests_match_the_glob_listing(self, odd_store):
         store, manifest, _, _ = odd_store
         listed = store.manifests()
@@ -283,19 +306,19 @@ class TestListings:
             m.fingerprint for m in _glob_manifests(store)
         ]
         # The real file and its copies under ".hidden.json", "..json" and
-        # "copy.json"; the file named ".json" has the stem ".json", so it is
-        # read as ".json.json", which is missing.
+        # "copy.json"; the file named ".json" is not listed.
         assert len(listed) == 4
 
     def test_find_manifest_matches_the_glob_listing(self, odd_store):
         store, manifest, _, _ = odd_store
         outcomes = {}
-        for prefix in ("", ".", ".h", "co", "Up", "dir", "notes",
+        for prefix in ("", ".", ".h", ".j", "co", "Up", "dir", "notes",
                        manifest.fingerprint[:6], "zz"):
             outcomes[prefix] = _outcome(store.find_manifest, prefix)
             assert outcomes[prefix] == _outcome(_glob_find_manifest, store, prefix)
         assert outcomes["co"] == outcomes[manifest.fingerprint[:6]] == manifest.fingerprint
-        assert outcomes["."] == ("ambiguous", (".", ".hidden", ".json"))
+        assert outcomes["."] == ("ambiguous", (".", ".hidden"))
+        assert outcomes[".j"][1].startswith("no manifest matches")
         assert outcomes["dir"][1].endswith("exists but is unreadable")
         assert outcomes["Up"][1].startswith("no manifest matches")
 
@@ -306,8 +329,30 @@ class TestListings:
         assert store.find_artifact(ref.digest) == ref
         assert store.find_artifact(other) == ArtifactRef(digest=other, ext="bb", size=5)
 
+    def test_store_verify_and_index_skip_only_the_file_named_dot_json(self, odd_store):
+        store, manifest, _, _ = odd_store
+        verify = ["store", "verify", "--store-dir", str(store.directory)]
+        index = ["store", "index", "--store-dir", str(store.directory)]
+        outputs = (_stdout(verify), _stdout(index))
+        short = manifest.fingerprint[:12]
+        lines = outputs[0].splitlines()
+        assert lines[:3] == [
+            f"[FAIL] manifest {name}: declares fingerprint {short}… (file name disagrees)"
+            for name in ("..json", ".hidden.json", "copy.json")
+        ]
+        assert lines[3].startswith("[FAIL] manifest dir.json: unreadable (")
+        # Artifacts are counted from the four readable manifests.
+        artifacts = 4 * len(manifest.artifact_refs())
+        assert lines[4:] == [f"verified 5 manifest(s), {artifacts} artifact(s), 4 problem(s)"]
+        assert outputs[1] == (
+            "store index: rebuilt from 5 manifest(s) — 2 point(s), 2 spec mapping(s)\n"
+        )
+        (store.manifest_dir / ".json").unlink()
+        assert (_stdout(verify), _stdout(index)) == outputs
+
     def test_a_missing_store_lists_nothing(self, tmp_path):
         store = ResultsStore(tmp_path / "missing")
+        assert store.manifest_names() == []
         assert store.manifests() == []
         with pytest.raises(StoreError):
             store.find_manifest("")
